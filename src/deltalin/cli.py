@@ -4,24 +4,24 @@ Subcommands: solve, verify, galois, example-3-9, selftest.  All reports are
 canonical JSON (sorted keys, no whitespace) on stdout; human-readable status
 lines and timings go to stderr.  A fixed --seed fully determines every
 random draw, so identical configurations produce byte-identical reports.
-Exit codes: 0 pass, 1 assertion failure, 2 usage error.
+Exit codes: 0 pass, 1 assertion failure, 2 usage error, 3 internal error
+(a failed internal invariant: a bug, please report it).
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import acceptance
 from .equations import (
     EquationSpec,
-    frobenius_fixedness,
+    _fixedness,
     prime_integral_check,
     residual,
     solve,
 )
-from .errors import DeltaLinError, ParameterError
+from .errors import AlgebraInvariantError, DeltaLinError, ParameterError
 from .galois import (
     GuChecker,
     check_right_compatibility,
@@ -45,21 +45,7 @@ from .sampling import Rng
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _threads_env():
-    """DELTA_LIN_THREADS bounds internal parallelism; execution here is
-    single-threaded, which trivially respects any bound >= 1."""
-    raw = os.environ.get("DELTA_LIN_THREADS")
-    if raw is None:
-        return None
-    try:
-        v = int(raw)
-    except ValueError:
-        raise ParameterError("DELTA_LIN_THREADS must be an integer")
-    if v < 1:
-        raise ParameterError("DELTA_LIN_THREADS must be >= 1")
-    return v
+EXIT_INTERNAL = 3
 
 
 def _add_ring_args(sp, with_kind=True):
@@ -202,16 +188,11 @@ def _cmd_verify(args):
     integrals = prime_integral_check(spec, u)
     integrals_ok = all(d.is_zero() for _, d in integrals)
     ok = rv == math.inf and integrals_ok
-    fixedness = next(
-        nu
-        for nu in sorted(d for d in range(1, ctx.m + 1) if ctx.m % d == 0)
-        if frobenius_fixedness(u, nu)
-    )
     out = {
         "command": "verify",
         "residual_valuation": valuation_to_json(rv),
         "prime_integrals_vanish": integrals_ok,
-        "fixedness": fixedness,
+        "fixedness": _fixedness(u),
         "pass": ok,
     }
     _emit(out, None)
@@ -307,7 +288,6 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
-        _threads_env()
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "verify":
@@ -317,6 +297,9 @@ def main(argv=None):
         if args.command == "example-3-9":
             return _cmd_example(args)
         return _cmd_selftest(args)
+    except AlgebraInvariantError as exc:
+        print(f"internal error (please report): {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except DeltaLinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,9 +12,28 @@ The -1/n-th and 1/2 powers are the unique roots congruent to 1 mod p; they
 are computed here by Hensel-Newton iteration, which is exact mod p^N and
 agrees with the usual binomial series by uniqueness.
 
-The solver iterates u <- phi^{-1}((1 + p*alpha) * Phi(u)) exactly N times;
-each step gains at least one digit, so the result satisfies the equation to
-full working precision and is the unique solution congruent to u0 mod p.
+The solver iterates u_{k+1} = phi^{-1}((1 + p*alpha) * Phi(u_k)), k = 0..N-1.
+Phi depends on u only through p-th powers (x^{(p)}, det(x)^p and
+(x^t q x)^{(p)}), and a = b mod p^j implies a^p = b^p mod p^{j+1}; so if
+u = u' mod p^j then Phi(u) = Phi(u') mod p^{j+1}, and each step gains one
+digit.  As u_0 = u mod p for the solution u, u_k = u mod p^{k+1}, and after
+N steps the result is exact mod p^N: the unique solution congruent to u0
+mod p.
+
+Step k needs the twist (lambda or Lambda) only mod p^{k+2}: an error
+divisible by p^j in it changes u_{k+1} only mod p^j, and u_{k+1} is only
+claimed mod p^{k+2}.  The solver therefore carries the twist's root from
+step to step instead of rebuilding it from 1.  As u_k = u_{k-1} mod p^k, the
+radicand (a function of p-th powers) moves only in digits >= k+1; the root
+congruent to 1 mod p of a radicand known mod p^j is itself determined mod
+p^j, so the previous root is still correct to k+1 digits.  One Newton step
+from it suffices.  For the scalar -1/n-th root it doubles the correct
+digits.  For the matrix square root it gains one: the previous root does
+not commute with the new radicand, so the step's error E becomes
+O(pE) + O(E^2) instead of O(E^2) (see `matrix_sqrt_one_mod_p`).  Step 0
+starts from 1, which every twist is congruent to mod p.  The final residual
+is computed with cold roots at full precision, independently of the warm
+ones.
 """
 
 from dataclasses import dataclass, field
@@ -132,18 +151,26 @@ class SolveReport:
 # -- the twists ------------------------------------------------------------------
 
 
-def _nth_root_one_mod_p(base, n):
+def _nth_root_one_mod_p(base, n, start=None, correct=0):
     """The unique y = 1 mod p with y^n = base, for base = 1 mod p and p not | n.
 
-    Hensel-Newton: y <- y - (y^n - base) / (n y^{n-1}).
+    Hensel-Newton: y <- y - (y^n - base) / (n y^{n-1}); each step doubles the
+    number of correct digits.  With no start value it runs from 1 to base's
+    precision K.  A start value correct to `correct` >= 1 digits gets one
+    step, and the result carries known_prec min(K, 2 * correct).
     """
     ctx = base.ctx
     one = ctx.one()
     if (base - one).valuation() < 1:
         raise DomainError("n-th root requires base = 1 mod p")
     K = base.known_prec
-    y = one
-    steps = max(1, (max(K, 2) - 1).bit_length()) + 1
+    if start is None:
+        y = one
+        steps = max(1, (max(K, 2) - 1).bit_length()) + 1
+    else:
+        if correct < 1:
+            raise ParameterError("a start value must be correct to at least one digit")
+        y, steps, K = start, 1, min(K, 2 * correct)
     for _ in range(steps):
         err = y ** n - base
         y = y - err * (ctx.element(n) * y ** (n - 1)).invert()
@@ -152,10 +179,11 @@ def _nth_root_one_mod_p(base, n):
     return y.with_prec(K)
 
 
-def lambda_sl(x):
+def lambda_sl(x, start=None, correct=0):
     """lambda(x) = (det(x^{(p)}) / det(x)^p)^{-1/n}, the sl-type scalar twist.
 
     Characterized by lambda(x)^n * det(x^{(p)}) = det(x)^p and = 1 mod p.
+    `start` and `correct` warm-start the root (see `_nth_root_one_mod_p`).
     """
     ctx = x.ctx
     n = x.n
@@ -166,30 +194,37 @@ def lambda_sl(x):
         raise DomainError("x must be invertible")
     base = x.pow_p_entrywise().det() * (d ** ctx.p).invert()
     # lambda^n = base^{-1}
-    return _nth_root_one_mod_p(base.invert(), n)
+    return _nth_root_one_mod_p(base.invert(), n, start, correct)
 
 
-def Lambda_so(x, q):
-    """Lambda(x) = (((x^{(p)})^t q x^{(p)})^{-1} (x^t q x)^{(p)})^{1/2}."""
+def Lambda_so(x, q, start=None, correct=0):
+    """Lambda(x) = (((x^{(p)})^t q x^{(p)})^{-1} (x^t q x)^{(p)})^{1/2}.
+
+    `start` and `correct` warm-start the root (see `matrix_sqrt_one_mod_p`).
+    """
     xp = x.pow_p_entrywise()
     A = xp.transpose() @ q @ xp
     C = (x.transpose() @ q @ x).pow_p_entrywise()
-    return matrix_sqrt_one_mod_p(A.inverse() @ C)
+    return matrix_sqrt_one_mod_p(A.inverse() @ C, start, correct)
 
 
-def _phi_kind(kind, variant, x, q=None):
+def _phi_kind(kind, variant, x, q=None, start=None, correct=0):
+    """Phi(x) and its twist factor (None for gl, lambda(x) for sl, Lambda(x)
+    for so); `start` and `correct` warm-start the twist's root."""
     if kind == "gl":
-        return x.pow_p_entrywise()
+        return x.pow_p_entrywise(), None
     if kind == "sl":
-        return lambda_sl(x) * x.pow_p_entrywise()
+        twist = lambda_sl(x, start, correct)
+        return twist * x.pow_p_entrywise(), twist
     if q is None:
         q = build_q(x.ctx, variant, x.n)
-    return x.pow_p_entrywise() @ Lambda_so(x, q)
+    twist = Lambda_so(x, q, start, correct)
+    return x.pow_p_entrywise() @ twist, twist
 
 
 def Phi(spec, x):
     """The twist Phi(x) = x^{(p)} + p*Delta(x) of the given type."""
-    return _phi_kind(spec.kind, spec.variant, x, spec.q_matrix())
+    return _phi_kind(spec.kind, spec.variant, x, spec.q_matrix())[0]
 
 
 def Delta_of(spec, x):
@@ -209,7 +244,12 @@ def solve(spec, u0, keep_iterates=False):
     """Fixed-point iteration u <- phi^{-1}(eps * Phi(u)), run exactly N times.
 
     Returns the unique solution congruent to u0 mod p, with residual and
-    prime-integral diagnostics.
+    prime-integral diagnostics.  Step k gains the digit k+1 of the solution,
+    so it needs the twist only mod p^{k+2}.  Its root therefore starts from
+    the previous step's root, correct to k+1 digits because the radicand
+    moved only in digits >= k+1, and takes one Newton step: the matrix square
+    root gains one digit, the scalar root doubles (see the module docstring).
+    Step 0 starts from 1.  The residual is a cold, full-precision Phi.
     """
     ctx = spec.ctx
     if not ctx.same(u0.ctx):
@@ -224,9 +264,15 @@ def solve(spec, u0, keep_iterates=False):
     eps = spec.epsilon()
     q = spec.q_matrix()
     u = u0
+    # Every twist is 1 mod p, so 1 is a start correct to one digit.
+    twist = PMatrix.identity(ctx, spec.n) if spec.kind == "so" else ctx.one()
     trail = [u0] if keep_iterates else None
-    for _ in range(ctx.N):
-        u = (eps @ _phi_kind(spec.kind, spec.variant, u, q)).frobenius_inverse_entrywise()
+    for k in range(ctx.N):
+        P, twist = _phi_kind(spec.kind, spec.variant, u, q, twist, k + 1)
+        # The twist is trusted to at least k+2 digits, and P with it; u stays a
+        # representative mod p^N, and the contraction argument, not
+        # known_prec, says that its digits below k+2 are final.
+        u = (eps @ P).frobenius_inverse_entrywise().with_prec(ctx.N)
         if keep_iterates:
             trail.append(u)
 
@@ -285,7 +331,7 @@ def frobenius_fixedness(u, nu):
 def recover_alpha(u, kind, variant=None):
     """alpha = (phi(u) * Phi(u)^{-1} - 1) / p, the twist solved by u."""
     phi_u = u.frobenius_entrywise()
-    P = _phi_kind(kind, variant, u)
+    P, _ = _phi_kind(kind, variant, u)
     one = PMatrix.identity(u.ctx, u.n)
     return (phi_u @ P.inverse() - one).exact_div_p()
 

@@ -108,6 +108,11 @@ def spec_to_json(spec):
 
 
 def spec_from_json(obj, ctx=None):
+    if not isinstance(obj, dict):
+        raise ParameterError("spec must be a JSON object")
+    for key in (("ring",) if ctx is None else ()) + ("kind", "n", "alpha"):
+        if key not in obj:
+            raise ParameterError(f"spec is missing {key!r}")
     if ctx is None:
         ctx = context_from_json(obj["ring"])
     alpha = matrix_from_json(ctx, obj["alpha"])

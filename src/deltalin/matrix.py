@@ -279,21 +279,38 @@ def delta_inverse(a):
 # -- matrix square roots and binomial powers --------------------------------------
 
 
-def matrix_sqrt_one_mod_p(M):
-    """The unique square root of M that is congruent to 1 mod p.
+def matrix_sqrt_one_mod_p(M, start=None, correct=0):
+    """The unique square root S of M that is congruent to 1 mod p.
 
-    Requires M = 1 mod p and p odd.  Newton iteration Y <- (Y + Y^{-1} M)/2
-    stays inside the commutative subring generated by M and doubles the
-    number of correct digits per step; the result is exact at M's precision.
+    Requires M = 1 mod p and p odd.  Newton's step is Y <- (Y + Y^{-1} M)/2;
+    write E = Y - S for the error of Y.
+
+    Cold (no start): from Y = 1 every iterate is a polynomial in M, so it
+    commutes with M and S, and the new error is E^2 Y^{-1}/2: each step
+    doubles the number of correct digits.  bitlen(K-1)+1 steps make the
+    result exact at M's precision K, and it carries known_prec K.
+
+    Warm (a start value correct to `correct` >= 1 digits): exactly one step.
+    The start need not commute with M, and then the new error is
+    (E - S^{-1} E S)/2 + O(E^2) = S^{-1} [S, E]/2 + O(E^2).  As S = 1 mod p,
+    [S, E] = O(pE), so a warm step gains one digit where a cold one doubles;
+    the result carries known_prec min(K, correct + 1).
+
+    Either way Y^2 = M is checked at the returned precision.
     """
     ctx = M.ctx
     one = PMatrix.identity(ctx, M.n)
     if not (M - one).eq_at(PMatrix.zeros(ctx, M.n), 1):
         raise DomainError("matrix square root requires M = 1 mod p")
     half = pow(2, -1, ctx.kernel.q)
-    Y = one
     K = M.known_prec
-    steps = max(1, (max(K, 2) - 1).bit_length()) + 1
+    if start is None:
+        Y = one
+        steps = max(1, (max(K, 2) - 1).bit_length()) + 1
+    else:
+        if correct < 1:
+            raise ParameterError("a start value must be correct to at least one digit")
+        Y, steps, K = start, 1, min(K, correct + 1)
     for _ in range(steps):
         Y = half * (Y + Y.inverse() @ M)
     if not (Y @ Y).eq_at(M, K):

@@ -32,10 +32,6 @@ __all__ = [
     "RingContext",
     "RingElement",
     "make_context",
-    "add",
-    "sub",
-    "mul",
-    "neg",
     "invert",
     "frobenius",
     "frobenius_inverse",
@@ -350,22 +346,6 @@ class RingElement:
 
 
 # -- module-level operation surface ---------------------------------------------
-
-
-def add(a, b):
-    return a + b
-
-
-def sub(a, b):
-    return a - b
-
-
-def mul(a, b):
-    return a * b
-
-
-def neg(a):
-    return -a
 
 
 def invert(a):

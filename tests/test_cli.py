@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from deltalin import cli
 from deltalin.cli import main
+from deltalin.errors import AlgebraInvariantError
 
 
 def run_cli(capsys, *argv):
@@ -91,13 +95,35 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("DELTA_LIN_THREADS", "0")
-    code, _, err = run_cli(capsys, "example-3-9", "--p", "7", "--prec", "8")
+@pytest.mark.parametrize("field", ["ring", "kind", "n", "alpha"])
+def test_verify_spec_missing_field_is_usage_error(capsys, tmp_path, field):
+    out_path = tmp_path / "report.json"
+    run_cli(
+        capsys,
+        "solve", "--p", "5", "--n", "1", "--kind", "gl", "--seed", "2",
+        "--prec", "6", "--output", str(out_path),
+    )
+    payload = json.loads(out_path.read_text())
+    del payload["spec"][field]
+    out_path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "verify", "--input", str(out_path))
     assert code == 2
-    monkeypatch.setenv("DELTA_LIN_THREADS", "4")
-    code, _, _ = run_cli(capsys, "example-3-9", "--p", "7", "--prec", "8")
-    assert code == 0
+    assert out == ""
+    assert err.startswith("error: ") and repr(field) in err
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken_solve(spec, u0):
+        raise AlgebraInvariantError("Newton square root failed to converge")
+
+    monkeypatch.setattr(cli, "solve", broken_solve)
+    code, out, err = run_cli(
+        capsys, "solve", "--p", "5", "--n", "2", "--kind", "gl", "--prec", "6"
+    )
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err.startswith("internal error (please report): Newton square root")
 
 
 def test_example_3_9_command(capsys):

@@ -101,6 +101,19 @@ def test_lambda_sl_defining_identity():
         assert lam * lam * x.pow_p_entrywise().det() == x.det() ** 5
 
 
+def test_lambda_sl_warm_step_doubles_digits(c5):
+    rng = Rng(39)
+    for c in (1, 2, 4):
+        for _ in range(10):
+            x = rng.gl(c5, 3)
+            lam = lambda_sl(x)
+            warm = lambda_sl(x, start=lam + 5 ** c * rng.element(c5), correct=c)
+            assert warm.known_prec == min(2 * c, c5.N)
+            assert warm.eq_at(lam, 2 * c)
+    with pytest.raises(ParameterError):
+        lambda_sl(PMatrix.identity(c5, 2), start=c5.one(), correct=0)
+
+
 def test_lambda_sl_p_divides_n(c5):
     with pytest.raises(DomainError):
         lambda_sl(PMatrix.identity(c5, 5))
@@ -216,6 +229,49 @@ def test_residual_nonzero_off_solution(c5):
     u0 = rng.gl(c5, 2)
     r = residual(spec, u0)
     assert 1 <= r.valuation() < c5.N  # all residuals vanish mod p
+
+
+_SOLVER_CELLS = (
+    ("gl", None, 1), ("gl", None, 2), ("gl", None, 3),
+    ("sl", None, 1), ("sl", None, 2), ("sl", None, 3),
+    ("so", "sp", 2), ("so", "so_even", 2), ("so", "so_odd", 3),
+)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (7, 2)])
+def test_solve_matches_cold_reference_loop(p, m):
+    # The reference recomputes every twist from scratch at full precision
+    # through the public Phi; solve carries its roots from step to step.
+    ctx = make_context(p, m, 10)
+    rng = Rng(100 * p + m)
+    for kind, variant, n in _SOLVER_CELLS:
+        spec = EquationSpec(kind, n, rng.matrix(ctx, n), variant)
+        u0 = rng.gl(ctx, n)
+        eps = spec.epsilon()
+        u = u0
+        for _ in range(ctx.N):
+            u = (eps @ Phi(spec, u)).frobenius_inverse_entrywise()
+        rep = solve(spec, u0)
+        assert rep.solution.flat == u.flat, (kind, variant, n)
+        assert rep.solution.known_prec == u.known_prec == ctx.N
+        assert rep.residual_valuation == math.inf
+
+
+def _reduce(ctx, M):
+    return PMatrix.from_flat(ctx, [c % ctx.kernel.q for c in M.flat], M.n)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (7, 2)])
+def test_solve_is_consistent_across_precisions(p, m):
+    hi, lo = make_context(p, m, 16), make_context(p, m, 8)
+    rng = Rng(200 * p + m)
+    for kind, variant, n in _SOLVER_CELLS:
+        spec = EquationSpec(kind, n, rng.matrix(hi, n), variant)
+        u0 = rng.gl(hi, n)
+        low_spec = EquationSpec(kind, n, _reduce(lo, spec.alpha), variant)
+        high = solve(spec, u0).solution
+        low = solve(low_spec, _reduce(lo, u0)).solution
+        assert _reduce(lo, high).flat == low.flat, (kind, variant, n)
 
 
 def test_uniqueness_under_perturbation(c7):
