@@ -9,9 +9,36 @@ Two interchangeable implementations exist: the pure-Python kernel below and
 the Cython `_speedups.FastKernel`, used automatically when the modulus p^N
 fits in 63 bits.  `make_kernel` performs the selection; setting the
 environment variable DELTA_LIN_PURE=1 forces the fallback.
+
+The pure kernel works on Python ints with these rules:
+
+- Canonical form: every coefficient it returns lies in [0, q), q = p^N.
+  Each result is reduced from exact integer arithmetic, so it depends only
+  on the inputs mod q.
+- One reduction per dot product: a product of elements, a matrix entry
+  sum_k a_ik b_kj, a row update x - f*y or a Laplace expansion step is
+  accumulated unreduced and taken mod q once.  For m > 1 this is `_dot`:
+  it sums the length-(2m-1) convolutions of the pairs, folds the
+  coefficients of x^m .. x^{2m-2} through the rows x^{m+i} mod f (`_red`)
+  and reduces each coefficient once.  Every product of two elements at
+  m > 1 goes through `_dot`.
+- m == 1: a matrix entry is a plain int, not a 1-tuple.  `m_mul` sums the
+  products of row and column slices of the flat tuple, `m_powp` is
+  pow(x, p, q), and `m_inv`/`m_det` eliminate on ints with pow(x, -1, q).
+  For m > 1 the same elimination code runs on m-tuples through `_dot`.
+- Inverse of a unit a for m > 1: b = a^(p^m - 2) mod p is the inverse of a
+  mod p (Fermat in F_{p^m}), and b <- b(2 - ab) then doubles its correct
+  digits up to N.  Only b mod p is used, so the Fermat power runs in
+  F_p[x]/(f mod p), on the rows of `_red` reduced mod p (`_red_p`),
+  instead of at width p^N.  Reduction mod p is a ring map
+  (Z/p^N)[x]/(f) -> F_p[x]/(f mod p), so the start value equals the
+  full-width power reduced mod p, and the lifted inverse, unique mod p^N,
+  is the same.
 """
 
 import os
+from itertools import chain
+from operator import mul
 
 from .errors import AlgebraInvariantError, NotUnitError, SingularMatrixError
 
@@ -70,9 +97,12 @@ class PureKernel:
         if len(self.modulus_tail) != m:
             raise ValueError("modulus tail must have m coefficients")
         self._red = self._reduction_rows()
+        self._red_p = [tuple(c % p for c in row) for row in self._red]
         self._frob = None  # list of m flat m*m matrices: phi^0 .. phi^{m-1}
+        self._coords = range(m)
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
+        self._e0, self._e1 = (0, 1) if m == 1 else (self.zero, self.one)  # as matrix entries
 
     # -- setup ------------------------------------------------------------
 
@@ -111,6 +141,100 @@ class PureKernel:
                 out[i * m + j] = acc % q
         return tuple(out)
 
+    # -- the one reduction ----------------------------------------------------
+
+    def _dot(self, xs, ys, base=None, red=None, mod=None):
+        """sum_k xs[k] * ys[k] (plus `base`), reduced once into [0, mod).
+
+        Entries are ints for m == 1 and m-tuples otherwise.  For m > 1 the
+        products' convolutions are summed unreduced, then the coefficients
+        of x^m .. x^{2m-2} are folded through `red` (default `_red`, with
+        mod q) and every coefficient is taken mod `mod`.
+        """
+        m = self.m
+        if mod is None:
+            red, mod = self._red, self.q
+        if m == 1:
+            acc = sum(map(mul, xs, ys))
+            return (acc if base is None else acc + base) % mod
+        coords = self._coords
+        t = [0] * (2 * m - 1) if base is None else [*base, *self.zero[1:]]
+        for x, y in zip(xs, ys):
+            for i in coords:
+                xi = x[i]
+                if xi:
+                    for j in coords:
+                        t[i + j] += xi * y[j]
+        out = t[:m]
+        for c, row in zip(t[m:], red):
+            if c:
+                for j in coords:
+                    out[j] += c * row[j]
+        return tuple([c % mod for c in out])
+
+    def _pow(self, a, e, red, mod):
+        """a^e for m > 1 by square and multiply, reduced by `red` mod `mod`."""
+        if not e:
+            return self.one
+        dot = self._dot
+        a = tuple([c % mod for c in a])  # canonical: a itself is a^1
+        result = None
+        while True:
+            if e & 1:
+                result = a if result is None else dot((result,), (a,), None, red, mod)
+            e >>= 1
+            if not e:
+                return result
+            a = dot((a,), (a,), None, red, mod)
+
+    # -- matrix entries: ints for m == 1, m-tuples otherwise -------------------
+
+    def _ents(self, d):
+        m = self.m
+        if m == 1:
+            return list(d)
+        return [d[s : s + m] for s in range(0, len(d), m)]
+
+    def _flat(self, ents):
+        if self.m == 1:
+            return tuple(ents)
+        return tuple(chain.from_iterable(ents))
+
+    def _nonzero(self, x):
+        return any(x) if self.m > 1 else x != 0
+
+    def _unit(self, x):
+        return self.s_is_unit(x) if self.m > 1 else x % self.p != 0
+
+    def _inv(self, x):
+        return self.s_inv(x) if self.m > 1 else pow(x, -1, self.q)
+
+    def _neg(self, x):
+        return tuple(-c for c in x) if self.m > 1 else -x
+
+    def _pivot(self, rows, col):
+        """The first row at or below col whose entry in column col is a unit."""
+        for r in range(col, len(rows)):
+            if self._unit(rows[r][col]):
+                return r
+        raise SingularMatrixError("not in GL_n: no unit pivot")
+
+    def _scale(self, c, xs):
+        """[c * x for x in xs], each reduced."""
+        if self.m == 1:
+            q = self.q
+            return [c * x % q for x in xs]
+        dot, c = self._dot, (c,)
+        return [dot(c, (x,)) for x in xs]
+
+    def _axpy(self, xs, f, ys):
+        """[x - f * y for x, y in zip(xs, ys)], each reduced once."""
+        if self.m == 1:
+            q = self.q
+            return [(x - f * y) % q for x, y in zip(xs, ys)]
+        dot, nf = self._dot, (self._neg(f),)
+        return [dot(nf, (y,), x) for x, y in zip(xs, ys)]
+
     # -- scalar operations -------------------------------------------------
 
     def s_add(self, a, b):
@@ -126,29 +250,9 @@ class PureKernel:
         return tuple((-x) % q for x in a)
 
     def s_mul(self, a, b):
-        m, q = self.m, self.q
-        if m == 1:
-            return ((a[0] * b[0]) % q,)
-        t = [0] * (2 * m - 1)
-        for i in range(m):
-            ai = a[i]
-            if ai:
-                for j in range(m):
-                    t[i + j] = (t[i + j] + ai * b[j]) % q
-        return self._reduce(t)
-
-    def _reduce(self, t):
-        m, q = self.m, self.q
-        out = list(t[:m])
-        for i in range(m, 2 * m - 1):
-            c = t[i]
-            if c:
-                row = self._red[i - m]
-                for j in range(m):
-                    rj = row[j]
-                    if rj:
-                        out[j] = (out[j] + c * rj) % q
-        return tuple(out)
+        if self.m == 1:
+            return (a[0] * b[0] % self.q,)
+        return self._dot((a,), (b,))
 
     def s_scal_int(self, c, a):
         q = self.q
@@ -158,14 +262,9 @@ class PureKernel:
     def s_pow(self, a, e):
         if e < 0:
             raise ValueError("negative exponent; invert first")
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.s_mul(result, base)
-            base = self.s_mul(base, base)
-            e >>= 1
-        return result
+        if self.m == 1:
+            return (pow(a[0], e, self.q),)
+        return self._pow(a, e, self._red, self.q)
 
     def s_is_unit(self, a):
         p = self.p
@@ -177,8 +276,8 @@ class PureKernel:
             raise NotUnitError("not a unit (valuation >= 1)")
         if m == 1:
             return (pow(a[0], -1, q),)
-        # inverse mod p by Fermat in F_{p^m}, then Hensel lifting
-        b = tuple(c % p for c in self.s_pow(a, p ** m - 2))
+        # inverse mod p by Fermat in F_p[x]/(f mod p), then Hensel lifting
+        b = self._pow(tuple(c % p for c in a), p ** m - 2, self._red_p, p)
         two = self.s_scal_int(2, self.one)
         prec = 1
         while prec < N:
@@ -243,37 +342,23 @@ class PureKernel:
         return PureMat(tuple((-x) % q for x in A.data), A.n)
 
     def m_transpose(self, A):
-        n, m = A.n, self.m
-        d = A.data
-        out = []
-        for i in range(n):
-            for j in range(n):
-                s = (j * n + i) * m
-                out.extend(d[s : s + m])
-        return PureMat(tuple(out), n)
+        n = A.n
+        e = self._ents(A.data)
+        return PureMat(self._flat(e[j * n + i] for i in range(n) for j in range(n)), n)
 
     def m_mul(self, A, B):
-        n, m = A.n, self.m
-        a, b = A.data, B.data
-        s_mul, s_add = self.s_mul, self.s_add
-        out = []
-        for i in range(n):
-            for j in range(n):
-                acc = self.zero
-                for k in range(n):
-                    x = a[(i * n + k) * m : (i * n + k + 1) * m]
-                    y = b[(k * n + j) * m : (k * n + j + 1) * m]
-                    acc = s_add(acc, s_mul(x, y))
-                out.extend(acc)
-        return PureMat(tuple(out), n)
+        n, q = A.n, self.q
+        a, b = self._ents(A.data), self._ents(B.data)
+        rows = [a[i * n : (i + 1) * n] for i in range(n)]
+        cols = [b[j::n] for j in range(n)]
+        if self.m == 1:
+            return PureMat(tuple(sum(map(mul, r, c)) % q for r in rows for c in cols), n)
+        dot = self._dot
+        return PureMat(self._flat(dot(r, c) for r in rows for c in cols), n)
 
     def m_scal(self, s, A):
-        n, m = A.n, self.m
-        d = A.data
-        out = []
-        for e in range(n * n):
-            out.extend(self.s_mul(s, d[e * m : (e + 1) * m]))
-        return PureMat(tuple(out), n)
+        c = s[0] if self.m == 1 else s
+        return PureMat(self._flat(self._scale(c, self._ents(A.data))), A.n)
 
     def m_scal_int(self, c, A):
         q = self.q
@@ -281,22 +366,17 @@ class PureKernel:
         return PureMat(tuple(c * x % q for x in A.data), A.n)
 
     def m_powp(self, A):
-        n, m, p = A.n, self.m, self.p
-        d = A.data
-        out = []
-        for e in range(n * n):
-            out.extend(self.s_pow(d[e * m : (e + 1) * m], p))
-        return PureMat(tuple(out), n)
+        p, q = self.p, self.q
+        if self.m == 1:
+            return PureMat(tuple(pow(x, p, q) for x in A.data), A.n)
+        red = self._red
+        return PureMat(self._flat(self._pow(e, p, red, q) for e in self._ents(A.data)), A.n)
 
     def m_frob(self, A, k=1):
         if self.m == 1:
             return A
-        n, m = A.n, self.m
-        d = A.data
-        out = []
-        for e in range(n * n):
-            out.extend(self.s_frob(d[e * m : (e + 1) * m], k))
-        return PureMat(tuple(out), n)
+        s_frob = self.s_frob
+        return PureMat(self._flat(s_frob(e, k) for e in self._ents(A.data)), A.n)
 
     def m_divp(self, A):
         p = self.p
@@ -309,109 +389,67 @@ class PureKernel:
         pk = self.p ** k
         return all((x - y) % pk == 0 for x, y in zip(A.data, B.data))
 
-    def _entry(self, d, n, i, j):
-        m = self.m
-        s = (i * n + j) * m
-        return d[s : s + m]
-
     def m_det(self, A):
         n = A.n
-        if n <= 4:
-            return self._det_cofactor(A.data, n)
-        return self._det_elim(A)
+        e = self._ents(A.data)
+        det = self._det_cofactor(e, n) if n <= 4 else self._det_elim(e, n)
+        return (det,) if self.m == 1 else det
 
-    def _det_cofactor(self, d, n):
-        entry = self._entry
-        s_mul, s_add, s_sub = self.s_mul, self.s_add, self.s_sub
+    def _det_cofactor(self, e, n):
+        """Laplace expansion along the rows; one `_dot` per minor."""
+        dot, neg, nonzero = self._dot, self._neg, self._nonzero
 
         def rec(row, mask):
             if row == n:
-                return self.one
-            acc = self.zero
-            sign = 1
+                return self._e1
+            xs, ys = [], []
+            odd = False
             for j in range(n):
                 if mask & (1 << j):
                     continue
-                a = entry(d, n, row, j)
-                if any(a):
-                    term = s_mul(a, rec(row + 1, mask | (1 << j)))
-                    acc = s_add(acc, term) if sign > 0 else s_sub(acc, term)
-                sign = -sign
-            return acc
+                a = e[row * n + j]
+                if nonzero(a):
+                    xs.append(neg(a) if odd else a)
+                    ys.append(rec(row + 1, mask | (1 << j)))
+                odd = not odd
+            return dot(xs, ys)
 
         return rec(0, 0)
 
-    def _det_elim(self, A):
+    def _det_elim(self, e, n):
         # unit-pivot Gaussian elimination; exact because pivots are units
-        n, m = A.n, self.m
-        rows = [
-            [list(self._entry(A.data, n, i, j)) for j in range(n)] for i in range(n)
-        ]
-        det = self.one
-        sign = 1
+        rows = [e[i * n : (i + 1) * n] for i in range(n)]
+        det = self._e1
         for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if self.s_is_unit(tuple(rows[r][col])):
-                    piv = r
-                    break
-            if piv is None:
-                raise SingularMatrixError("not in GL_n: no unit pivot")
+            piv = self._pivot(rows, col)
             if piv != col:
                 rows[col], rows[piv] = rows[piv], rows[col]
-                sign = -sign
-            pivot = tuple(rows[col][col])
-            det = self.s_mul(det, pivot)
-            pinv = self.s_inv(pivot)
+                det = self._neg(det)  # reduced by the product below
+            pivot = rows[col][col]
+            det = self._dot((det,), (pivot,))
+            pinv = self._inv(pivot)
             for r in range(col + 1, n):
-                factor = self.s_mul(tuple(rows[r][col]), pinv)
-                if any(factor):
-                    for j in range(col, n):
-                        rows[r][j] = list(
-                            self.s_sub(
-                                tuple(rows[r][j]),
-                                self.s_mul(factor, tuple(rows[col][j])),
-                            )
-                        )
-        return det if sign > 0 else self.s_neg(det)
+                factor = self._dot((rows[r][col],), (pinv,))
+                if self._nonzero(factor):
+                    rows[r][col:] = self._axpy(rows[r][col:], factor, rows[col][col:])
+        return det
 
     def m_inv(self, A):
-        n, m = A.n, self.m
-        left = [
-            [tuple(self._entry(A.data, n, i, j)) for j in range(n)] for i in range(n)
-        ]
-        right = [
-            [self.one if i == j else self.zero for j in range(n)] for i in range(n)
+        """Gauss-Jordan on [A | 1] with unit pivots."""
+        n = A.n
+        e = self._ents(A.data)
+        rows = [
+            e[i * n : (i + 1) * n] + [self._e1 if i == j else self._e0 for j in range(n)]
+            for i in range(n)
         ]
         for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if self.s_is_unit(left[r][col]):
-                    piv = r
-                    break
-            if piv is None:
-                raise SingularMatrixError("not in GL_n: no unit pivot")
-            if piv != col:
-                left[col], left[piv] = left[piv], left[col]
-                right[col], right[piv] = right[piv], right[col]
-            pinv = self.s_inv(left[col][col])
-            left[col] = [self.s_mul(pinv, x) for x in left[col]]
-            right[col] = [self.s_mul(pinv, x) for x in right[col]]
+            piv = self._pivot(rows, col)
+            rows[col], rows[piv] = rows[piv], rows[col]
+            # columns left of col are zero in every row but their pivot's
+            prow = self._scale(self._inv(rows[col][col]), rows[col][col:])
+            rows[col][col:] = prow
             for r in range(n):
-                if r == col:
-                    continue
-                factor = left[r][col]
-                if any(factor):
-                    left[r] = [
-                        self.s_sub(x, self.s_mul(factor, y))
-                        for x, y in zip(left[r], left[col])
-                    ]
-                    right[r] = [
-                        self.s_sub(x, self.s_mul(factor, y))
-                        for x, y in zip(right[r], right[col])
-                    ]
-        flat = []
-        for i in range(n):
-            for j in range(n):
-                flat.extend(right[i][j])
-        return PureMat(tuple(flat), n)
+                f = rows[r][col]
+                if r != col and self._nonzero(f):
+                    rows[r][col:] = self._axpy(rows[r][col:], f, prow)
+        return PureMat(self._flat(x for row in rows for x in row[n:]), n)

@@ -175,11 +175,16 @@ def _cmd_solve(args):
 
 def _cmd_verify(args):
     payload = _load_json(args.input)
+    if not isinstance(payload, dict):
+        raise ParameterError("input must be a JSON object")
     if "spec" not in payload:
         raise ParameterError("input is missing the 'spec' field")
+    report = payload.get("report", {})
+    if not isinstance(report, dict):
+        raise ParameterError("the 'report' field must be a JSON object")
     spec = spec_from_json(payload["spec"])
     ctx = spec.ctx
-    sol_json = payload.get("report", {}).get("solution") or payload.get("solution")
+    sol_json = report.get("solution") or payload.get("solution")
     if sol_json is None:
         raise ParameterError("input is missing the solution matrix")
     u = matrix_from_json(ctx, sol_json)

@@ -179,11 +179,12 @@ def _nth_root_one_mod_p(base, n, start=None, correct=0):
     return y.with_prec(K)
 
 
-def lambda_sl(x, start=None, correct=0):
+def lambda_sl(x, start=None, correct=0, *, _xp=None):
     """lambda(x) = (det(x^{(p)}) / det(x)^p)^{-1/n}, the sl-type scalar twist.
 
     Characterized by lambda(x)^n * det(x^{(p)}) = det(x)^p and = 1 mod p.
     `start` and `correct` warm-start the root (see `_nth_root_one_mod_p`).
+    `_xp`, when given, is x^{(p)}, already computed by the caller.
     """
     ctx = x.ctx
     n = x.n
@@ -192,17 +193,19 @@ def lambda_sl(x, start=None, correct=0):
     d = x.det()
     if not d.is_unit():
         raise DomainError("x must be invertible")
-    base = x.pow_p_entrywise().det() * (d ** ctx.p).invert()
+    xp = x.pow_p_entrywise() if _xp is None else _xp
+    base = xp.det() * (d ** ctx.p).invert()
     # lambda^n = base^{-1}
     return _nth_root_one_mod_p(base.invert(), n, start, correct)
 
 
-def Lambda_so(x, q, start=None, correct=0):
+def Lambda_so(x, q, start=None, correct=0, *, _xp=None):
     """Lambda(x) = (((x^{(p)})^t q x^{(p)})^{-1} (x^t q x)^{(p)})^{1/2}.
 
     `start` and `correct` warm-start the root (see `matrix_sqrt_one_mod_p`).
+    `_xp`, when given, is x^{(p)}, already computed by the caller.
     """
-    xp = x.pow_p_entrywise()
+    xp = x.pow_p_entrywise() if _xp is None else _xp
     A = xp.transpose() @ q @ xp
     C = (x.transpose() @ q @ x).pow_p_entrywise()
     return matrix_sqrt_one_mod_p(A.inverse() @ C, start, correct)
@@ -210,16 +213,18 @@ def Lambda_so(x, q, start=None, correct=0):
 
 def _phi_kind(kind, variant, x, q=None, start=None, correct=0):
     """Phi(x) and its twist factor (None for gl, lambda(x) for sl, Lambda(x)
-    for so); `start` and `correct` warm-start the twist's root."""
+    for so); `start` and `correct` warm-start the twist's root.  x^{(p)} is
+    computed once and shared with the twist."""
+    xp = x.pow_p_entrywise()
     if kind == "gl":
-        return x.pow_p_entrywise(), None
+        return xp, None
     if kind == "sl":
-        twist = lambda_sl(x, start, correct)
-        return twist * x.pow_p_entrywise(), twist
+        twist = lambda_sl(x, start, correct, _xp=xp)
+        return twist * xp, twist
     if q is None:
         q = build_q(x.ctx, variant, x.n)
-    twist = Lambda_so(x, q, start, correct)
-    return x.pow_p_entrywise() @ twist, twist
+    twist = Lambda_so(x, q, start, correct, _xp=xp)
+    return xp @ twist, twist
 
 
 def Phi(spec, x):

@@ -48,14 +48,24 @@ def element_to_json(e):
 
 
 def element_from_json(ctx, obj, prec=None):
+    """Decode an element: at most m coordinates of at most N digits in [0, p)."""
     if isinstance(obj, int):
         return ctx.element(obj, prec)
     if not isinstance(obj, list):
         raise ParameterError("element must be an int or an array of digit arrays")
+    if len(obj) > ctx.m:
+        raise ParameterError(f"element has {len(obj)} coordinates, at most m={ctx.m}")
     coeffs = []
     for digits in obj:
         if not isinstance(digits, list):
             raise ParameterError("element coordinates must be digit arrays")
+        if len(digits) > ctx.N:
+            raise ParameterError(f"coordinate has {len(digits)} digits, at most N={ctx.N}")
+        for d in digits:
+            if type(d) is not int:
+                raise ParameterError(f"digit {d!r} is not an integer")
+            if not 0 <= d < ctx.p:
+                raise ParameterError(f"digit {d} is outside [0, p={ctx.p})")
         coeffs.append(digits_to_int(digits, ctx.p))
     return ctx.element(coeffs, prec)
 

@@ -113,6 +113,44 @@ def test_verify_spec_missing_field_is_usage_error(capsys, tmp_path, field):
     assert "Traceback" not in err
 
 
+def _verify_payload_error(capsys, tmp_path, edit):
+    """Solve to a file, apply `edit` to the JSON payload, then verify it."""
+    out_path = tmp_path / "report.json"
+    run_cli(
+        capsys,
+        "solve", "--p", "5", "--n", "2", "--kind", "gl", "--seed", "2",
+        "--prec", "6", "--output", str(out_path),
+    )
+    payload = edit(json.loads(out_path.read_text()))
+    out_path.write_text(json.dumps(payload))
+    return run_cli(capsys, "verify", "--input", str(out_path))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda payload: {**payload, "report": 7},
+    lambda payload: {**payload, "report": [payload["report"]]},
+    lambda payload: [payload],
+    lambda payload: 3,
+], ids=["report-int", "report-array", "payload-array", "payload-int"])
+def test_verify_non_object_payload_is_usage_error(capsys, tmp_path, edit):
+    code, out, err = _verify_payload_error(capsys, tmp_path, edit)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "JSON object" in err
+    assert "Traceback" not in err
+
+
+def test_verify_out_of_range_digit_is_usage_error(capsys, tmp_path):
+    def edit(payload):
+        payload["report"]["solution"]["entries"][0][0][3] = 5  # a digit >= p
+        return payload
+
+    code, out, err = _verify_payload_error(capsys, tmp_path, edit)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "outside" in err
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     def broken_solve(spec, u0):
         raise AlgebraInvariantError("Newton square root failed to converge")

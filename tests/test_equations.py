@@ -168,6 +168,23 @@ def test_phi_so_structural_identity(c5):
             assert (P.transpose() @ q @ P) == (x.transpose() @ q @ x).pow_p_entrywise()
 
 
+@pytest.mark.parametrize("kind, variant, powers", [
+    ("gl", None, 1),
+    ("sl", None, 1),
+    ("so", "sp", 2),  # x^(p) and (x^t q x)^(p)
+])
+def test_phi_computes_x_to_the_p_once(monkeypatch, kind, variant, powers):
+    ctx = make_context(7, 1, 8, force_pure=True)  # its own kernel, patched below
+    spec = EquationSpec(kind, 2, PMatrix.zeros(ctx, 2), variant)
+    x = Rng(45).gl(ctx, 2)
+    expected = Phi(spec, x)
+    calls = []
+    m_powp = ctx.kernel.m_powp
+    monkeypatch.setattr(ctx.kernel, "m_powp", lambda A: calls.append(A) or m_powp(A))
+    assert Phi(spec, x) == expected
+    assert len(calls) == powers
+
+
 # ---------------------------------------------------------------- solver
 
 

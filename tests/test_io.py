@@ -105,3 +105,34 @@ def test_canonical_dumps_is_stable():
 def test_context_json_missing_keys(c5):
     with pytest.raises(ParameterError, match="missing"):
         context_from_json({"p": 5, "m": 1})
+
+
+def test_element_digit_out_of_range_rejected(c5x2):
+    with pytest.raises(ParameterError, match="outside"):
+        element_from_json(c5x2, [[1, 5], [0]])  # 5 >= p
+    with pytest.raises(ParameterError, match="outside"):
+        element_from_json(c5x2, [[-1]])
+
+
+def test_element_digit_not_int_rejected(c5x2):
+    for bad in (1.0, "1", None, True, [1]):
+        with pytest.raises(ParameterError, match="not an integer"):
+            element_from_json(c5x2, [[0, bad]])
+
+
+def test_element_too_many_digits_rejected(c5x2):
+    element_from_json(c5x2, [[4] * c5x2.N, [1]])  # exactly N digits is fine
+    with pytest.raises(ParameterError, match="digits"):
+        element_from_json(c5x2, [[0] * (c5x2.N + 1)])
+
+
+def test_element_too_many_coordinates_rejected(c5x2):
+    with pytest.raises(ParameterError, match="coordinates"):
+        element_from_json(c5x2, [[1], [2], [3]])
+
+
+def test_matrix_with_bad_digit_rejected(c5):
+    entries = [element_to_json(c5.element(k)) for k in (1, 2, 3, 4)]
+    entries[3][0][2] = 5
+    with pytest.raises(ParameterError, match="outside"):
+        matrix_from_json(c5, {"n": 2, "entries": entries})
