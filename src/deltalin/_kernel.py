@@ -24,16 +24,29 @@ The pure kernel works on Python ints with these rules:
   m > 1 goes through `_dot`.
 - m == 1: a matrix entry is a plain int, not a 1-tuple.  `m_mul` sums the
   products of row and column slices of the flat tuple, `m_powp` is
-  pow(x, p, q), and `m_inv`/`m_det` eliminate on ints with pow(x, -1, q).
-  For m > 1 the same elimination code runs on m-tuples through `_dot`.
-- Inverse of a unit a for m > 1: b = a^(p^m - 2) mod p is the inverse of a
-  mod p (Fermat in F_{p^m}), and b <- b(2 - ab) then doubles its correct
-  digits up to N.  Only b mod p is used, so the Fermat power runs in
-  F_p[x]/(f mod p), on the rows of `_red` reduced mod p (`_red_p`),
-  instead of at width p^N.  Reduction mod p is a ring map
-  (Z/p^N)[x]/(f) -> F_p[x]/(f mod p), so the start value equals the
-  full-width power reduced mod p, and the lifted inverse, unique mod p^N,
-  is the same.
+  pow(x, p, q), and `m_det` eliminates on ints with pow(x, -1, q).  For
+  m > 1 the same elimination code runs on m-tuples through `_dot`.
+- Inverses are integer linear algebra mod q, for every m.  Multiplication
+  by an element a is a Z/q-linear map of the ring.  Its m x m matrix M_a
+  has the columns a, a*x, ..., a*x^{m-1}, each x times the one before with
+  the top coefficient folded through the row x^m mod f of `_red`, and
+  a^{-1} is the solution z of M_a z = e_0.  For an n x n matrix A,
+  R(A) is the nm x nm integer matrix with the blocks M_{a_ij}; column j of
+  A^{-1}, its entries' coefficients stacked, solves R(A) z = e_{jm}, the
+  first column of block column j of R(A^{-1}) = R(A)^{-1}.  One
+  Gauss-Jordan routine on ints, with unit pivots and pow(x, -1, q),
+  solves both (`_gauss_jordan`); at m == 1, R(A) = A and it is the plain
+  matrix inverse.
+  - The results are exact: a -> M_a and A -> R(A) are injective ring maps
+    and inverses are unique, so the solution is the inverse itself.
+  - The errors fire on the same inputs: F_p[x]/(f mod p) is a field, so a
+    is a unit exactly when M_a is invertible mod p, det R(A) is the norm
+    of det A, and an integer matrix mod p^N is invertible exactly when
+    elimination finds a unit pivot in every column.
+  - No Frobenius is used, so `make_context` may invert before `set_frob`.
+- `m_det` for n >= 5 pivots on an entry p^v u of least valuation in its
+  column.  Every entry below it is divisible by p^v, so (entry / p^v) u^{-1}
+  is an exact row factor; a column that is 0 mod q gives the determinant 0.
 """
 
 import os
@@ -97,7 +110,6 @@ class PureKernel:
         if len(self.modulus_tail) != m:
             raise ValueError("modulus tail must have m coefficients")
         self._red = self._reduction_rows()
-        self._red_p = [tuple(c % p for c in row) for row in self._red]
         self._frob = None  # list of m flat m*m matrices: phi^0 .. phi^{m-1}
         self._coords = range(m)
         self.zero = (0,) * m
@@ -143,20 +155,18 @@ class PureKernel:
 
     # -- the one reduction ----------------------------------------------------
 
-    def _dot(self, xs, ys, base=None, red=None, mod=None):
-        """sum_k xs[k] * ys[k] (plus `base`), reduced once into [0, mod).
+    def _dot(self, xs, ys, base=None):
+        """sum_k xs[k] * ys[k] (plus `base`), reduced once into [0, q).
 
         Entries are ints for m == 1 and m-tuples otherwise.  For m > 1 the
         products' convolutions are summed unreduced, then the coefficients
-        of x^m .. x^{2m-2} are folded through `red` (default `_red`, with
-        mod q) and every coefficient is taken mod `mod`.
+        of x^m .. x^{2m-2} are folded through `_red` and every coefficient
+        is taken mod q.
         """
-        m = self.m
-        if mod is None:
-            red, mod = self._red, self.q
+        m, q = self.m, self.q
         if m == 1:
             acc = sum(map(mul, xs, ys))
-            return (acc if base is None else acc + base) % mod
+            return (acc if base is None else acc + base) % q
         coords = self._coords
         t = [0] * (2 * m - 1) if base is None else [*base, *self.zero[1:]]
         for x, y in zip(xs, ys):
@@ -166,26 +176,73 @@ class PureKernel:
                     for j in coords:
                         t[i + j] += xi * y[j]
         out = t[:m]
-        for c, row in zip(t[m:], red):
+        for c, row in zip(t[m:], self._red):
             if c:
                 for j in coords:
                     out[j] += c * row[j]
-        return tuple([c % mod for c in out])
+        return tuple([c % q for c in out])
 
-    def _pow(self, a, e, red, mod):
-        """a^e for m > 1 by square and multiply, reduced by `red` mod `mod`."""
+    def _pow(self, a, e):
+        """a^e for m > 1 by square and multiply."""
         if not e:
             return self.one
         dot = self._dot
-        a = tuple([c % mod for c in a])  # canonical: a itself is a^1
+        a = tuple([c % self.q for c in a])  # canonical: a itself is a^1
         result = None
         while True:
             if e & 1:
-                result = a if result is None else dot((result,), (a,), None, red, mod)
+                result = a if result is None else dot((result,), (a,))
             e >>= 1
             if not e:
                 return result
-            a = dot((a,), (a,), None, red, mod)
+            a = dot((a,), (a,))
+
+    # -- inverses: integer linear algebra mod q ----------------------------------
+
+    def _mul_rows(self, a):
+        """The rows of M_a (m > 1), the matrix of y -> a*y: column k is a*x^k.
+
+        Each column is x times the one before, with its top coefficient
+        folded through the row of x^m mod f.
+        """
+        q, xm = self.q, self._red[0]
+        col = a
+        cols = [a]
+        for _ in range(self.m - 1):
+            top = col[-1]
+            col = [(c + top * r) % q for c, r in zip((0, *col[:-1]), xm)]
+            cols.append(col)
+        return list(zip(*cols))
+
+    def _gauss_jordan(self, rows):
+        """Solve R Z = B for rows = [R | B], R square over Z/q; returns Z's rows.
+
+        Unit pivots only, so this raises SingularMatrixError exactly when R
+        is singular mod p.  Column col of R is dropped from every row once
+        it is eliminated, so the rows shrink to the columns of B.
+        """
+        p, q = self.p, self.q
+        size = len(rows)
+        for col in range(size):
+            for r in range(col, size):
+                if rows[r][0] % p:
+                    break
+            else:
+                raise SingularMatrixError("not in GL_n: no unit pivot")
+            prow = rows[r]
+            rows[r] = rows[col]
+            inv = pow(prow[0], -1, q)
+            prow = [x * inv % q for x in prow[1:]]
+            rows[col] = prow
+            for r, row in enumerate(rows):
+                if r == col:
+                    continue
+                f = row[0]
+                if f:
+                    rows[r] = [(x - f * y) % q for x, y in zip(row[1:], prow)]
+                else:
+                    del row[0]
+        return rows
 
     # -- matrix entries: ints for m == 1, m-tuples otherwise -------------------
 
@@ -203,21 +260,28 @@ class PureKernel:
     def _nonzero(self, x):
         return any(x) if self.m > 1 else x != 0
 
-    def _unit(self, x):
-        return self.s_is_unit(x) if self.m > 1 else x % self.p != 0
-
     def _inv(self, x):
         return self.s_inv(x) if self.m > 1 else pow(x, -1, self.q)
 
     def _neg(self, x):
         return tuple(-c for c in x) if self.m > 1 else -x
 
-    def _pivot(self, rows, col):
-        """The first row at or below col whose entry in column col is a unit."""
-        for r in range(col, len(rows)):
-            if self._unit(rows[r][col]):
-                return r
-        raise SingularMatrixError("not in GL_n: no unit pivot")
+    def _val(self, x):
+        """v_p of an entry, the least over its coefficients; None for 0."""
+        p, v = self.p, None
+        for c in x if self.m > 1 else (x,):
+            if c:
+                k = 0
+                while not c % p:
+                    c //= p
+                    k += 1
+                if v is None or k < v:
+                    v = k
+        return v
+
+    def _div_exact(self, x, d):
+        """An entry divided by an integer d that divides each coefficient."""
+        return tuple(c // d for c in x) if self.m > 1 else x // d
 
     def _scale(self, c, xs):
         """[c * x for x in xs], each reduced."""
@@ -264,26 +328,21 @@ class PureKernel:
             raise ValueError("negative exponent; invert first")
         if self.m == 1:
             return (pow(a[0], e, self.q),)
-        return self._pow(a, e, self._red, self.q)
+        return self._pow(a, e)
 
     def s_is_unit(self, a):
         p = self.p
         return any(c % p for c in a)
 
     def s_inv(self, a):
-        p, m, N, q = self.p, self.m, self.N, self.q
+        """a^{-1} as the solution of M_a z = e_0 (see the module docstring)."""
         if not self.s_is_unit(a):
             raise NotUnitError("not a unit (valuation >= 1)")
-        if m == 1:
-            return (pow(a[0], -1, q),)
-        # inverse mod p by Fermat in F_p[x]/(f mod p), then Hensel lifting
-        b = self._pow(tuple(c % p for c in a), p ** m - 2, self._red_p, p)
-        two = self.s_scal_int(2, self.one)
-        prec = 1
-        while prec < N:
-            b = self.s_mul(b, self.s_sub(two, self.s_mul(a, b)))
-            prec *= 2
-        return b
+        if self.m == 1:
+            return (pow(a[0], -1, self.q),)
+        rows = [[*row, 0] for row in self._mul_rows(a)]
+        rows[0][-1] = 1
+        return tuple([z for (z,) in self._gauss_jordan(rows)])
 
     def s_frob(self, a, k=1):
         m, q = self.m, self.q
@@ -369,8 +428,7 @@ class PureKernel:
         p, q = self.p, self.q
         if self.m == 1:
             return PureMat(tuple(pow(x, p, q) for x in A.data), A.n)
-        red = self._red
-        return PureMat(self._flat(self._pow(e, p, red, q) for e in self._ents(A.data)), A.n)
+        return PureMat(self._flat(self._pow(e, p) for e in self._ents(A.data)), A.n)
 
     def m_frob(self, A, k=1):
         if self.m == 1:
@@ -417,39 +475,45 @@ class PureKernel:
         return rec(0, 0)
 
     def _det_elim(self, e, n):
-        # unit-pivot Gaussian elimination; exact because pivots are units
+        """Gaussian elimination, pivoting on an entry of least valuation."""
+        dot, p = self._dot, self.p
         rows = [e[i * n : (i + 1) * n] for i in range(n)]
         det = self._e1
         for col in range(n):
-            piv = self._pivot(rows, col)
+            vals = [(self._val(rows[r][col]), r) for r in range(col, n)]
+            vals = [t for t in vals if t[0] is not None]
+            if not vals:  # the column is 0 mod q below the pivots
+                return self._e0
+            v, piv = min(vals)
             if piv != col:
                 rows[col], rows[piv] = rows[piv], rows[col]
                 det = self._neg(det)  # reduced by the product below
             pivot = rows[col][col]
-            det = self._dot((det,), (pivot,))
-            pinv = self._inv(pivot)
+            det = dot((det,), (pivot,))
+            # pivot = p^v u with u a unit; the entries below are p^v times
+            # their exact quotients, which u^{-1} turns into the row factors
+            pv = p ** v
+            uinv = self._inv(self._div_exact(pivot, pv))
             for r in range(col + 1, n):
-                factor = self._dot((rows[r][col],), (pinv,))
+                factor = dot((self._div_exact(rows[r][col], pv),), (uinv,))
                 if self._nonzero(factor):
                     rows[r][col:] = self._axpy(rows[r][col:], factor, rows[col][col:])
         return det
 
     def m_inv(self, A):
-        """Gauss-Jordan on [A | 1] with unit pivots."""
-        n = A.n
-        e = self._ents(A.data)
-        rows = [
-            e[i * n : (i + 1) * n] + [self._e1 if i == j else self._e0 for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = self._pivot(rows, col)
-            rows[col], rows[piv] = rows[piv], rows[col]
-            # columns left of col are zero in every row but their pivot's
-            prow = self._scale(self._inv(rows[col][col]), rows[col][col:])
-            rows[col][col:] = prow
-            for r in range(n):
-                f = rows[r][col]
-                if r != col and self._nonzero(f):
-                    rows[r][col:] = self._axpy(rows[r][col:], f, prow)
-        return PureMat(self._flat(x for row in rows for x in row[n:]), n)
+        """A^{-1} from R(A) Z = [e_0, e_m, ..., e_{(n-1)m}] (module docstring)."""
+        n, m, d = A.n, self.m, A.data
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        if m == 1:  # R(A) = A
+            rows = [[*d[i * n : (i + 1) * n], *unit[i]] for i in range(n)]
+            return PureMat(tuple(chain.from_iterable(self._gauss_jordan(rows))), n)
+        blocks = [self._mul_rows(d[s : s + m]) for s in range(0, len(d), m)]
+        zero = [0] * n
+        rows = []
+        for i in range(n):
+            block_row = blocks[i * n : (i + 1) * n]
+            for r in range(m):
+                rows.append([c for b in block_row for c in b[r]] + (unit[i] if r == 0 else zero))
+        Z = self._gauss_jordan(rows)
+        # row j*m + r of Z holds coefficient r of row j of A^{-1}
+        return PureMat(tuple(Z[j * m + r][i] for j in range(n) for i in range(n) for r in range(m)), n)

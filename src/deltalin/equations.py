@@ -194,9 +194,8 @@ def lambda_sl(x, start=None, correct=0, *, _xp=None):
     if not d.is_unit():
         raise DomainError("x must be invertible")
     xp = x.pow_p_entrywise() if _xp is None else _xp
-    base = xp.det() * (d ** ctx.p).invert()
-    # lambda^n = base^{-1}
-    return _nth_root_one_mod_p(base.invert(), n, start, correct)
+    # lambda^n = det(x)^p / det(x^{(p)}), with a single inversion
+    return _nth_root_one_mod_p(d ** ctx.p * xp.det().invert(), n, start, correct)
 
 
 def Lambda_so(x, q, start=None, correct=0, *, _xp=None):

@@ -82,6 +82,10 @@ def matrix_from_json(ctx, obj, prec=None):
         raise ParameterError('matrix must be {"n": ..., "entries": [...]}')
     n = obj["n"]
     entries = obj["entries"]
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"matrix dimension n must be a positive integer, got {n!r}")
+    if not isinstance(entries, list):
+        raise ParameterError("matrix entries must be an array")
     if len(entries) != n * n:
         raise ParameterError(f"expected {n * n} entries, got {len(entries)}")
     rows = []
@@ -95,14 +99,21 @@ def context_to_json(ctx):
 
 
 def context_from_json(obj, force_pure=False):
+    if not isinstance(obj, dict):
+        raise ParameterError("ring context must be a JSON object")
     for key in ("p", "m", "N"):
         if key not in obj:
             raise ParameterError(f"ring context is missing {key!r}")
+    modulus = obj.get("modulus")
+    if modulus is not None and (
+        not isinstance(modulus, list) or any(type(c) is not int for c in modulus)
+    ):
+        raise ParameterError("ring modulus must be an array of integers")
     return make_context(
         obj["p"],
         obj["m"],
         obj["N"],
-        residue_poly=obj.get("modulus"),
+        residue_poly=modulus,
         force_pure=force_pure,
     )
 

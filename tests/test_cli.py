@@ -151,6 +151,19 @@ def test_verify_out_of_range_digit_is_usage_error(capsys, tmp_path):
     assert err.startswith("error: ") and "outside" in err
 
 
+@pytest.mark.parametrize("n", ["2", 2.0, True])
+def test_verify_bad_matrix_dimension_is_usage_error(capsys, tmp_path, n):
+    def edit(payload):
+        payload["report"]["solution"]["n"] = n
+        return payload
+
+    code, out, err = _verify_payload_error(capsys, tmp_path, edit)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "dimension" in err
+    assert "Traceback" not in err
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     def broken_solve(spec, u0):
         raise AlgebraInvariantError("Newton square root failed to converge")

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from deltalin import equations
 from deltalin.equations import (
     Delta_of,
     EquationSpec,
@@ -183,6 +184,20 @@ def test_phi_computes_x_to_the_p_once(monkeypatch, kind, variant, powers):
     monkeypatch.setattr(ctx.kernel, "m_powp", lambda A: calls.append(A) or m_powp(A))
     assert Phi(spec, x) == expected
     assert len(calls) == powers
+
+
+def test_lambda_sl_inverts_once(monkeypatch):
+    """The radicand det(x)^p / det(x^(p)) of lambda_sl costs one s_inv."""
+    ctx = make_context(7, 2, 8, force_pure=True)  # its own kernel, patched below
+    x = Rng(46).gl(ctx, 3)
+    calls = []
+    s_inv = ctx.kernel.s_inv
+    monkeypatch.setattr(ctx.kernel, "s_inv", lambda a: calls.append(a) or s_inv(a))
+    monkeypatch.setattr(equations, "_nth_root_one_mod_p", lambda base, *args: base)
+    radicand = lambda_sl(x)
+    assert len(calls) == 1
+    assert radicand * x.pow_p_entrywise().det() == x.det() ** 7
+    assert radicand.known_prec == ctx.N
 
 
 # ---------------------------------------------------------------- solver

@@ -58,6 +58,10 @@ def test_matrix_shape_errors(c5):
         matrix_from_json(c5, {"n": 2, "entries": [1, 2, 3]})
     with pytest.raises(ParameterError):
         matrix_from_json(c5, [1, 2, 3, 4])
+    for bad in ({"n": True, "entries": [1]}, {"n": "2", "entries": [1, 2, 3, 4]},
+                {"n": 2.0, "entries": [1, 2, 3, 4]}, {"n": 2, "entries": 5}):
+        with pytest.raises(ParameterError):
+            matrix_from_json(c5, bad)
 
 
 def test_context_roundtrip(c5x2):
@@ -105,6 +109,12 @@ def test_canonical_dumps_is_stable():
 def test_context_json_missing_keys(c5):
     with pytest.raises(ParameterError, match="missing"):
         context_from_json({"p": 5, "m": 1})
+    for bad in ("pmN", 5, [5, 1, 8]):
+        with pytest.raises(ParameterError, match="JSON object"):
+            context_from_json(bad)
+    for modulus in (5, [2, "4", 1]):
+        with pytest.raises(ParameterError, match="modulus"):
+            context_from_json({"p": 5, "m": 2, "N": 8, "modulus": modulus})
 
 
 def test_element_digit_out_of_range_rejected(c5x2):

@@ -7,7 +7,11 @@ repeated multiplication, a determinant is the Leibniz sum over
 permutations, and the Frobenius is phi(sum a_i x^i) = sum a_i phi(x)^i.
 Inverses are checked by multiplying back, which pins them down because
 inverses are unique.  Contexts cover m = 1, 2, 3, each with p^N below and
-above 2^63, and matrices n = 1..5 (n = 5 takes the elimination determinant).
+above 2^63, a cubic modulus whose tail coefficients are all nonzero, and
+m = 4, so the multiplication matrices of the inverse fold through reduction
+rows with nonzero entries.  Matrices are n = 1..5 (n = 5 takes the
+elimination determinant), and singular ones include columns of valuation
+1..3.
 """
 
 import itertools
@@ -18,15 +22,18 @@ import pytest
 from deltalin.errors import NotUnitError, SingularMatrixError
 from deltalin.ring import make_context
 
+# (p, m, N, residue polynomial or None for the default one)
 CONTEXTS = [
-    (7, 1, 20),   # 7^20 < 2^63
-    (7, 1, 30),   # 7^30 > 2^63
-    (13, 2, 16),  # 13^16 < 2^63
-    (13, 2, 20),  # 13^20 > 2^63
-    (5, 3, 24),   # 5^24 < 2^63
-    (5, 3, 40),   # 5^40 > 2^63
+    (7, 1, 20, None),          # 7^20 < 2^63
+    (7, 1, 30, None),          # 7^30 > 2^63
+    (13, 2, 16, None),         # 13^16 < 2^63
+    (13, 2, 20, None),         # 13^20 > 2^63
+    (5, 3, 24, None),          # 5^24 < 2^63
+    (5, 3, 40, None),          # 5^40 > 2^63
+    (7, 3, 20, (1, 2, 5, 1)),  # x^3 + 5x^2 + 2x + 1: every tail coefficient nonzero
+    (3, 4, 44, None),          # x^4 + x + 2, 3^44 > 2^63
 ]
-IDS = [f"p{p}-m{m}-N{N}" for p, m, N in CONTEXTS]
+IDS = [f"p{p}-m{m}-N{N}" + ("-f" if f else "") for p, m, N, f in CONTEXTS]
 
 
 class Ref:
@@ -98,8 +105,8 @@ class Ref:
         return acc
 
 
-def _setup(p, m, N):
-    ctx = make_context(p, m, N, force_pure=True)
+def _setup(p, m, N, f):
+    ctx = make_context(p, m, N, f, force_pure=True)
     assert ctx.kernel.kind == "pure"
     return ctx.kernel, Ref(ctx)
 
@@ -123,9 +130,9 @@ def _canonical(values, q):
     return all(0 <= c < q for c in values)
 
 
-@pytest.mark.parametrize("p, m, N", CONTEXTS, ids=IDS)
-def test_scalar_ops_match_reference(p, m, N):
-    k, ref = _setup(p, m, N)
+@pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
+def test_scalar_ops_match_reference(p, m, N, f):
+    k, ref = _setup(p, m, N, f)
     rnd = random.Random(p * 1000 + m * 100 + N)
     for _ in range(40):
         a, b = _element(rnd, ref), _element(rnd, ref)
@@ -144,9 +151,9 @@ def test_scalar_ops_match_reference(p, m, N):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("p, m, N", CONTEXTS, ids=IDS)
-def test_matrix_ops_match_reference(p, m, N, n):
-    k, ref = _setup(p, m, N)
+@pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
+def test_matrix_ops_match_reference(p, m, N, f, n):
+    k, ref = _setup(p, m, N, f)
     rnd = random.Random(p * 1000 + m * 100 + N * 10 + n)
     identity = [ref.one if i == j else ref.zero for i in range(n) for j in range(n)]
     singular = 0
@@ -168,11 +175,7 @@ def test_matrix_ops_match_reference(p, m, N, n):
             assert _entries(k.m_export(k.m_frob(hA, j)), m) == [ref.frob(x, j) for x in A]
 
         det = ref.det(A, n)
-        if n > 4 and not ref.is_unit(det):  # elimination needs unit pivots
-            with pytest.raises(SingularMatrixError):
-                k.m_det(hA)
-        else:
-            assert k.m_det(hA) == det
+        assert k.m_det(hA) == det
         if ref.is_unit(det):
             inv = k.m_export(k.m_inv(hA))
             assert _canonical(inv, ref.q)
@@ -183,3 +186,38 @@ def test_matrix_ops_match_reference(p, m, N, n):
             with pytest.raises(SingularMatrixError):
                 k.m_inv(hA)
     assert singular  # the singular branch ran
+
+
+def _scale_column(ref, A, n, j, c):
+    for i in range(n):
+        A[i * n + j] = ref.mul((c,), A[i * n + j])
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
+def test_singular_det_matches_reference(p, m, N, f, n):
+    """Determinants of matrices singular mod p, for the cofactor (n = 3) and
+    the elimination (n = 5) paths: columns of valuation 1..3, a zero column
+    and a row that is the sum of two others."""
+    k, ref = _setup(p, m, N, f)
+    rnd = random.Random(p * 1000 + m * 100 + N * 10 + n)
+    cases = []
+    for v in (1, 2, 3):
+        A = [_element(rnd, ref, unit=True) for _ in range(n * n)]
+        _scale_column(ref, A, n, rnd.randrange(n), p ** v)
+        cases.append(A)
+    A = [_element(rnd, ref, unit=True) for _ in range(n * n)]
+    _scale_column(ref, A, n, 0, p ** 2)  # least valuation moves between columns
+    _scale_column(ref, A, n, n - 1, p)
+    cases.append(A)
+    A = [_element(rnd, ref) for _ in range(n * n)]
+    _scale_column(ref, A, n, 1, 0)
+    cases.append(A)
+    A = [_element(rnd, ref) for _ in range(n * n)]
+    A[(n - 1) * n :] = [ref.add(x, y) for x, y in zip(A[:n], A[n : 2 * n])]
+    cases.append(A)
+    for A in cases:
+        det = ref.det(A, n)
+        assert not ref.is_unit(det)
+        assert k.m_det(k.m_new(_flat(A), n)) == det
+    assert ref.det(cases[-1], n) == ref.zero and ref.det(cases[-2], n) == ref.zero
