@@ -2,7 +2,8 @@
 """Benchmark the compiled kernel against the pure-Python fallback.
 
 Times a few representative workloads (the solver across equation types and
-an N^delta membership sweep) on both kernels and prints the speedups.
+an N^delta membership sweep) on both kernels and prints the speedups.  When
+the compiled extension is not built, it times the pure kernel alone.
 
     python3 benchmarks/bench_kernels.py [--prec 16] [--repeat 5]
 """
@@ -53,11 +54,12 @@ def bench_galois(ctx, repeat):
     return best
 
 
-WORKLOADS = (
-    ("solve gl  n=4 p=13 m=2", lambda ctx, r: bench_solver(ctx, "gl", None, 4, r)),
-    ("solve sl  n=3 p=13 m=2", lambda ctx, r: bench_solver(ctx, "sl", None, 3, r)),
-    ("solve so  n=4 p=13 m=2 (sp)", lambda ctx, r: bench_solver(ctx, "so", "sp", 4, r)),
-    ("solve so  n=3 p=13 m=2 (odd)", lambda ctx, r: bench_solver(ctx, "so", "so_odd", 3, r)),
+WORKLOADS = (  # (name, m, bench), each on p=13
+    ("solve gl  n=4 p=13 m=2", 2, lambda ctx, r: bench_solver(ctx, "gl", None, 4, r)),
+    ("solve sl  n=3 p=13 m=2", 2, lambda ctx, r: bench_solver(ctx, "sl", None, 3, r)),
+    ("solve so  n=4 p=13 m=2 (sp)", 2, lambda ctx, r: bench_solver(ctx, "so", "sp", 4, r)),
+    ("solve so  n=3 p=13 m=2 (odd)", 2, lambda ctx, r: bench_solver(ctx, "so", "so_odd", 3, r)),
+    ("N^delta sweep n=2 d=12", 1, bench_galois),
 )
 
 
@@ -67,25 +69,21 @@ def main():
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
 
-    if not deltalin.COMPILED_AVAILABLE:
-        print("compiled kernel is not built; nothing to compare")
-        return
-
-    fast = make_context(13, 2, args.prec)
-    pure = make_context(13, 2, args.prec, force_pure=True)
-    print(f"precision N={args.prec}, kernels: {fast.kernel.kind} vs {pure.kernel.kind}")
-    print(f"{'workload':32s} {'compiled':>10s} {'pure':>10s} {'speedup':>8s}")
-    for name, fn in WORKLOADS:
-        tf = fn(fast, args.repeat)
-        tp = fn(pure, args.repeat)
+    compiled = deltalin.COMPILED_AVAILABLE
+    if compiled:
+        kind = make_context(13, 2, args.prec).kernel.kind
+        print(f"precision N={args.prec}, kernels: {kind} vs pure")
+        print(f"{'workload':32s} {'compiled':>10s} {'pure':>10s} {'speedup':>8s}")
+    else:
+        print(f"precision N={args.prec}; compiled kernel is not built, timing the pure kernel alone")
+        print(f"{'workload':32s} {'pure':>10s}")
+    for name, m, fn in WORKLOADS:
+        tp = fn(make_context(13, m, args.prec, force_pure=True), args.repeat)
+        if not compiled:
+            print(f"{name:32s} {tp * 1e3:9.2f}ms")
+            continue
+        tf = fn(make_context(13, m, args.prec), args.repeat)
         print(f"{name:32s} {tf * 1e3:9.2f}ms {tp * 1e3:9.2f}ms {tp / tf:7.1f}x")
-
-    gal_fast = make_context(13, 1, args.prec)
-    gal_pure = make_context(13, 1, args.prec, force_pure=True)
-    tf = bench_galois(gal_fast, args.repeat)
-    tp = bench_galois(gal_pure, args.repeat)
-    name = "N^delta sweep n=2 d=12"
-    print(f"{name:32s} {tf * 1e3:9.2f}ms {tp * 1e3:9.2f}ms {tp / tf:7.1f}x")
 
 
 if __name__ == "__main__":

@@ -20,23 +20,44 @@ The pure kernel works on Python ints with these rules:
   accumulated unreduced and taken mod q once.  For m > 1 this is `_dot`:
   it sums the length-(2m-1) convolutions of the pairs, folds the
   coefficients of x^m .. x^{2m-2} through the rows x^{m+i} mod f (`_red`)
-  and reduces each coefficient once.  Every product of two elements at
-  m > 1 goes through `_dot`.
+  and reduces each coefficient once.  At m >= 3 every product of two
+  elements goes through `_dot`.
 - m == 1: a matrix entry is a plain int, not a 1-tuple.  `m_mul` sums the
   products of row and column slices of the flat tuple, `m_powp` is
   pow(x, p, q), and `m_det` eliminates on ints with pow(x, -1, q).  For
   m > 1 the same elimination code runs on m-tuples through `_dot`.
-- Inverses are integer linear algebra mod q, for every m.  Multiplication
-  by an element a is a Z/q-linear map of the ring.  Its m x m matrix M_a
-  has the columns a, a*x, ..., a*x^{m-1}, each x times the one before with
-  the top coefficient folded through the row x^m mod f of `_red`, and
-  a^{-1} is the solution z of M_a z = e_0.  For an n x n matrix A,
-  R(A) is the nm x nm integer matrix with the blocks M_{a_ij}; column j of
-  A^{-1}, its entries' coefficients stacked, solves R(A) z = e_{jm}, the
-  first column of block column j of R(A^{-1}) = R(A)^{-1}.  One
-  Gauss-Jordan routine on ints, with unit pivots and pow(x, -1, q),
-  solves both (`_gauss_jordan`); at m == 1, R(A) = A and it is the plain
-  matrix inverse.
+- m == 2: entries are pairs (a0, a1) and the arithmetic is written out.
+  With f = x^2 + c1 x + c0 and `_red[0]` = (r0, r1) = (-c0, -c1), so
+  x^2 = r0 + r1 x:
+  - `_dot` sums t0 = sum x0 y0, t1 = sum (x0 y1 + x1 y0), t2 = sum x1 y1
+    unreduced and returns (t0 + r0 t2, t1 + r1 t2), each reduced once;
+    entries may be negated.  `_pow` squares and multiplies on pairs.
+  - The inverse uses the norm.  x -> r1 - x is a ring automorphism of
+    (Z/q)[x]/(f), since f(r1 - x) = f(x); so conj(a) = (a0 + r1 a1) - a1 x
+    and a * conj(a) = N(a) = a0^2 + r1 a0 a1 - r0 a1^2, an integer mod q,
+    and a^{-1} = conj(a) * N(a)^{-1}.  `s_inv` keeps the `s_is_unit`
+    check: F_p[x]/(f mod p) is a field, so N(a) is a unit exactly when a
+    is.
+  - `m_inv` runs Gauss-Jordan on the n x 2n array [A | 1] of pairs with
+    unit pivots, each inverted by its norm.  A row update x - f*y applies
+    the matrix M_f = [[f0, r0 f1], [f1, f0 + r1 f1]] of multiplication by
+    f to each pair y.
+  - `s_frob`/`m_frob` apply the 2x2 matrix `_frob[k % 2]` to each entry.
+  Results equal the m >= 3 path's because products are exact and inverses
+  unique.  The errors fire on the same inputs: over the field F_{p^2} an
+  n x n matrix is invertible exactly when elimination finds a unit pivot
+  in every column, and a pair is a unit exactly when its norm is.
+- Inverses at m == 1 and m >= 3 are integer linear algebra mod q.
+  Multiplication by an element a is a Z/q-linear map of the ring.  Its
+  m x m matrix M_a has the columns a, a*x, ..., a*x^{m-1}, each x times the
+  one before with the top coefficient folded through the row x^m mod f of
+  `_red`, and a^{-1} is the solution z of M_a z = e_0.  For an n x n
+  matrix A at m >= 3, R(A) is the nm x nm integer matrix with the blocks
+  M_{a_ij}; column j of A^{-1}, its entries' coefficients stacked, solves
+  R(A) z = e_{jm}, the first column of block column j of
+  R(A^{-1}) = R(A)^{-1}.  One Gauss-Jordan routine on ints, with unit
+  pivots and pow(x, -1, q), solves both (`_gauss_jordan`); at m == 1,
+  R(A) = A and it is the plain matrix inverse.
   - The results are exact: a -> M_a and A -> R(A) are injective ring maps
     and inverses are unique, so the solution is the inverse itself.
   - The errors fire on the same inputs: F_p[x]/(f mod p) is a field, so a
@@ -161,12 +182,21 @@ class PureKernel:
         Entries are ints for m == 1 and m-tuples otherwise.  For m > 1 the
         products' convolutions are summed unreduced, then the coefficients
         of x^m .. x^{2m-2} are folded through `_red` and every coefficient
-        is taken mod q.
+        is taken mod q; at m == 2 this is written out on pairs.
         """
         m, q = self.m, self.q
         if m == 1:
             acc = sum(map(mul, xs, ys))
             return (acc if base is None else acc + base) % q
+        if m == 2:
+            t0, t1 = (0, 0) if base is None else base
+            t2 = 0
+            for (x0, x1), (y0, y1) in zip(xs, ys):
+                t0 += x0 * y0
+                t1 += x0 * y1 + x1 * y0
+                t2 += x1 * y1
+            r0, r1 = self._red[0]
+            return ((t0 + r0 * t2) % q, (t1 + r1 * t2) % q)
         coords = self._coords
         t = [0] * (2 * m - 1) if base is None else [*base, *self.zero[1:]]
         for x, y in zip(xs, ys):
@@ -186,6 +216,20 @@ class PureKernel:
         """a^e for m > 1 by square and multiply."""
         if not e:
             return self.one
+        if self.m == 2:
+            q = self.q
+            r0, r1 = self._red[0]
+            a0, a1 = a[0] % q, a[1] % q
+            b0, b1 = 1, 0
+            while True:
+                if e & 1:
+                    t2 = b1 * a1
+                    b0, b1 = (b0 * a0 + r0 * t2) % q, (b0 * a1 + b1 * a0 + r1 * t2) % q
+                e >>= 1
+                if not e:
+                    return (b0, b1)
+                t2 = a1 * a1
+                a0, a1 = (a0 * a0 + r0 * t2) % q, (2 * a0 * a1 + r1 * t2) % q
         dot = self._dot
         a = tuple([c % self.q for c in a])  # canonical: a itself is a^1
         result = None
@@ -199,8 +243,54 @@ class PureKernel:
 
     # -- inverses: integer linear algebra mod q ----------------------------------
 
+    def _inv2(self, a0, a1):
+        """(a0 + a1 x)^{-1} at m == 2, for a unit: conj(a) * N(a)^{-1}."""
+        q = self.q
+        r0, r1 = self._red[0]
+        ninv = pow((a0 * a0 + r1 * a0 * a1 - r0 * a1 * a1) % q, -1, q)
+        return (a0 + r1 * a1) * ninv % q, -a1 * ninv % q
+
+    def _m_inv2(self, d, n):
+        """A^{-1} at m == 2: Gauss-Jordan on [A | 1] with pair entries.
+
+        Unit pivots, inverted by the norm; eliminated columns are dropped
+        from the rows as in `_gauss_jordan`.  A row update x - f*y applies
+        M_f = [[f0, r0 f1], [f1, f0 + r1 f1]] to each pair y.
+        """
+        p, q = self.p, self.q
+        r0, r1 = self._red[0]
+        zero, one = (0, 0), (1, 0)
+        ents = self._ents(d)
+        rows = [ents[i * n : (i + 1) * n] + [one if j == i else zero for j in range(n)] for i in range(n)]
+        for col in range(n):
+            for r in range(col, n):
+                a0, a1 = rows[r][0]
+                if a0 % p or a1 % p:
+                    break
+            else:
+                raise SingularMatrixError("not in GL_n: no unit pivot")
+            prow = rows[r]
+            rows[r] = rows[col]
+            f0, f1 = self._inv2(a0, a1)
+            u, w = r0 * f1 % q, (f0 + r1 * f1) % q
+            prow = [((f0 * y0 + u * y1) % q, (f1 * y0 + w * y1) % q) for y0, y1 in prow[1:]]
+            rows[col] = prow
+            for r, row in enumerate(rows):
+                if r == col:
+                    continue
+                f0, f1 = row[0]
+                if f0 or f1:
+                    u, w = r0 * f1 % q, (f0 + r1 * f1) % q
+                    rows[r] = [
+                        ((x0 - f0 * y0 - u * y1) % q, (x1 - f1 * y0 - w * y1) % q)
+                        for (x0, x1), (y0, y1) in zip(row[1:], prow)
+                    ]
+                else:
+                    del row[0]
+        return tuple(c for row in rows for e in row for c in e)
+
     def _mul_rows(self, a):
-        """The rows of M_a (m > 1), the matrix of y -> a*y: column k is a*x^k.
+        """The rows of M_a (m >= 3), the matrix of y -> a*y: column k is a*x^k.
 
         Each column is x times the one before, with its top coefficient
         folded through the row of x^m mod f.
@@ -250,6 +340,8 @@ class PureKernel:
         m = self.m
         if m == 1:
             return list(d)
+        if m == 2:
+            return list(zip(d[::2], d[1::2]))
         return [d[s : s + m] for s in range(0, len(d), m)]
 
     def _flat(self, ents):
@@ -340,6 +432,8 @@ class PureKernel:
             raise NotUnitError("not a unit (valuation >= 1)")
         if self.m == 1:
             return (pow(a[0], -1, self.q),)
+        if self.m == 2:
+            return self._inv2(*a)
         rows = [[*row, 0] for row in self._mul_rows(a)]
         rows[0][-1] = 1
         return tuple([z for (z,) in self._gauss_jordan(rows)])
@@ -348,6 +442,10 @@ class PureKernel:
         m, q = self.m, self.q
         if m == 1:
             return a
+        if m == 2:
+            f00, f01, f10, f11 = self._frob[k % 2]
+            a0, a1 = a
+            return ((f00 * a0 + f01 * a1) % q, (f10 * a0 + f11 * a1) % q)
         F = self._frob[k % m]
         out = [0] * m
         for i in range(m):
@@ -433,6 +531,13 @@ class PureKernel:
     def m_frob(self, A, k=1):
         if self.m == 1:
             return A
+        if self.m == 2:
+            q, d = self.q, A.data
+            f00, f01, f10, f11 = self._frob[k % 2]
+            out = []
+            for a0, a1 in zip(d[::2], d[1::2]):
+                out += ((f00 * a0 + f01 * a1) % q, (f10 * a0 + f11 * a1) % q)
+            return PureMat(tuple(out), A.n)
         s_frob = self.s_frob
         return PureMat(self._flat(s_frob(e, k) for e in self._ents(A.data)), A.n)
 
@@ -507,6 +612,8 @@ class PureKernel:
         if m == 1:  # R(A) = A
             rows = [[*d[i * n : (i + 1) * n], *unit[i]] for i in range(n)]
             return PureMat(tuple(chain.from_iterable(self._gauss_jordan(rows))), n)
+        if m == 2:
+            return PureMat(self._m_inv2(d, n), n)
         blocks = [self._mul_rows(d[s : s + m]) for s in range(0, len(d), m)]
         zero = [0] * n
         rows = []

@@ -387,11 +387,11 @@ def make_context(p, m=1, N=2, residue_poly=None, *, force_pure=False, max_matrix
     polynomial and is used as the modulus lift as provided.  When absent the
     lexicographically first irreducible monic polynomial of degree m is used.
     """
-    if not isinstance(p, int) or not is_prime(p) or p == 2:
+    if type(p) is not int or not is_prime(p) or p == 2:
         raise ParameterError("p must be an odd prime")
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise ParameterError("extension degree m must be >= 1")
-    if not isinstance(N, int) or N < 2:
+    if type(N) is not int or N < 2:
         raise ParameterError("precision N must be >= 2")
 
     if _modulus_lift is not None:

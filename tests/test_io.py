@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from deltalin.cli import main as cli_main
 from deltalin.equations import EquationSpec, solve
 from deltalin.errors import ParameterError
 from deltalin.io import (
@@ -115,6 +116,24 @@ def test_context_json_missing_keys(c5):
     for modulus in (5, [2, "4", 1]):
         with pytest.raises(ParameterError, match="modulus"):
             context_from_json({"p": 5, "m": 2, "N": 8, "modulus": modulus})
+
+
+@pytest.mark.parametrize("key, message", [
+    ("p", "odd prime"), ("m", "extension degree"), ("N", "precision"),
+])
+def test_verify_bool_ring_parameter_exits_2(capsys, tmp_path, key, message):
+    path = tmp_path / "report.json"
+    argv = ["solve", "--p", "5", "--n", "2", "--kind", "gl", "--prec", "4", "--output", str(path)]
+    assert cli_main(argv) == 0
+    payload = json.loads(path.read_text())
+    payload["spec"]["ring"][key] = True
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli_main(["verify", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_element_digit_out_of_range_rejected(c5x2):

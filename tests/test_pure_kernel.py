@@ -9,7 +9,10 @@ Inverses are checked by multiplying back, which pins them down because
 inverses are unique.  Contexts cover m = 1, 2, 3, each with p^N below and
 above 2^63, a cubic modulus whose tail coefficients are all nonzero, and
 m = 4, so the multiplication matrices of the inverse fold through reduction
-rows with nonzero entries.  Matrices are n = 1..5 (n = 5 takes the
+rows with nonzero entries.  Every default quadratic modulus is x^2 + c, so
+the m = 2 contexts include x^2 + x + 2, below and above 2^63: with it
+x^2 = r0 + r1 x has r1 != 0, and the r1 terms of the closed-form m = 2
+product, square, norm and row update are exercised.  Matrices are n = 1..5 (n = 5 takes the
 elimination determinant), and singular ones include columns of valuation
 1..3.
 """
@@ -28,6 +31,8 @@ CONTEXTS = [
     (7, 1, 30, None),          # 7^30 > 2^63
     (13, 2, 16, None),         # 13^16 < 2^63
     (13, 2, 20, None),         # 13^20 > 2^63
+    (5, 2, 16, (2, 1, 1)),     # x^2 + x + 2: x^2 = r0 + r1 x with r1 != 0
+    (13, 2, 20, (2, 1, 1)),    # the same modulus with p^N > 2^63
     (5, 3, 24, None),          # 5^24 < 2^63
     (5, 3, 40, None),          # 5^40 > 2^63
     (7, 3, 20, (1, 2, 5, 1)),  # x^3 + 5x^2 + 2x + 1: every tail coefficient nonzero

@@ -24,7 +24,7 @@ from deltalin.sampling import Rng
 # ---------------------------------------------------------------- context
 
 
-@pytest.mark.parametrize("bad_p", [4, 2, 1, 9, 15, -5])
+@pytest.mark.parametrize("bad_p", [4, 2, 1, 9, 15, -5, True])
 def test_context_rejects_bad_primes(bad_p):
     with pytest.raises(ParameterError, match="odd prime"):
         make_context(bad_p, 1, 4)
@@ -35,6 +35,11 @@ def test_context_rejects_bad_shape():
         make_context(5, 0, 4)
     with pytest.raises(ParameterError):
         make_context(5, 1, 1)
+    # bool is an int subclass; True must not pass as 1
+    with pytest.raises(ParameterError, match="extension degree"):
+        make_context(5, True, 4)
+    with pytest.raises(ParameterError, match="precision"):
+        make_context(5, 1, True)
 
 
 def test_context_rejects_reducible_poly():
