@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernel against the pure-Python fallback.
+"""Time the kernel on a few representative workloads.
 
-Times a few representative workloads (the solver across equation types and
-an N^delta membership sweep) on both kernels and prints the speedups.  When
-the compiled extension is not built, it times the pure kernel alone.
+The workloads are the solver across equation types and an N^delta
+membership sweep; each prints its best time over --repeat runs.  A large
+--prec (128 or more) shows how the solver scales with precision.
 
     python3 benchmarks/bench_kernels.py [--prec 16] [--repeat 5]
 """
@@ -11,7 +11,6 @@ the compiled extension is not built, it times the pure kernel alone.
 import argparse
 import time
 
-import deltalin
 from deltalin.equations import EquationSpec, solve
 from deltalin.galois import GuChecker, enumerate_N_delta
 from deltalin.ring import make_context
@@ -69,21 +68,11 @@ def main():
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
 
-    compiled = deltalin.COMPILED_AVAILABLE
-    if compiled:
-        kind = make_context(13, 2, args.prec).kernel.kind
-        print(f"precision N={args.prec}, kernels: {kind} vs pure")
-        print(f"{'workload':32s} {'compiled':>10s} {'pure':>10s} {'speedup':>8s}")
-    else:
-        print(f"precision N={args.prec}; compiled kernel is not built, timing the pure kernel alone")
-        print(f"{'workload':32s} {'pure':>10s}")
+    print(f"precision N={args.prec}")
+    print(f"{'workload':32s} {'best':>10s}")
     for name, m, fn in WORKLOADS:
-        tp = fn(make_context(13, m, args.prec, force_pure=True), args.repeat)
-        if not compiled:
-            print(f"{name:32s} {tp * 1e3:9.2f}ms")
-            continue
-        tf = fn(make_context(13, m, args.prec), args.repeat)
-        print(f"{name:32s} {tf * 1e3:9.2f}ms {tp * 1e3:9.2f}ms {tp / tf:7.1f}x")
+        t = fn(make_context(13, m, args.prec), args.repeat)
+        print(f"{name:32s} {t * 1e3:9.2f}ms")
 
 
 if __name__ == "__main__":

@@ -1,16 +1,11 @@
-"""Arithmetic kernels for the truncated ring (Z/p^N)[x] / (f).
+"""The arithmetic kernel for the truncated ring (Z/p^N)[x] / (f).
 
 An element is a tuple of m integers in [0, p^N), little-endian in the power
 basis 1, x, ..., x^{m-1}.  Matrices are flat row-major sequences of n*n*m
 coefficients wrapped in a kernel-owned handle; entry (i, j) occupies the
 slice [(i*n + j)*m : (i*n + j + 1)*m].
 
-Two interchangeable implementations exist: the pure-Python kernel below and
-the Cython `_speedups.FastKernel`, used automatically when the modulus p^N
-fits in 63 bits.  `make_kernel` performs the selection; setting the
-environment variable DELTA_LIN_PURE=1 forces the fallback.
-
-The pure kernel works on Python ints with these rules:
+The kernel works on Python ints with these rules:
 
 - Canonical form: every coefficient it returns lies in [0, q), q = p^N.
   Each result is reduced from exact integer arithmetic, so it depends only
@@ -70,42 +65,13 @@ The pure kernel works on Python ints with these rules:
   is an exact row factor; a column that is 0 mod q gives the determinant 0.
 """
 
-import os
 from itertools import chain
 from operator import mul
 
 from .errors import AlgebraInvariantError, NotUnitError, SingularMatrixError
 
-try:
-    from . import _speedups
-except ImportError:  # extension not built
-    _speedups = None
-
-COMPILED_AVAILABLE = _speedups is not None
-
-_U63 = (1 << 63) - 1
-
-
-def compiled_supported(p, m, N):
-    """Whether the compiled kernel can serve a context with these parameters."""
-    if _speedups is None:
-        return False
-    if p ** N > _U63 or m > _speedups.MAX_M:
-        return False
-    return True
-
-
-def make_kernel(p, m, N, modulus_tail, force_pure=False):
-    if force_pure or os.environ.get("DELTA_LIN_PURE") == "1":
-        return PureKernel(p, m, N, modulus_tail)
-    if compiled_supported(p, m, N):
-        return _speedups.FastKernel(p, m, N, modulus_tail)
-    return PureKernel(p, m, N, modulus_tail)
-
-
-def effective_kind(p=3, m=1, N=16):
-    """The kernel kind a fresh context with these parameters would get."""
-    return make_kernel(p, m, N, (0,) * m).kind
+# No compiled kernel exists; kept because perfbench's environment report reads it.
+COMPILED_AVAILABLE = False
 
 
 class PureMat:
@@ -120,7 +86,6 @@ class PureMat:
 
 class PureKernel:
     kind = "pure"
-    max_n = 128
 
     def __init__(self, p, m, N, modulus_tail):
         self.p = p

@@ -9,7 +9,7 @@ timings are reported separately so the canonical report stays byte-stable.
 import math
 import time
 
-from ._kernel import COMPILED_AVAILABLE, effective_kind
+from ._kernel import PureKernel
 from .equations import (
     EquationSpec,
     Phi,
@@ -422,7 +422,7 @@ def run_all(seed=42):
     report = {
         "seed": seed,
         "precision": N_ACC,
-        "kernel": effective_kind(),
+        "kernel": PureKernel.kind,
         "criteria": results,
         "all_pass": all(r["pass"] for r in results),
     }

@@ -132,7 +132,8 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad JSON, bad UTF-8 and integers past the digit limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParameterError(f"cannot read JSON from {path}: {exc}")
 
 

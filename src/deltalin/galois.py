@@ -115,6 +115,8 @@ def check_right_compatibility(spec, samples=100, seed=0):
     """
     from .sampling import Rng
 
+    if samples < 0:
+        raise ParameterError("samples must be >= 0")
     rng = Rng(seed)
     ctx = spec.ctx
     for _ in range(samples):

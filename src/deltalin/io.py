@@ -98,7 +98,7 @@ def context_to_json(ctx):
     return {"p": ctx.p, "m": ctx.m, "N": ctx.N, "modulus": list(ctx.modulus)}
 
 
-def context_from_json(obj, force_pure=False):
+def context_from_json(obj):
     if not isinstance(obj, dict):
         raise ParameterError("ring context must be a JSON object")
     for key in ("p", "m", "N"):
@@ -109,13 +109,7 @@ def context_from_json(obj, force_pure=False):
         not isinstance(modulus, list) or any(type(c) is not int for c in modulus)
     ):
         raise ParameterError("ring modulus must be an array of integers")
-    return make_context(
-        obj["p"],
-        obj["m"],
-        obj["N"],
-        residue_poly=modulus,
-        force_pure=force_pure,
-    )
+    return make_context(obj["p"], obj["m"], obj["N"], residue_poly=modulus)
 
 
 def spec_to_json(spec):

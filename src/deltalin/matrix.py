@@ -63,39 +63,35 @@ class PMatrix:
                         raise DomainError("entry from a different ring")
                     known = min(known, v.known_prec)
                 flat.extend(e.coeffs)
-        k = _kernel_for(ctx, n)
-        return PMatrix(ctx, n, k.m_new(flat, n), known)
+        return PMatrix(ctx, n, ctx.kernel.m_new(flat, n), known)
 
     @staticmethod
     def from_flat(ctx, flat, n, prec=None):
         _check_dim(ctx, n)
-        k = _kernel_for(ctx, n)
-        return PMatrix(ctx, n, k.m_new(list(flat), n), ctx.N if prec is None else prec)
+        return PMatrix(ctx, n, ctx.kernel.m_new(list(flat), n), ctx.N if prec is None else prec)
 
     @staticmethod
     def identity(ctx, n):
         _check_dim(ctx, n)
-        k = _kernel_for(ctx, n)
-        return PMatrix(ctx, n, k.m_identity(n), ctx.N)
+        return PMatrix(ctx, n, ctx.kernel.m_identity(n), ctx.N)
 
     @staticmethod
     def zeros(ctx, n):
         _check_dim(ctx, n)
-        k = _kernel_for(ctx, n)
-        return PMatrix(ctx, n, k.m_new([0] * (n * n * ctx.m), n), ctx.N)
+        return PMatrix(ctx, n, ctx.kernel.m_new([0] * (n * n * ctx.m), n), ctx.N)
 
     @staticmethod
     def scalar(ctx, n, value):
         """value * identity."""
         e = value if isinstance(value, RingElement) else ctx.element(value)
-        k = _kernel_for(ctx, n)
+        k = ctx.kernel
         return PMatrix(ctx, n, k.m_scal(e.coeffs, k.m_identity(n)), min(ctx.N, e.known_prec))
 
     # -- plumbing ---------------------------------------------------------------
 
     @property
     def kernel(self):
-        return _kernel_for(self.ctx, self.n)
+        return self.ctx.kernel
 
     @property
     def flat(self):
@@ -257,10 +253,6 @@ def _check_dim(ctx, n):
         )
 
 
-def _kernel_for(ctx, n):
-    return ctx.kernel if n <= ctx.kernel.max_n else ctx.pure_kernel
-
-
 # -- the delta-addition group law on gl_n ----------------------------------------
 
 
@@ -344,7 +336,7 @@ def matrix_one_plus_pT_pow(M, a):
     kmax = K - 1  # (M-1)^k vanishes mod p^K for k >= K
     G = vp_factorial(max(kmax, 1), p)
     g = ctx.guarded(G)
-    gk = _kernel_for(g, M.n)
+    gk = g.kernel
     q_g = gk.q
     e %= q_g
 

@@ -20,7 +20,7 @@ import math
 
 from . import _residue
 from ._intmath import int_to_digits, is_prime, vp, vp_factorial
-from ._kernel import PureKernel, make_kernel
+from ._kernel import PureKernel
 from .errors import (
     AlgebraInvariantError,
     DomainError,
@@ -61,12 +61,11 @@ class RingContext:
         "residue_poly",
         "frob_image",
         "kernel",
-        "pure_kernel",
         "max_matrix_dim",
         "_cache",
     )
 
-    def __init__(self, p, m, N, modulus, residue_poly, frob_image, kernel, pure_kernel, max_matrix_dim):
+    def __init__(self, p, m, N, modulus, residue_poly, frob_image, kernel, max_matrix_dim):
         self.p = p
         self.m = m
         self.N = N
@@ -74,7 +73,6 @@ class RingContext:
         self.residue_poly = residue_poly  # the same polynomial reduced mod p
         self.frob_image = frob_image      # coefficient tuple of phi(generator)
         self.kernel = kernel
-        self.pure_kernel = pure_kernel
         self.max_matrix_dim = max_matrix_dim
         self._cache = {}
 
@@ -379,7 +377,7 @@ def teichmueller(ctx, residue):
 # -- context construction ---------------------------------------------------------
 
 
-def make_context(p, m=1, N=2, residue_poly=None, *, force_pure=False, max_matrix_dim=8, _modulus_lift=None):
+def make_context(p, m=1, N=2, residue_poly=None, *, max_matrix_dim=8, _modulus_lift=None):
     """Build the ring W(F_{p^m}) / p^N.
 
     residue_poly, when given, is a sequence of m (or m + 1, monic) integer
@@ -412,21 +410,13 @@ def make_context(p, m=1, N=2, residue_poly=None, *, force_pure=False, max_matrix
     if not _residue.is_irreducible(res_poly, p):
         raise ParameterError("residue polynomial must be irreducible over F_p")
 
-    kernel = make_kernel(p, m, N, tail, force_pure=force_pure)
-    if kernel.kind == "pure":
-        pure = kernel
-    else:
-        pure = PureKernel(p, m, N, tail)
-
+    kernel = PureKernel(p, m, N, tail)
     frob_image = _newton_frob_image(kernel, p, m, N)
-    frob_flat = _frob_matrix(kernel, frob_image, m)
-    kernel.set_frob(frob_flat)
-    if pure is not kernel:
-        pure.set_frob(frob_flat)
+    kernel.set_frob(_frob_matrix(kernel, frob_image, m))
     _check_frobenius_order(kernel, m)
 
     modulus = tuple(c % kernel.q for c in tail) + (1,)
-    return RingContext(p, m, N, modulus, res_poly, frob_image, kernel, pure, max_matrix_dim)
+    return RingContext(p, m, N, modulus, res_poly, frob_image, kernel, max_matrix_dim)
 
 
 def _newton_frob_image(kernel, p, m, N):

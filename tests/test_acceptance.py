@@ -7,7 +7,6 @@ one printed pass/fail line per criterion.
 
 import pytest
 
-import deltalin
 from deltalin.acceptance import N_ACC, format_lines, run_all
 
 SEED = 42
@@ -53,14 +52,7 @@ def test_criterion_case_counts(suite):
     assert counts[9] == 20
 
 
-def test_criterion_1_runtime_budget(suite):
-    report, timings = suite
-    if report["kernel"] != "compiled":
-        pytest.skip("runtime budget applies to the compiled kernel")
-    assert timings[1] < 10.0, f"criterion 1 took {timings[1]:.1f}s"
-
-
 def test_overall(suite):
     report, _ = suite
     assert report["all_pass"]
-    assert report["kernel"] in ("compiled", "pure")
+    assert report["kernel"] == "pure"

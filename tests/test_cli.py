@@ -94,6 +94,25 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--input", str(missing))
     assert code == 2
 
+    hostile = {
+        "digits.json": b"9" * 5000,  # over the int string-conversion digit limit
+        "utf16.json": b"\xff\xfe{}",  # not UTF-8
+        "deep.json": b"[" * 200000,  # nesting past the recursion limit
+    }
+    for name, data in hostile.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "verify", "--input", str(path))
+        assert code == 2, name
+        assert out == "" and err.startswith("error: cannot read JSON"), name
+
+    code, out, err = run_cli(
+        capsys, "galois", "--p", "5", "--n", "2", "--kind", "gl", "--torsion", "4",
+        "--prec", "6", "--samples", "-1",
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "samples" in err
+
 
 @pytest.mark.parametrize("field", ["ring", "kind", "n", "alpha"])
 def test_verify_spec_missing_field_is_usage_error(capsys, tmp_path, field):

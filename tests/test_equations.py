@@ -175,7 +175,7 @@ def test_phi_so_structural_identity(c5):
     ("so", "sp", 2),  # x^(p) and (x^t q x)^(p)
 ])
 def test_phi_computes_x_to_the_p_once(monkeypatch, kind, variant, powers):
-    ctx = make_context(7, 1, 8, force_pure=True)  # its own kernel, patched below
+    ctx = make_context(7, 1, 8)  # its own kernel, patched below
     spec = EquationSpec(kind, 2, PMatrix.zeros(ctx, 2), variant)
     x = Rng(45).gl(ctx, 2)
     expected = Phi(spec, x)
@@ -188,7 +188,7 @@ def test_phi_computes_x_to_the_p_once(monkeypatch, kind, variant, powers):
 
 def test_lambda_sl_inverts_once(monkeypatch):
     """The radicand det(x)^p / det(x^(p)) of lambda_sl costs one s_inv."""
-    ctx = make_context(7, 2, 8, force_pure=True)  # its own kernel, patched below
+    ctx = make_context(7, 2, 8)  # its own kernel, patched below
     x = Rng(46).gl(ctx, 3)
     calls = []
     s_inv = ctx.kernel.s_inv

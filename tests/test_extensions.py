@@ -1,4 +1,4 @@
-"""Higher residue degrees and kernel selection boundaries."""
+"""Higher residue degrees and precisions on both sides of 2^63."""
 
 import math
 
@@ -11,43 +11,30 @@ from deltalin.sampling import Rng
 
 @pytest.mark.parametrize("p,m,N", [(3, 3, 10), (5, 3, 8), (7, 4, 6), (3, 4, 8)])
 def test_extension_degree_three_and_four(p, m, N):
-    fast = make_context(p, m, N)
-    pure = make_context(p, m, N, force_pure=True)
-    assert fast.frob_image == pure.frob_image
-    rf, rp = Rng(77), Rng(77)
+    ctx = make_context(p, m, N)
+    rng = Rng(77)
     for _ in range(25):
-        af, ap = rf.element(fast), rp.element(pure)
-        bf, bp = rf.element(fast), rp.element(pure)
-        assert (af * bf).coeffs == (ap * bp).coeffs
-        assert af.frobenius().coeffs == ap.frobenius().coeffs
-        assert af.frobenius(m) == af  # phi has order m
-        if af.is_unit():
-            assert af.invert().coeffs == ap.invert().coeffs
+        a = rng.element(ctx)
+        assert a.frobenius(m) == a  # phi has order m
 
-    t = fast.teichmueller(tuple(rf.below(p) for _ in range(m)))
+    t = ctx.teichmueller(tuple(rng.below(p) for _ in range(m)))
     assert t ** (p ** m) == t
     assert t.delta().is_zero()
 
-    a = p * rf.element(fast)
+    a = p * rng.element(ctx)
     assert log_p(exp_p(a)) == a
-    u, v = rf.unit(fast), rf.unit(fast)
+    u, v = rng.unit(ctx), rng.unit(ctx)
     assert psi(u * v) == psi(u) + psi(v)
 
-    rep = solve(EquationSpec("gl", 2, rf.matrix(fast, 2)), rf.gl(fast, 2))
+    rep = solve(EquationSpec("gl", 2, rng.matrix(ctx, 2)), rng.gl(ctx, 2))
     assert rep.residual_valuation == math.inf
     assert 1 <= rep.fixedness <= m
 
 
-def test_kernel_word_size_boundary(monkeypatch):
+def test_kernel_word_size_boundary():
     # 3^39 < 2^63 <= 3^40
-    import deltalin
-
-    monkeypatch.delenv("DELTA_LIN_PURE", raising=False)
     below = make_context(3, 1, 39)
     above = make_context(3, 1, 40)
-    if deltalin.COMPILED_AVAILABLE:
-        assert below.kernel.kind == "compiled"
-    assert above.kernel.kind == "pure"
     for ctx in (below, above):
         rng = Rng(3)
         u = rng.unit(ctx)
@@ -56,10 +43,9 @@ def test_kernel_word_size_boundary(monkeypatch):
 
 
 def test_large_prime_pure_path():
-    # q = p^2 exceeds 64 bits: everything runs on the pure kernel
+    # q = p^2 exceeds 64 bits
     p = (1 << 40) + 15  # prime
     ctx = make_context(p, 1, 2)
-    assert ctx.kernel.kind == "pure"
     rng = Rng(4)
     a = rng.unit(ctx)
     assert a * a.invert() == ctx.one()

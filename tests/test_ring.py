@@ -419,14 +419,16 @@ def test_psi_domain(c5):
 # ---------------------------------------------------------------- guarded exactness
 
 
-def test_log_agrees_across_kernels():
-    fast = make_context(13, 2, 16)
-    pure = make_context(13, 2, 16, force_pure=True)
-    rng_f, rng_p = Rng(19), Rng(19)
+def test_log_consistent_across_precisions():
+    """log_p at N = 16, reduced mod 13^8, is log_p of the reduced input at N = 8."""
+    hi, lo = make_context(13, 2, 16), make_context(13, 2, 8)
+    q_lo = lo.kernel.q
+    rng = Rng(19)
     for _ in range(10):
-        uf = fast.one() + 13 * rng_f.element(fast)
-        up = pure.one() + 13 * rng_p.element(pure)
-        assert log_p(uf).coeffs == log_p(up).coeffs
+        u = hi.one() + 13 * rng.element(hi)
+        reduced = log_p(lo.element(u.coeffs))
+        assert reduced.known_prec == lo.N
+        assert tuple(c % q_lo for c in log_p(u).coeffs) == reduced.coeffs
 
 
 def test_residue_poly_tail_form_matches_default():
