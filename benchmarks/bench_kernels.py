@@ -6,10 +6,16 @@ membership sweep; each prints its best time over --repeat runs.  A large
 --prec (128 or more) shows how the solver scales with precision.
 
     python3 benchmarks/bench_kernels.py [--prec 16] [--repeat 5]
+
+It imports deltalin from the checkout's `src/`, so it needs no install.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from deltalin.equations import EquationSpec, solve
 from deltalin.galois import GuChecker, enumerate_N_delta

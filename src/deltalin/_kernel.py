@@ -33,7 +33,7 @@ The kernel works on Python ints with these rules:
     and a^{-1} = conj(a) * N(a)^{-1}.  `s_inv` keeps the `s_is_unit`
     check: F_p[x]/(f mod p) is a field, so N(a) is a unit exactly when a
     is.
-  - `m_inv` runs Gauss-Jordan on the n x 2n array [A | 1] of pairs with
+  - `m_solve` runs Gauss-Jordan on the n x 2n array [A | B] of pairs with
     unit pivots, each inverted by its norm.  A row update x - f*y applies
     the matrix M_f = [[f0, r0 f1], [f1, f0 + r1 f1]] of multiplication by
     f to each pair y.
@@ -42,17 +42,19 @@ The kernel works on Python ints with these rules:
   unique.  The errors fire on the same inputs: over the field F_{p^2} an
   n x n matrix is invertible exactly when elimination finds a unit pivot
   in every column, and a pair is a unit exactly when its norm is.
-- Inverses at m == 1 and m >= 3 are integer linear algebra mod q.
-  Multiplication by an element a is a Z/q-linear map of the ring.  Its
-  m x m matrix M_a has the columns a, a*x, ..., a*x^{m-1}, each x times the
-  one before with the top coefficient folded through the row x^m mod f of
-  `_red`, and a^{-1} is the solution z of M_a z = e_0.  For an n x n
-  matrix A at m >= 3, R(A) is the nm x nm integer matrix with the blocks
-  M_{a_ij}; column j of A^{-1}, its entries' coefficients stacked, solves
-  R(A) z = e_{jm}, the first column of block column j of
-  R(A^{-1}) = R(A)^{-1}.  One Gauss-Jordan routine on ints, with unit
-  pivots and pow(x, -1, q), solves both (`_gauss_jordan`); at m == 1,
-  R(A) = A and it is the plain matrix inverse.
+- Solves and inverses are one elimination: `m_solve(A, B)` = A^{-1} B, by
+  Gauss-Jordan on [A | B], and `m_inv(A)` is `m_solve(A, 1)`.  At m == 1
+  and m >= 3 this is integer linear algebra mod q.  Multiplication by an
+  element a is a Z/q-linear map of the ring.  Its m x m matrix M_a has the
+  columns a, a*x, ..., a*x^{m-1}, each x times the one before with the top
+  coefficient folded through the row x^m mod f of `_red`, and a^{-1} is
+  the solution z of M_a z = e_0.  For n x n matrices at m >= 3, R(A) is
+  the nm x nm integer matrix with the blocks M_{a_ij}, and
+  R(A^{-1} B) = R(A)^{-1} R(B).  The first column of M_b is b itself, so
+  column j of A^{-1} B, its entries' coefficients stacked, solves
+  R(A) z = the stacked coefficients of column j of B.  One Gauss-Jordan
+  routine on ints, with unit pivots and pow(x, -1, q), solves both
+  (`_gauss_jordan`); at m == 1, R(A) = A.
   - The results are exact: a -> M_a and A -> R(A) are injective ring maps
     and inverses are unique, so the solution is the inverse itself.
   - The errors fire on the same inputs: F_p[x]/(f mod p) is a field, so a
@@ -60,11 +62,22 @@ The kernel works on Python ints with these rules:
     of det A, and an integer matrix mod p^N is invertible exactly when
     elimination finds a unit pivot in every column.
   - No Frobenius is used, so `make_context` may invert before `set_frob`.
+- `m_form(X, Q)` = X^t Q X is one product.  Row i of QX is taken from the
+  nonzero entries of row i of Q: a single entry 1 or -1 picks row k of X,
+  negated for -1 and left unreduced for the next `_dot`, with no
+  multiplication (every form `build_q` makes is a signed permutation);
+  any other row is a `_dot` per entry.  Each entry of X^t (QX) is then one
+  `_dot` of a column of X with a column of QX; the transpose is not built.
+- `m_det` for n <= 4 is the Laplace expansion along the rows, memoized:
+  the minor on the rows below the ones expanded is fixed by the mask of
+  columns those left free, so it is built once, bottom-up, with one `_dot`
+  per mask (11 at n = 4, where the plain recursion made 41).
 - `m_det` for n >= 5 pivots on an entry p^v u of least valuation in its
   column.  Every entry below it is divisible by p^v, so (entry / p^v) u^{-1}
   is an exact row factor; a column that is 0 mod q gives the determinant 0.
 """
 
+from functools import lru_cache
 from itertools import chain
 from operator import mul
 
@@ -72,6 +85,15 @@ from .errors import AlgebraInvariantError, NotUnitError, SingularMatrixError
 
 # No compiled kernel exists; kept because perfbench's environment report reads it.
 COMPILED_AVAILABLE = False
+
+
+@lru_cache(maxsize=None)
+def _free_masks(n):
+    """(row, the masks of n - row free columns) for row = n-2 down to 0."""
+    return tuple(
+        (row, tuple(mask for mask in range(1 << n) if mask.bit_count() == n - row))
+        for row in range(n - 2, -1, -1)
+    )
 
 
 class PureMat:
@@ -215,8 +237,8 @@ class PureKernel:
         ninv = pow((a0 * a0 + r1 * a0 * a1 - r0 * a1 * a1) % q, -1, q)
         return (a0 + r1 * a1) * ninv % q, -a1 * ninv % q
 
-    def _m_inv2(self, d, n):
-        """A^{-1} at m == 2: Gauss-Jordan on [A | 1] with pair entries.
+    def _m_solve2(self, a, b, n):
+        """A^{-1} B at m == 2: Gauss-Jordan on [A | B] with pair entries.
 
         Unit pivots, inverted by the norm; eliminated columns are dropped
         from the rows as in `_gauss_jordan`.  A row update x - f*y applies
@@ -224,9 +246,8 @@ class PureKernel:
         """
         p, q = self.p, self.q
         r0, r1 = self._red[0]
-        zero, one = (0, 0), (1, 0)
-        ents = self._ents(d)
-        rows = [ents[i * n : (i + 1) * n] + [one if j == i else zero for j in range(n)] for i in range(n)]
+        ea, eb = self._ents(a), self._ents(b)
+        rows = [ea[i * n : (i + 1) * n] + eb[i * n : (i + 1) * n] for i in range(n)]
         for col in range(n):
             for r in range(col, n):
                 a0, a1 = rows[r][0]
@@ -524,25 +545,31 @@ class PureKernel:
         return (det,) if self.m == 1 else det
 
     def _det_cofactor(self, e, n):
-        """Laplace expansion along the rows; one `_dot` per minor."""
+        """Laplace expansion along the rows, memoized by column mask.
+
+        The minor on rows row..n-1 is fixed by the mask of the n - row
+        columns that rows 0..row-1 left free, so the minors are built
+        bottom-up, one `_dot` per mask: 2^n - n - 1 of them (11 at n = 4).
+        A minor on the last row alone is its one entry.
+        """
         dot, neg, nonzero = self._dot, self._neg, self._nonzero
-
-        def rec(row, mask):
-            if row == n:
-                return self._e1
-            xs, ys = [], []
-            odd = False
-            for j in range(n):
-                if mask & (1 << j):
-                    continue
-                a = e[row * n + j]
-                if nonzero(a):
-                    xs.append(neg(a) if odd else a)
-                    ys.append(rec(row + 1, mask | (1 << j)))
-                odd = not odd
-            return dot(xs, ys)
-
-        return rec(0, 0)
+        last = e[(n - 1) * n :]
+        minors = {1 << j: last[j] for j in range(n)}
+        for row, masks in _free_masks(n):
+            above = minors
+            minors = {}
+            for mask in masks:
+                xs, ys = [], []
+                odd = False
+                for j in range(n):
+                    if mask >> j & 1:
+                        a = e[row * n + j]
+                        if nonzero(a):
+                            xs.append(neg(a) if odd else a)
+                            ys.append(above[mask ^ (1 << j)])
+                        odd = not odd
+                minors[mask] = dot(xs, ys)
+        return minors[(1 << n) - 1]
 
     def _det_elim(self, e, n):
         """Gaussian elimination, pivoting on an entry of least valuation."""
@@ -571,21 +598,49 @@ class PureKernel:
         return det
 
     def m_inv(self, A):
-        """A^{-1} from R(A) Z = [e_0, e_m, ..., e_{(n-1)m}] (module docstring)."""
-        n, m, d = A.n, self.m, A.data
-        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        return self.m_solve(A, self.m_identity(A.n))
+
+    def m_solve(self, A, B):
+        """A^{-1} B from R(A) Z = the stacked columns of B (module docstring)."""
+        n, m, a, b = A.n, self.m, A.data, B.data
         if m == 1:  # R(A) = A
-            rows = [[*d[i * n : (i + 1) * n], *unit[i]] for i in range(n)]
+            rows = [[*a[i * n : (i + 1) * n], *b[i * n : (i + 1) * n]] for i in range(n)]
             return PureMat(tuple(chain.from_iterable(self._gauss_jordan(rows))), n)
         if m == 2:
-            return PureMat(self._m_inv2(d, n), n)
-        blocks = [self._mul_rows(d[s : s + m]) for s in range(0, len(d), m)]
-        zero = [0] * n
+            return PureMat(self._m_solve2(a, b, n), n)
+        blocks = [self._mul_rows(a[s : s + m]) for s in range(0, len(a), m)]
         rows = []
         for i in range(n):
             block_row = blocks[i * n : (i + 1) * n]
+            b_row = b[i * n * m : (i + 1) * n * m]
             for r in range(m):
-                rows.append([c for b in block_row for c in b[r]] + (unit[i] if r == 0 else zero))
+                # coefficient r of every entry of row i of B
+                rows.append([c for blk in block_row for c in blk[r]] + list(b_row[r::m]))
         Z = self._gauss_jordan(rows)
-        # row j*m + r of Z holds coefficient r of row j of A^{-1}
-        return PureMat(tuple(Z[j * m + r][i] for j in range(n) for i in range(n) for r in range(m)), n)
+        # row i*m + r of Z holds coefficient r of row i of A^{-1} B
+        return PureMat(tuple(Z[i * m + r][j] for i in range(n) for j in range(n) for r in range(m)), n)
+
+    def m_form(self, X, Q):
+        """X^t Q X: QX row by row from Q's nonzero entries, then X^t (QX)
+        from the columns of X (module docstring)."""
+        n, m, q = X.n, self.m, self.q
+        x = self._ents(X.data)
+        xrows = [x[k * n : (k + 1) * n] for k in range(n)]
+        qe = self._ents(Q.data)
+        one, minus_one = self._e1, (q - 1 if m == 1 else (q - 1, *self.zero[1:]))
+        dot, neg, nonzero = self._dot, self._neg, self._nonzero
+        qx = []
+        for i in range(n):
+            nz = [(k, c) for k, c in enumerate(qe[i * n : (i + 1) * n]) if nonzero(c)]
+            if len(nz) == 1 and nz[0][1] == one:
+                qx.append(xrows[nz[0][0]])
+            elif len(nz) == 1 and nz[0][1] == minus_one:
+                qx.append([neg(e) for e in xrows[nz[0][0]]])  # unreduced, as _dot allows
+            else:
+                cs = [c for _, c in nz]
+                qx.append([dot(cs, [xrows[k][j] for k, _ in nz]) for j in range(n)])
+        xcols = [x[i::n] for i in range(n)]
+        qxcols = list(zip(*qx))
+        if m == 1:
+            return PureMat(tuple(sum(map(mul, a, b)) % q for a in xcols for b in qxcols), n)
+        return PureMat(self._flat(dot(a, b) for a in xcols for b in qxcols), n)

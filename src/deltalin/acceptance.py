@@ -230,7 +230,7 @@ def criterion_7(session):
             x = rng.gl(ctx, n)
             P = Phi(spec, x)
             cases += 1
-            if (P.transpose() @ q @ P) != (x.transpose() @ q @ x).pow_p_entrywise():
+            if P.form(q) != x.form(q).pow_p_entrywise():
                 failures += 1
     return _result(7, "SO structural identity for Phi", failures == 0, cases,
                    {"failures": failures})
@@ -336,7 +336,7 @@ def criterion_10(session):
             if not v.det().delta().is_zero():
                 failures += 1
             if kind == "so":
-                form = v.transpose() @ spec.q_matrix() @ v
+                form = v.form(spec.q_matrix())
                 if not form.delta_entrywise().is_zero():
                     failures += 1
 

@@ -231,7 +231,7 @@ def _cmd_galois(args):
             },
         }
         if spec.kind == "so":
-            form = v.transpose() @ q @ v
+            form = v.form(q)
             entry["constancy"]["delta_form_valuation"] = valuation_to_json(
                 form.delta_entrywise().valuation()
             )

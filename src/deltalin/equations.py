@@ -172,8 +172,8 @@ def _nth_root_one_mod_p(base, n, start=None, correct=0):
             raise ParameterError("a start value must be correct to at least one digit")
         y, steps, K = start, 1, min(K, 2 * correct)
     for _ in range(steps):
-        err = y ** n - base
-        y = y - err * (ctx.element(n) * y ** (n - 1)).invert()
+        y_n1 = y ** (n - 1)
+        y = y - (y_n1 * y - base) * (ctx.element(n) * y_n1).invert()
     if not (y ** n).eq_at(base, K):
         raise AlgebraInvariantError("Newton n-th root failed to converge")
     return y.with_prec(K)
@@ -201,13 +201,17 @@ def lambda_sl(x, start=None, correct=0, *, _xp=None):
 def Lambda_so(x, q, start=None, correct=0, *, _xp=None):
     """Lambda(x) = (((x^{(p)})^t q x^{(p)})^{-1} (x^t q x)^{(p)})^{1/2}.
 
-    `start` and `correct` warm-start the root (see `matrix_sqrt_one_mod_p`).
-    `_xp`, when given, is x^{(p)}, already computed by the caller.
+    The radicand is A^{-1} C with A = (x^{(p)})^t q x^{(p)} and
+    C = (x^t q x)^{(p)}: each form is one kernel product (`PMatrix.form`)
+    and A^{-1} C is one elimination (`PMatrix.solve`), with no inverse
+    built.  `start` and `correct` warm-start the root (see
+    `matrix_sqrt_one_mod_p`).  `_xp`, when given, is x^{(p)}, already
+    computed by the caller.
     """
     xp = x.pow_p_entrywise() if _xp is None else _xp
-    A = xp.transpose() @ q @ xp
-    C = (x.transpose() @ q @ x).pow_p_entrywise()
-    return matrix_sqrt_one_mod_p(A.inverse() @ C, start, correct)
+    A = xp.form(q)
+    C = x.form(q).pow_p_entrywise()
+    return matrix_sqrt_one_mod_p(A.solve(C), start, correct)
 
 
 def _phi_kind(kind, variant, x, q=None, start=None, correct=0):
@@ -301,7 +305,7 @@ def _integral_diagnostics(spec, u, q=None):
     elif spec.kind == "so":
         if q is None:
             q = spec.q_matrix()
-        form = u.transpose() @ q @ u
+        form = u.form(q)
         out.append(("xtqx", form, form.delta_entrywise()))
     return tuple(out)
 
@@ -312,7 +316,7 @@ def prime_integral_check(spec, u):
     if spec.kind == "sl":
         return [("det", u.det().delta())]
     if spec.kind == "so":
-        return [("xtqx", (u.transpose() @ spec.q_matrix() @ u).delta_entrywise())]
+        return [("xtqx", u.form(spec.q_matrix()).delta_entrywise())]
     return []
 
 

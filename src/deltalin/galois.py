@@ -44,11 +44,12 @@ class GaloisReport:
 
 def Phi_u(spec, u, x):
     """Phi_u(x) = Phi(u)^{-1} Phi(u x)."""
-    return Phi(spec, u).inverse() @ Phi(spec, u @ x)
+    return Phi(spec, u).solve(Phi(spec, u @ x))
 
 
 class GuChecker:
-    """Membership tester for G_u with Phi(u)^{-1} cached across candidates."""
+    """Membership tester for G_u with Phi(u)^{-1} cached across candidates:
+    one product per candidate costs less than a solve per candidate."""
 
     def __init__(self, spec, u):
         self.spec = spec
@@ -141,7 +142,7 @@ def constancy_on_Gu(spec, u, v):
     d_det = v.det().delta()
     d_form = None
     if spec.kind == "so":
-        d_form = (v.transpose() @ spec.q_matrix() @ v).delta_entrywise()
+        d_form = v.form(spec.q_matrix()).delta_entrywise()
     return d_det, d_form
 
 

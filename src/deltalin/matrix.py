@@ -197,6 +197,18 @@ class PMatrix:
     def inverse(self):
         return self._wrap(self.kernel.m_inv(self._h))
 
+    def solve(self, other):
+        """self^{-1} other, by one elimination."""
+        other = self._peer(other)
+        return self._wrap(
+            self.kernel.m_solve(self._h, other._h), min(self.known_prec, other.known_prec)
+        )
+
+    def form(self, q):
+        """self^t q self, the bilinear form q pulled back along self."""
+        q = self._peer(q)
+        return self._wrap(self.kernel.m_form(self._h, q._h), min(self.known_prec, q.known_prec))
+
     def trace(self):
         acc = self.ctx.zero()
         for i in range(self.n):
@@ -274,8 +286,9 @@ def delta_inverse(a):
 def matrix_sqrt_one_mod_p(M, start=None, correct=0):
     """The unique square root S of M that is congruent to 1 mod p.
 
-    Requires M = 1 mod p and p odd.  Newton's step is Y <- (Y + Y^{-1} M)/2;
-    write E = Y - S for the error of Y.
+    Requires M = 1 mod p and p odd.  Newton's step is Y <- (Y + Y^{-1} M)/2,
+    computed as (Y + Y.solve(M))/2 with one elimination; write E = Y - S for
+    the error of Y.
 
     Cold (no start): from Y = 1 every iterate is a polynomial in M, so it
     commutes with M and S, and the new error is E^2 Y^{-1}/2: each step
@@ -292,7 +305,7 @@ def matrix_sqrt_one_mod_p(M, start=None, correct=0):
     """
     ctx = M.ctx
     one = PMatrix.identity(ctx, M.n)
-    if not (M - one).eq_at(PMatrix.zeros(ctx, M.n), 1):
+    if not M.eq_at(one, 1):
         raise DomainError("matrix square root requires M = 1 mod p")
     half = pow(2, -1, ctx.kernel.q)
     K = M.known_prec
@@ -304,7 +317,7 @@ def matrix_sqrt_one_mod_p(M, start=None, correct=0):
             raise ParameterError("a start value must be correct to at least one digit")
         Y, steps, K = start, 1, min(K, correct + 1)
     for _ in range(steps):
-        Y = half * (Y + Y.inverse() @ M)
+        Y = half * (Y + Y.solve(M))
     if not (Y @ Y).eq_at(M, K):
         raise AlgebraInvariantError("Newton square root failed to converge")
     return Y.with_prec(K)
@@ -318,8 +331,7 @@ def matrix_one_plus_pT_pow(M, a):
     """
     ctx = M.ctx
     p = ctx.p
-    one = PMatrix.identity(ctx, M.n)
-    if not (M - one).eq_at(PMatrix.zeros(ctx, M.n), 1):
+    if not M.eq_at(PMatrix.identity(ctx, M.n), 1):
         raise DomainError("binomial power requires M = 1 mod p")
     K = M.known_prec
     if isinstance(a, RingElement):
@@ -380,7 +392,7 @@ def in_SLn(A):
 
 def in_SOq(A, q):
     """x^t q x = q together with det(x) = 1 (the identity component)."""
-    return (A.transpose() @ q @ A) == q and in_SLn(A)
+    return A.form(q) == q and in_SLn(A)
 
 
 def in_sl_delta(alpha):

@@ -377,6 +377,14 @@ def teichmueller(ctx, residue):
 # -- context construction ---------------------------------------------------------
 
 
+# Size caps on a context built from its parameters; every size the tests,
+# the acceptance suite and the benchmarks use lies inside them (the largest
+# prime is 2^40 + 15, which puts q = p^2 beyond 64 bits).
+MAX_P = 2 ** 64  # p < MAX_P
+MAX_M = 8
+MAX_N = 1024
+
+
 def make_context(p, m=1, N=2, residue_poly=None, *, max_matrix_dim=8, _modulus_lift=None):
     """Build the ring W(F_{p^m}) / p^N.
 
@@ -384,13 +392,24 @@ def make_context(p, m=1, N=2, residue_poly=None, *, max_matrix_dim=8, _modulus_l
     coefficients, little-endian; it must reduce mod p to an irreducible
     polynomial and is used as the modulus lift as provided.  When absent the
     lexicographically first irreducible monic polynomial of degree m is used.
+
+    p < MAX_P, m <= MAX_M and N <= MAX_N, or ParameterError.  A context
+    built by `RingContext.guarded` (through `_modulus_lift`) derives from a
+    checked one and may exceed MAX_N by its guard digits.
     """
+    capped = _modulus_lift is None
+    if capped and type(p) is int and p >= MAX_P:  # before the primality test, slow on a huge p
+        raise ParameterError(f"p={p} exceeds the cap: p must be below {MAX_P}")
     if type(p) is not int or not is_prime(p) or p == 2:
         raise ParameterError("p must be an odd prime")
     if type(m) is not int or m < 1:
         raise ParameterError("extension degree m must be >= 1")
+    if capped and m > MAX_M:
+        raise ParameterError(f"extension degree m={m} exceeds the cap {MAX_M}")
     if type(N) is not int or N < 2:
         raise ParameterError("precision N must be >= 2")
+    if capped and N > MAX_N:
+        raise ParameterError(f"precision N={N} exceeds the cap {MAX_N}")
 
     if _modulus_lift is not None:
         tail = tuple(_modulus_lift)

@@ -147,7 +147,7 @@ class Rng:
                 rows[i][j] = v
                 rows[j][i] = -v if antisym else v
         s = PMatrix.from_rows(ctx, rows)
-        c = q.inverse() @ s
+        c = q.solve(s)
         return ctx.p * c if congruence else c
 
     def permutation(self, n):

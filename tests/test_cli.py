@@ -113,6 +113,14 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == "" and err.startswith("error: ") and "samples" in err
 
+    # oversized contexts are refused before any work
+    for flag, value in (("--prec", "100000"), ("--m", "9"), ("--p", "18446744073709551629")):
+        code, out, err = run_cli(
+            capsys, "solve", "--p", "5", "--n", "2", "--kind", "gl", flag, value
+        )
+        assert code == 2, flag
+        assert out == "" and err.startswith("error: ") and "exceeds the cap" in err, flag
+
 
 @pytest.mark.parametrize("field", ["ring", "kind", "n", "alpha"])
 def test_verify_spec_missing_field_is_usage_error(capsys, tmp_path, field):

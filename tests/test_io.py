@@ -118,22 +118,43 @@ def test_context_json_missing_keys(c5):
             context_from_json({"p": 5, "m": 2, "N": 8, "modulus": modulus})
 
 
-@pytest.mark.parametrize("key, message", [
-    ("p", "odd prime"), ("m", "extension degree"), ("N", "precision"),
-])
-def test_verify_bool_ring_parameter_exits_2(capsys, tmp_path, key, message):
+def test_context_json_over_the_caps_rejected():
+    for key, value in (("p", 2 ** 64 + 13), ("m", 9), ("N", 100000)):
+        obj = {"p": 5, "m": 1, "N": 8, key: value}
+        with pytest.raises(ParameterError, match="exceeds the cap"):
+            context_from_json(obj)
+
+
+def _verify_with_ring(capsys, tmp_path, key, value):
+    """Exit code and stderr of `verify` on a report whose ring has `key` set to `value`."""
     path = tmp_path / "report.json"
     argv = ["solve", "--p", "5", "--n", "2", "--kind", "gl", "--prec", "4", "--output", str(path)]
     assert cli_main(argv) == 0
     payload = json.loads(path.read_text())
-    payload["spec"]["ring"][key] = True
+    payload["spec"]["ring"][key] = value
     path.write_text(json.dumps(payload))
     capsys.readouterr()
-    assert cli_main(["verify", "--input", str(path)]) == 2
+    code = cli_main(["verify", "--input", str(path)])
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.parametrize("key, value", [("p", 2 ** 64 + 13), ("m", 9), ("N", 100000)])
+def test_verify_ring_over_the_caps_exits_2(capsys, tmp_path, key, value):
+    code, err = _verify_with_ring(capsys, tmp_path, key, value)
+    assert code == 2
+    assert err.startswith("error: ") and "exceeds the cap" in err
+
+
+@pytest.mark.parametrize("key, message", [
+    ("p", "odd prime"), ("m", "extension degree"), ("N", "precision"),
+])
+def test_verify_bool_ring_parameter_exits_2(capsys, tmp_path, key, message):
+    code, err = _verify_with_ring(capsys, tmp_path, key, True)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
 
 
 def test_element_digit_out_of_range_rejected(c5x2):

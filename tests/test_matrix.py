@@ -51,6 +51,21 @@ def test_inverse_contract(c5x2):
         assert a.inverse() @ a == I
 
 
+def test_solve_and_form_contract(c5x2):
+    """a.solve(b) = a^{-1} b and x.form(q) = x^t q x, each trusted to the
+    lesser precision of its operands."""
+    rng = Rng(23)
+    for _ in range(20):
+        a, b = rng.gl(c5x2, 3), rng.matrix(c5x2, 3).with_prec(5)
+        x = a.solve(b)
+        assert x.known_prec == 5 and a @ x == b
+        assert a.with_prec(4).solve(b).known_prec == 4
+        f = a.form(b)
+        assert f.known_prec == 5 and f == a.transpose() @ b @ a
+    with pytest.raises(SingularMatrixError):
+        PMatrix.from_rows(c5x2, [[5, 0], [0, 1]]).solve(PMatrix.identity(c5x2, 2))
+
+
 def test_large_dimension_elimination_paths():
     ctx = make_context(7, 1, 8, max_matrix_dim=8)
     rng = Rng(22)

@@ -5,8 +5,9 @@ a product is a schoolbook polynomial product reduced by long division by
 the monic modulus (not by the kernel's rows of x^{m+i} mod f), a power is
 repeated multiplication, a determinant is the Leibniz sum over
 permutations, and the Frobenius is phi(sum a_i x^i) = sum a_i phi(x)^i.
-Inverses are checked by multiplying back, which pins them down because
-inverses are unique.  Contexts cover m = 1, 2, 3, each with p^N below and
+Inverses and solves A^{-1} B are checked by multiplying back, which pins
+them down because inverses are unique, and X^t Q X against two reference
+products.  Contexts cover m = 1, 2, 3, each with p^N below and
 above 2^63, a cubic modulus whose tail coefficients are all nonzero, and
 m = 4, so the multiplication matrices of the inverse fold through reduction
 rows with nonzero entries.  Every default quadratic modulus is x^2 + c, so
@@ -22,7 +23,8 @@ import random
 
 import pytest
 
-from deltalin.errors import NotUnitError, SingularMatrixError
+from deltalin.equations import SO_VARIANTS, build_q
+from deltalin.errors import NotUnitError, ParameterError, SingularMatrixError
 from deltalin.ring import make_context
 
 # (p, m, N, residue polynomial or None for the default one)
@@ -154,6 +156,18 @@ def test_scalar_ops_match_reference(p, m, N, f):
                 k.s_inv(a)
 
 
+def _test_matrix(rnd, ref, n, trial):
+    """A matrix of unit entries; trial % 4 == 1 puts a non-unit in the corner
+    (the pivot search must swap rows), trial % 4 == 3 makes the last row
+    divisible by p (singular mod p)."""
+    A = [_element(rnd, ref, unit=True) for _ in range(n * n)]
+    if trial % 4 == 1:
+        A[0] = _element(rnd, ref, unit=False)
+    if trial % 4 == 3:
+        A[n * (n - 1) :] = [_element(rnd, ref, unit=False) for _ in range(n)]
+    return A
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
 def test_matrix_ops_match_reference(p, m, N, f, n):
@@ -162,12 +176,8 @@ def test_matrix_ops_match_reference(p, m, N, f, n):
     identity = [ref.one if i == j else ref.zero for i in range(n) for j in range(n)]
     singular = 0
     for trial in range(8 if n < 5 else 4):
-        A = [_element(rnd, ref, unit=True) for _ in range(n * n)]
+        A = _test_matrix(rnd, ref, n, trial)
         B = [_element(rnd, ref) for _ in range(n * n)]
-        if trial % 4 == 1:  # a non-unit corner: the pivot search must swap rows
-            A[0] = _element(rnd, ref, unit=False)
-        if trial % 4 == 3:  # a row divisible by p: singular mod p
-            A[n * (n - 1) :] = [_element(rnd, ref, unit=False) for _ in range(n)]
         hA, hB = k.m_new(_flat(A), n), k.m_new(_flat(B), n)
         s = _element(rnd, ref)
 
@@ -192,17 +202,96 @@ def test_matrix_ops_match_reference(p, m, N, f, n):
     assert singular  # the singular branch ran
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
+def test_solve_matches_reference(p, m, N, f, n):
+    """m_solve(A, B) = A^{-1} B, so A m_solve(A, B) = B; it raises
+    SingularMatrixError on exactly the inputs where m_inv does."""
+    k, ref = _setup(p, m, N, f)
+    rnd = random.Random(p * 1000 + m * 100 + N * 10 + n + 1)
+    singular = 0
+    for trial in range(8 if n < 5 else 4):
+        A = _test_matrix(rnd, ref, n, trial)
+        B = [_element(rnd, ref) for _ in range(n * n)]
+        hA, hB = k.m_new(_flat(A), n), k.m_new(_flat(B), n)
+        if ref.is_unit(ref.det(A, n)):
+            X = k.m_export(k.m_solve(hA, hB))
+            assert _canonical(X, ref.q)
+            assert ref.matmul(A, _entries(X, m), n) == B
+            k.m_inv(hA)  # does not raise either
+        else:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                k.m_solve(hA, hB)
+            with pytest.raises(SingularMatrixError):
+                k.m_inv(hA)
+    assert singular  # the singular branch ran
+
+
+def _forms(ctx, rnd, ref, n):
+    """(label, entries of Q): every `build_q` variant defined at n, a dense
+    random Q, a monomial Q whose entries are 1, -1 and elements that only
+    resemble them (2, -1 + x, 1 - x), with one zero row, and a mixed Q of
+    0, 1, -1 and random entries whose first rows start with 1, -1 and
+    have more nonzero entries after them."""
+    forms = []
+    for variant in SO_VARIANTS:
+        try:
+            Q = build_q(ctx, variant, n)
+        except ParameterError:
+            continue
+        forms.append((variant, _entries(Q.flat, ref.m)))
+    forms.append(("dense", [_element(rnd, ref) for _ in range(n * n)]))
+    q, zero = ref.q, ref.zero
+    minus_one = (q - 1,) + zero[1:]
+    lookalikes = [ref.one, minus_one, (2,) + zero[1:]]
+    if ref.m > 1:
+        lookalikes += [(q - 1, 1) + zero[2:], (1, q - 1) + zero[2:]]
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    Q = [zero] * (n * n)
+    for i in range(n - 1 if n > 1 else n):
+        Q[i * n + perm[i]] = lookalikes[rnd.randrange(len(lookalikes))]
+    forms.append(("monomial", Q))
+    choices = [zero, ref.one, minus_one, None]
+    Q = [rnd.choice(choices) or _element(rnd, ref, unit=True) for _ in range(n * n)]
+    if n > 1:
+        Q[0], Q[1] = ref.one, minus_one
+        Q[n], Q[n + 1] = minus_one, _element(rnd, ref, unit=True)
+    forms.append(("mixed", Q))
+    return forms
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
+def test_form_matches_reference(p, m, N, f, n):
+    """m_form(X, Q) = X^t Q X for every `build_q` form and for Q of any shape."""
+    ctx = make_context(p, m, N, f)
+    k, ref = ctx.kernel, Ref(ctx)
+    rnd = random.Random(p * 1000 + m * 100 + N * 10 + n + 2)
+    labels = set()
+    for label, Q in _forms(ctx, rnd, ref, n):
+        labels.add(label)
+        for _ in range(3):
+            X = [_element(rnd, ref) for _ in range(n * n)]
+            Xt = [X[j * n + i] for i in range(n) for j in range(n)]
+            got = k.m_export(k.m_form(k.m_new(_flat(X), n), k.m_new(_flat(Q), n)))
+            assert _canonical(got, ref.q), label
+            assert _entries(got, m) == ref.matmul(ref.matmul(Xt, Q, n), X, n), label
+    assert labels >= {"dense", "monomial", "mixed"} and (n < 2 or len(labels) > 3)
+
+
 def _scale_column(ref, A, n, j, c):
     for i in range(n):
         A[i * n + j] = ref.mul((c,), A[i * n + j])
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
 def test_singular_det_matches_reference(p, m, N, f, n):
-    """Determinants of matrices singular mod p, for the cofactor (n = 3) and
-    the elimination (n = 5) paths: columns of valuation 1..3, a zero column
-    and a row that is the sum of two others."""
+    """Determinants of matrices singular mod p, for the memoized cofactor
+    (n = 3, 4) and the elimination (n = 5) paths: columns of valuation 1..3,
+    a zero column and a row that is the sum of two others."""
     k, ref = _setup(p, m, N, f)
     rnd = random.Random(p * 1000 + m * 100 + N * 10 + n)
     cases = []

@@ -42,6 +42,15 @@ def test_context_rejects_bad_shape():
         make_context(5, 1, True)
 
 
+def test_context_caps():
+    big_p = 2 ** 64 + 13
+    for args, message in (((big_p, 1, 4), f"p={big_p}"), ((5, 9, 4), "m=9"), ((5, 1, 1025), "N=1025")):
+        with pytest.raises(ParameterError, match=f"{message} exceeds the cap"):
+            make_context(*args)
+    top = make_context(65521, 1, 1024)
+    assert top.guarded(3).N == 1027  # guard digits are not capped
+
+
 def test_context_rejects_reducible_poly():
     # x^2 + 1 = (x + 2)(x + 3) over F_5
     with pytest.raises(ParameterError, match="irreducible"):
