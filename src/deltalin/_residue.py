@@ -5,6 +5,8 @@ A monic degree-m modulus is passed around as its full coefficient tuple of
 length m + 1 with leading coefficient 1.
 """
 
+from functools import lru_cache
+
 from ._intmath import factorize
 
 
@@ -94,11 +96,14 @@ def is_irreducible(f, p):
     return True
 
 
+@lru_cache(maxsize=32)
 def first_irreducible(p, m):
     """Lexicographically first irreducible monic polynomial of degree m.
 
     Candidates x^m + c_{m-1} x^{m-1} + ... + c_0 are ordered by their
     coefficient tuples (c_0, ..., c_{m-1}).  Deterministic and seedless.
+    Every result has passed Rabin's test (at m = 1, x is linear), so the
+    results for the 32 most recent (p, m) are memoized and not tested again.
     """
     if m == 1:
         return (0, 1)  # f = x

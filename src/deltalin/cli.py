@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 from . import acceptance
 from .equations import (
@@ -65,7 +66,14 @@ def _add_ring_args(sp, with_kind=True):
         sp.add_argument("--seed", type=int, default=0)
 
 
-def _build_parser():
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser of every `main` call in this process, built on first use.
+
+    Parsing leaves the parser unchanged (each call gets a fresh namespace),
+    so one instance serves repeated calls; building it costs about ten
+    times as much as a parse.
+    """
     ap = argparse.ArgumentParser(
         prog="deltalin",
         description="Exact solver and Galois checks for delta-linear equations "
@@ -209,6 +217,9 @@ def _cmd_verify(args):
 def _cmd_galois(args):
     rng = Rng(args.seed)
     ctx, spec = _make_spec(args, rng)
+    # first, so that a refused --samples costs no solve and no enumeration;
+    # the check draws from its own stream, so the order changes no output
+    compat_ok, _witness = check_right_compatibility(spec, samples=args.samples, seed=args.seed)
     u0 = _make_u0(args, ctx, rng)
     rep = solve(spec, u0)
     u = rep.solution
@@ -236,7 +247,6 @@ def _cmd_galois(args):
                 form.delta_entrywise().valuation()
             )
         rows.append(entry)
-    compat_ok, _witness = check_right_compatibility(spec, samples=args.samples, seed=args.seed)
     payload = {
         "command": "galois",
         "config": {
@@ -288,9 +298,8 @@ def _cmd_selftest(args):
 
 
 def main(argv=None):
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:

@@ -156,8 +156,11 @@ def _nth_root_one_mod_p(base, n, start=None, correct=0):
 
     Hensel-Newton: y <- y - (y^n - base) / (n y^{n-1}); each step doubles the
     number of correct digits.  With no start value it runs from 1 to base's
-    precision K.  A start value correct to `correct` >= 1 digits gets one
-    step, and the result carries known_prec min(K, 2 * correct).
+    precision K: the step from 1 is 1 + (base - 1)/n in closed form, with an
+    integer inverse of n and no ring inversion, and bitlen(K-1) - 1 Newton
+    steps follow, which take the 2 correct digits to 2^bitlen(K-1) >= K.  A
+    start value correct to `correct` >= 1 digits gets one step, and the
+    result carries known_prec min(K, 2 * correct).
     """
     ctx = base.ctx
     one = ctx.one()
@@ -165,8 +168,8 @@ def _nth_root_one_mod_p(base, n, start=None, correct=0):
         raise DomainError("n-th root requires base = 1 mod p")
     K = base.known_prec
     if start is None:
-        y = one
-        steps = max(1, (max(K, 2) - 1).bit_length()) + 1
+        y = one + (base - one) * pow(n, -1, ctx.kernel.q)
+        steps = (max(K, 2) - 1).bit_length() - 1
     else:
         if correct < 1:
             raise ParameterError("a start value must be correct to at least one digit")

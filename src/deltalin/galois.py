@@ -109,15 +109,24 @@ def enumerate_N_delta(ctx, n, d, cap=10 ** 6):
     return out
 
 
+# A cap on the sample count, like the context caps on p, m and N: each
+# sample costs two cold Phi calls, so an unbounded count can hold a process
+# for days.
+MAX_SAMPLES = 10_000
+
+
 def check_right_compatibility(spec, samples=100, seed=0):
     """Sample a in GL_n and monomial c and test Phi(ac) = Phi(a) c^{(p)}.
 
     Returns (ok, witness): witness is the first failing (a, c) pair, if any.
+    0 <= samples <= MAX_SAMPLES, or ParameterError.
     """
     from .sampling import Rng
 
     if samples < 0:
         raise ParameterError("samples must be >= 0")
+    if samples > MAX_SAMPLES:
+        raise ParameterError(f"samples={samples} exceeds the cap {MAX_SAMPLES}")
     rng = Rng(seed)
     ctx = spec.ctx
     for _ in range(samples):

@@ -292,8 +292,10 @@ def matrix_sqrt_one_mod_p(M, start=None, correct=0):
 
     Cold (no start): from Y = 1 every iterate is a polynomial in M, so it
     commutes with M and S, and the new error is E^2 Y^{-1}/2: each step
-    doubles the number of correct digits.  bitlen(K-1)+1 steps make the
-    result exact at M's precision K, and it carries known_prec K.
+    doubles the number of correct digits.  The step from 1 is (1 + M)/2 in
+    closed form, with no solve, and bitlen(K-1) - 1 Newton steps follow,
+    which take its 2 correct digits to 2^bitlen(K-1) >= K: the result is
+    exact at M's precision K, and it carries known_prec K.
 
     Warm (a start value correct to `correct` >= 1 digits): exactly one step.
     The start need not commute with M, and then the new error is
@@ -310,8 +312,8 @@ def matrix_sqrt_one_mod_p(M, start=None, correct=0):
     half = pow(2, -1, ctx.kernel.q)
     K = M.known_prec
     if start is None:
-        Y = one
-        steps = max(1, (max(K, 2) - 1).bit_length()) + 1
+        Y = half * (one + M)
+        steps = (max(K, 2) - 1).bit_length() - 1
     else:
         if correct < 1:
             raise ParameterError("a start value must be correct to at least one digit")

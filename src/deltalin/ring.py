@@ -390,8 +390,11 @@ def make_context(p, m=1, N=2, residue_poly=None, *, max_matrix_dim=8, _modulus_l
 
     residue_poly, when given, is a sequence of m (or m + 1, monic) integer
     coefficients, little-endian; it must reduce mod p to an irreducible
-    polynomial and is used as the modulus lift as provided.  When absent the
-    lexicographically first irreducible monic polynomial of degree m is used.
+    polynomial and is used as the modulus lift as provided, and it is tested
+    on every call.  When absent the lexicographically first irreducible monic
+    polynomial of degree m is used: `_residue.first_irreducible` finds and
+    tests it once per (p, m) and keeps it in a small bounded memo.  The
+    context itself is built afresh on every call.
 
     p < MAX_P, m <= MAX_M and N <= MAX_N, or ParameterError.  A context
     built by `RingContext.guarded` (through `_modulus_lift`) derives from a
@@ -411,9 +414,10 @@ def make_context(p, m=1, N=2, residue_poly=None, *, max_matrix_dim=8, _modulus_l
     if capped and N > MAX_N:
         raise ParameterError(f"precision N={N} exceeds the cap {MAX_N}")
 
+    default = residue_poly is None and _modulus_lift is None
     if _modulus_lift is not None:
         tail = tuple(_modulus_lift)
-    elif residue_poly is None:
+    elif default:
         tail = _residue.first_irreducible(p, m)[:m]
     else:
         coeffs = list(residue_poly)
@@ -426,7 +430,8 @@ def make_context(p, m=1, N=2, residue_poly=None, *, max_matrix_dim=8, _modulus_l
         tail = tuple(coeffs)
 
     res_poly = tuple(c % p for c in tail) + (1,)
-    if not _residue.is_irreducible(res_poly, p):
+    # the default passed Rabin's test in first_irreducible's (memoized) search
+    if not default and not _residue.is_irreducible(res_poly, p):
         raise ParameterError("residue polynomial must be irreducible over F_p")
 
     kernel = PureKernel(p, m, N, tail)

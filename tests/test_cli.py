@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -112,6 +113,14 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     )
     assert code == 2
     assert out == "" and err.startswith("error: ") and "samples" in err
+
+    # a sample count over the cap is refused before the solve
+    code, out, err = run_cli(
+        capsys, "galois", "--p", "5", "--n", "2", "--kind", "gl", "--torsion", "4",
+        "--prec", "6", "--samples", "1000000000",
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "samples=1000000000 exceeds the cap" in err
 
     # oversized contexts are refused before any work
     for flag, value in (("--prec", "100000"), ("--m", "9"), ("--p", "18446744073709551629")):
@@ -242,3 +251,42 @@ def test_galois_alpha_from_file(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["report"]["residual_valuation"] == "inf"
+
+
+def test_repeated_main_calls_in_one_process(capsys, tmp_path):
+    """A usage error, --help and two solves in a row: each call behaves as
+    it would in a fresh process."""
+    code, out, err = run_cli(capsys, "solve", "--p", "5")
+    assert code == 2
+    assert out == "" and err.startswith("usage: deltalin solve") and "required" in err
+
+    code, out, err = run_cli(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: deltalin [-h]") and err == ""
+
+    argv = ["solve", "--p", "7", "--m", "2", "--prec", "10", "--n", "2",
+            "--kind", "sl", "--seed", "8", "--output", str(tmp_path / "report.json")]
+    reports = []
+    for _ in range(2):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        reports.append((tmp_path / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    code, out, _ = run_cli(capsys, "verify", "--input", str(tmp_path / "report.json"))
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+def test_main_builds_no_parser_after_the_first_call(capsys, monkeypatch):
+    run_cli(capsys, "example-3-9", "--p", "7", "--prec", "4")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["example-3-9", "--p", "7", "--prec", "4"], ["solve", "--p", "5"], ["--help"]):
+        run_cli(capsys, *argv)
+    assert built == []

@@ -20,7 +20,7 @@ from deltalin.equations import (
     solve_scalar_exp,
 )
 from deltalin.errors import DomainError, ParameterError, PrecisionError
-from deltalin.matrix import PMatrix, in_SLn, in_SOq
+from deltalin.matrix import PMatrix, in_SLn, in_SOq, matrix_sqrt_one_mod_p
 from deltalin.ring import make_context, one_plus_pt_pow, psi
 from deltalin.sampling import Rng
 
@@ -198,6 +198,39 @@ def test_lambda_sl_inverts_once(monkeypatch):
     assert len(calls) == 1
     assert radicand * x.pow_p_entrywise().det() == x.det() ** 7
     assert radicand.known_prec == ctx.N
+
+
+@pytest.mark.parametrize("K", [16, 9])
+def test_cold_roots_take_a_closed_form_step(monkeypatch, K):
+    """A cold root at K digits is the closed-form step from 1, (1 + M)/2 or
+    1 + (base - 1)/n, then bitlen(K-1) - 1 Newton steps of one solve or one
+    inversion each: 3 at K = 16, where the Newton loop from 1 took 5.  It
+    agrees with that loop at K digits, and at K = N bit for bit."""
+    ctx = make_context(7, 2, 16)  # its own kernel, patched below
+    rng = Rng(47)
+    one = PMatrix.identity(ctx, 3)
+    M = (one + 7 * rng.matrix(ctx, 3)).with_prec(K)
+    base = (ctx.one() + 7 * rng.element(ctx)).with_prec(K)
+    loop_steps = (K - 1).bit_length() + 1
+    half = pow(2, -1, ctx.kernel.q)
+    Y, y = one, ctx.one()
+    for _ in range(loop_steps):
+        Y = half * (Y + Y.solve(M))
+        y = y - (y ** 3 - base) * (ctx.element(3) * y ** 2).invert()
+
+    solves, inversions = [], []
+    m_solve, s_inv = ctx.kernel.m_solve, ctx.kernel.s_inv
+    monkeypatch.setattr(ctx.kernel, "m_solve", lambda A, B: solves.append(A) or m_solve(A, B))
+    monkeypatch.setattr(ctx.kernel, "s_inv", lambda a: inversions.append(a) or s_inv(a))
+    S = matrix_sqrt_one_mod_p(M)
+    assert len(solves) == (K - 1).bit_length() - 1
+    inversions.clear()
+    r = equations._nth_root_one_mod_p(base, 3)
+    assert len(inversions) == (K - 1).bit_length() - 1
+    assert S.known_prec == r.known_prec == K
+    assert S == Y and r == y
+    if K == ctx.N:
+        assert S.flat == Y.flat and r.coeffs == y.coeffs
 
 
 # ---------------------------------------------------------------- solver

@@ -1,0 +1,80 @@
+"""Every claimed known_prec of the twist roots holds.
+
+Each root is recomputed cold in `ctx.guarded(4)` from the same
+representatives, and the two must agree on every digit the result claims.
+The root congruent to 1 mod p of a radicand known to K digits is determined
+to K digits, so the guarded root reduced mod p^known_prec is the truth
+whatever the digits of the inputs beyond their precision.  Inputs are
+random, with precision K <= N; warm starts are the truth perturbed by
+p^c times a random matrix or element, so they are correct to c digits and,
+for the matrix root, need not commute with the radicand.
+"""
+
+import pytest
+
+from deltalin.equations import Lambda_so, _nth_root_one_mod_p, build_q, lambda_sl
+from deltalin.matrix import PMatrix, matrix_sqrt_one_mod_p
+from deltalin.ring import make_context
+from deltalin.sampling import Rng
+
+GUARD = 4
+DRAWS = 10
+CONTEXTS = [(3, 1, 9), (5, 2, 16), (7, 1, 13), (13, 2, 7)]
+
+
+def _lift(g, x):
+    """The same representatives, read in the guarded context g."""
+    if isinstance(x, PMatrix):
+        return PMatrix.from_flat(g, x.flat, x.n)
+    return g.element(x.coeffs)
+
+
+def _down(ctx, x):
+    """A guarded result reduced mod p^N, at full precision."""
+    if isinstance(x, PMatrix):
+        return PMatrix.from_flat(ctx, [c % ctx.kernel.q for c in x.flat], x.n)
+    return ctx.element(x.coeffs)
+
+
+def _cases(ctx, rng):
+    """(name, root, x, claim): root(x, start, correct), whose result must be
+    known to claim(K, c) digits at least, c None for a cold root."""
+    p = ctx.p
+    sqrt_claim = lambda K, c: K if c is None else min(K, c + 1)
+    nth_claim = lambda K, c: K if c is None else min(K, 2 * c)
+    out = []
+    for n in (2, 3):
+        out.append(("sqrt", matrix_sqrt_one_mod_p, PMatrix.identity(ctx, n) + p * rng.matrix(ctx, n),
+                    sqrt_claim))
+        if n % p:
+            out.append(("lambda_sl", lambda_sl, rng.gl(ctx, n), nth_claim))
+    out.append(("nth_root", lambda b, s, c: _nth_root_one_mod_p(b, 4, s, c),
+                ctx.one() + p * rng.element(ctx), nth_claim))
+    for variant, n in (("sp", 2), ("so_even", 2), ("so_odd", 3)):
+        out.append((f"Lambda_so/{variant}",
+                    lambda x, s, c, variant=variant: Lambda_so(x, build_q(x.ctx, variant, x.n), s, c),
+                    rng.gl(ctx, n), sqrt_claim))
+    return out
+
+
+def _perturb(ctx, rng, truth, c):
+    if isinstance(truth, PMatrix):
+        return truth + ctx.p ** c * rng.matrix(ctx, truth.n)
+    return truth + ctx.p ** c * rng.element(ctx)
+
+
+@pytest.mark.parametrize("p, m, N", CONTEXTS)
+def test_claimed_precision_holds_cold_and_warm(p, m, N):
+    ctx = make_context(p, m, N)
+    g = ctx.guarded(GUARD)
+    rng = Rng(1000 * p + 10 * m + N)
+    for _ in range(DRAWS):
+        for name, root, x, claim in _cases(ctx, rng):
+            K = 2 + rng.below(N - 1)  # the input's precision, 2..N
+            x = x.with_prec(K)
+            truth = _down(ctx, root(_lift(g, x), None, 0))
+            starts = [(None, 0)] + [(_perturb(ctx, rng, truth, c), c) for c in (1, 1 + rng.below(N))]
+            for start, c in starts:
+                got = root(x, start, c)
+                assert got.known_prec >= claim(K, None if start is None else c), (name, K, c)
+                assert got.eq_at(truth, got.known_prec), (name, K, c)

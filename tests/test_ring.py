@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltalin import _residue
 from deltalin._intmath import vp
 from deltalin.errors import (
     DomainError,
@@ -63,6 +64,23 @@ def test_default_modulus_is_deterministic_lex_first():
     assert a.modulus == b.modulus
     # x^2 and x^2 + 1 are reducible over F_5; x^2 + 2 is the first irreducible
     assert a.modulus == (2, 0, 1)
+
+
+def test_default_modulus_is_tested_once_per_p_m(monkeypatch):
+    """The default modulus comes from a bounded memo; a given residue_poly and
+    every guarded context keep their irreducibility test on every call."""
+    assert _residue.first_irreducible.cache_info().maxsize == 32
+    first = make_context(11, 3, 4)
+    tests = []
+    is_irreducible = _residue.is_irreducible
+    monkeypatch.setattr(_residue, "is_irreducible", lambda f, p: tests.append(f) or is_irreducible(f, p))
+    again = make_context(11, 3, 6)
+    assert tests == [] and again.modulus[:3] == first.modulus[:3]
+    assert again is not first and again.kernel is not first.kernel
+    make_context(11, 3, 4, residue_poly=first.modulus)
+    make_context(11, 3, 4, residue_poly=first.modulus)
+    again.guarded(2)
+    assert tests == [first.residue_poly] * 3
 
 
 def test_modulus_root_property(c5x2):
