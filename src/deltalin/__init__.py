@@ -6,18 +6,11 @@ from ._kernel import COMPILED_AVAILABLE
 from .ring import (
     RingContext,
     RingElement,
-    delta,
     exp_p,
-    frobenius,
-    frobenius_inverse,
-    invert,
-    is_constant,
     log_p,
     make_context,
     one_plus_pt_pow,
     psi,
-    teichmueller,
-    valuation,
 )
 
 __version__ = "0.1.0"
@@ -27,16 +20,9 @@ __all__ = [
     "RingContext",
     "RingElement",
     "make_context",
-    "delta",
-    "frobenius",
-    "frobenius_inverse",
-    "invert",
-    "is_constant",
-    "teichmueller",
     "exp_p",
     "log_p",
     "one_plus_pt_pow",
     "psi",
-    "valuation",
     "__version__",
 ]

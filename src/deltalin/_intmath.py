@@ -1,5 +1,7 @@
 """Small exact integer helpers: primality, factoring, digit vectors."""
 
+import math
+
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -51,6 +53,19 @@ def vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def vp_min(values, p: int, k: int):
+    """min v_p(c) over the c in values taken mod p^k; math.inf if all vanish."""
+    cap = p ** k
+    best = math.inf
+    for c in values:
+        c %= cap
+        if c:
+            v = vp(c, p)
+            if v < best:
+                best = v
+    return best
 
 
 def vp_factorial(k: int, p: int) -> int:

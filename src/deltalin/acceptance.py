@@ -19,7 +19,13 @@ from .equations import (
     solve_scalar_closed_form,
     solve_scalar_exp,
 )
-from .galois import GuChecker, enumerate_N_delta, example_3_9, scalar_galois_bound
+from .galois import (
+    GuChecker,
+    constancy_values,
+    enumerate_N_delta,
+    example_3_9,
+    scalar_galois_bound,
+)
 from .io import canonical_dumps
 from .matrix import PMatrix, in_SLn, in_SOq
 from .ring import RingElement, log_p, make_context, psi
@@ -65,18 +71,6 @@ def _result(cid, name, passed, cases, details=None):
     }
 
 
-def _spec_for(kind, variant, n, ctx, rng, structured):
-    """A random equation spec; alpha is structured (in the delta-Lie algebra)
-    or an arbitrary gl_n matrix."""
-    if not structured or kind == "gl":
-        alpha = rng.matrix(ctx, n)
-    elif kind == "sl":
-        alpha = rng.sl_delta_alpha(ctx, n)
-    else:
-        alpha = rng.so_delta_alpha(ctx, n, variant)
-    return EquationSpec(kind, n, alpha, variant)
-
-
 def criterion_1(session):
     """Solver correctness: residual valuation >= N and u = u0 mod p."""
     rng = session.rng(1)
@@ -90,7 +84,7 @@ def criterion_1(session):
                     if kind == "sl" and n % p == 0:
                         continue
                     for _ in range(20):
-                        spec = _spec_for(kind, variant, n, ctx, rng, structured=False)
+                        spec = EquationSpec(kind, n, rng.matrix(ctx, n), variant)
                         u0 = rng.gl(ctx, n)
                         rep = solve(spec, u0)
                         cases += 1
@@ -127,7 +121,7 @@ def criterion_2(session):
     for i in range(cases):
         kind, variant, n, p, m = _MIX_COMBOS[i % len(_MIX_COMBOS)]
         ctx = session.ctx(p, m)
-        spec = _spec_for(kind, variant, n, ctx, rng, structured=False)
+        spec = EquationSpec(kind, n, rng.matrix(ctx, n), variant)
         u0 = rng.gl(ctx, n)
         u0_pert = u0 + ctx.p * rng.matrix(ctx, n)
         s1 = solve(spec, u0).solution
@@ -146,7 +140,7 @@ def criterion_3(session):
     for i in range(cases):
         kind, variant, n, p, m = _MIX_COMBOS[i % len(_MIX_COMBOS)]
         ctx = session.ctx(p, m)
-        spec = _spec_for(kind, variant, n, ctx, rng, structured=False)
+        spec = EquationSpec(kind, n, rng.matrix(ctx, n), variant)
         rep = solve(spec, rng.gl(ctx, n), keep_iterates=True)
         for k in range(N_ACC):
             if not rep.iterates[k].eq_at(rep.solution, min(k + 1, N_ACC)):
@@ -316,14 +310,12 @@ def criterion_10(session):
 
     for p, d, kind, variant, n in grids:
         ctx = session.ctx(p, 1)
+        spec = EquationSpec(kind, n, rng.delta_lie_alpha(ctx, kind, n, variant), variant)
         if kind == "gl":
-            spec = _spec_for(kind, variant, n, ctx, rng, structured=False)
             u0 = rng.gl(ctx, n)
         elif kind == "sl":
-            spec = EquationSpec("sl", n, rng.sl_delta_alpha(ctx, n))
             u0 = rng.sl(ctx, n)
         else:
-            spec = EquationSpec("so", n, rng.so_delta_alpha(ctx, n, variant), variant)
             u0 = rng.so(ctx, n, variant)
         u = solve(spec, u0).solution
         checker = GuChecker(spec, u)
@@ -333,12 +325,11 @@ def criterion_10(session):
                 failures += 1
                 continue
             # prime-integral constraints on G_u members
-            if not v.det().delta().is_zero():
+            d_det, d_form = constancy_values(spec, v)
+            if not d_det.is_zero():
                 failures += 1
-            if kind == "so":
-                form = v.form(spec.q_matrix())
-                if not form.delta_entrywise().is_zero():
-                    failures += 1
+            if d_form is not None and not d_form.is_zero():
+                failures += 1
 
     for p in (5, 13):
         ctx = session.ctx(p, 1)

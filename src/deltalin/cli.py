@@ -16,8 +16,10 @@ from functools import lru_cache
 
 from . import acceptance
 from .equations import (
+    KINDS,
+    SO_VARIANTS,
     EquationSpec,
-    _fixedness,
+    fixedness,
     prime_integral_check,
     residual,
     solve,
@@ -26,6 +28,7 @@ from .errors import AlgebraInvariantError, DeltaLinError, ParameterError
 from .galois import (
     GuChecker,
     check_right_compatibility,
+    constancy_values,
     enumerate_N_delta,
     example_3_9,
     matrix_order,
@@ -55,8 +58,8 @@ def _add_ring_args(sp, with_kind=True):
     sp.add_argument("--prec", type=int, default=16, help="precision N in p-adic digits")
     if with_kind:
         sp.add_argument("--n", type=int, required=True, help="matrix dimension")
-        sp.add_argument("--kind", choices=("gl", "sl", "so"), required=True)
-        sp.add_argument("--variant", choices=("sp", "so_even", "so_odd"), default=None)
+        sp.add_argument("--kind", choices=KINDS, required=True)
+        sp.add_argument("--variant", choices=SO_VARIANTS, default=None)
         sp.add_argument("--alpha", default="random", help="'random' or a JSON matrix file")
         sp.add_argument(
             "--u0",
@@ -91,7 +94,6 @@ def _parser():
     gp = sub.add_parser("galois", help="enumerate N^delta candidates and test G_u membership")
     _add_ring_args(gp)
     gp.add_argument("--torsion", type=int, default=None, help="torsion order d | p^m - 1 (default p^m - 1)")
-    gp.add_argument("--cap", type=int, default=10 ** 6, help="enumeration cap for n! * d^n")
     gp.add_argument("--samples", type=int, default=100, help="right-compatibility sample count")
     gp.add_argument("--output", default=None)
 
@@ -110,11 +112,7 @@ def _make_spec(args, rng):
     if args.kind == "so" and args.variant is None:
         raise ParameterError("kind 'so' requires --variant")
     if args.alpha == "random":
-        alpha = rng.matrix(ctx, args.n) if args.kind == "gl" else (
-            rng.sl_delta_alpha(ctx, args.n)
-            if args.kind == "sl"
-            else rng.so_delta_alpha(ctx, args.n, args.variant)
-        )
+        alpha = rng.delta_lie_alpha(ctx, args.kind, args.n, args.variant)
     else:
         alpha = matrix_from_json(ctx, _load_json(args.alpha))
     spec = EquationSpec(args.kind, args.n, alpha, args.variant)
@@ -197,16 +195,14 @@ def _cmd_verify(args):
     if sol_json is None:
         raise ParameterError("input is missing the solution matrix")
     u = matrix_from_json(ctx, sol_json)
-    res = residual(spec, u)
-    rv = res.valuation()
-    integrals = prime_integral_check(spec, u)
-    integrals_ok = all(d.is_zero() for _, d in integrals)
+    rv = residual(spec, u).valuation()
+    integrals_ok = all(d.is_zero() for _, _, d in prime_integral_check(spec, u))
     ok = rv == math.inf and integrals_ok
     out = {
         "command": "verify",
         "residual_valuation": valuation_to_json(rv),
         "prime_integrals_vanish": integrals_ok,
-        "fixedness": _fixedness(u),
+        "fixedness": fixedness(u),
         "pass": ok,
     }
     _emit(out, None)
@@ -217,36 +213,29 @@ def _cmd_verify(args):
 def _cmd_galois(args):
     rng = Rng(args.seed)
     ctx, spec = _make_spec(args, rng)
-    # first, so that a refused --samples costs no solve and no enumeration;
-    # the check draws from its own stream, so the order changes no output
+    # before the solve, so that a refused --samples, --torsion or N^delta size
+    # costs no solve; neither draws from rng, so the order changes no output
     compat_ok, _witness = check_right_compatibility(spec, samples=args.samples, seed=args.seed)
-    u0 = _make_u0(args, ctx, rng)
-    rep = solve(spec, u0)
-    u = rep.solution
     d = args.torsion if args.torsion is not None else ctx.p ** ctx.m - 1
-    candidates = enumerate_N_delta(ctx, args.n, d, cap=args.cap)
+    candidates = enumerate_N_delta(ctx, args.n, d)
+    u = solve(spec, _make_u0(args, ctx, rng)).solution
     checker = GuChecker(spec, u)
-    q = spec.q_matrix()
     rows = []
     all_in = True
     for v in candidates:
         member = checker(v)
         all_in = all_in and member
-        entry = {
+        d_det, d_form = constancy_values(spec, v)
+        constancy = {"delta_det_valuation": valuation_to_json(d_det.valuation())}
+        if d_form is not None:
+            constancy["delta_form_valuation"] = valuation_to_json(d_form.valuation())
+        rows.append({
             "candidate": matrix_to_json(v),
             "in_Gu": member,
             "in_N_delta": True,
             "order": matrix_order(v, cap=4 * d * math.factorial(args.n)),
-            "constancy": {
-                "delta_det_valuation": valuation_to_json(v.det().delta().valuation()),
-            },
-        }
-        if spec.kind == "so":
-            form = v.form(q)
-            entry["constancy"]["delta_form_valuation"] = valuation_to_json(
-                form.delta_entrywise().valuation()
-            )
-        rows.append(entry)
+            "constancy": constancy,
+        })
     payload = {
         "command": "galois",
         "config": {

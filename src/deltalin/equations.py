@@ -58,6 +58,7 @@ __all__ = [
     "solve_scalar_exp",
     "prime_integral_check",
     "frobenius_fixedness",
+    "fixedness",
     "lang_map",
 ]
 
@@ -72,19 +73,14 @@ def build_q(ctx, variant, n):
     so_even: [[0, 1_r], [1_r, 0]]         n = 2r
     so_odd:  [[1, 0, 0], [0, 0, 1_r], [0, 1_r, 0]]   n = 2r + 1
     """
-    if variant not in SO_VARIANTS:
-        raise ParameterError(f"unknown variant {variant!r}")
+    _check_variant(variant, n)
     if variant in ("sp", "so_even"):
-        if n < 2 or n % 2:
-            raise ParameterError(f"variant {variant!r} needs even n >= 2")
         r = n // 2
         rows = [[0] * n for _ in range(n)]
         for i in range(r):
             rows[i][r + i] = 1
             rows[r + i][i] = -1 if variant == "sp" else 1
     else:
-        if n < 3 or n % 2 == 0:
-            raise ParameterError("variant 'so_odd' needs odd n >= 3")
         r = (n - 1) // 2
         rows = [[0] * n for _ in range(n)]
         rows[0][0] = 1
@@ -92,6 +88,17 @@ def build_q(ctx, variant, n):
             rows[1 + i][1 + r + i] = 1
             rows[1 + r + i][1 + i] = 1
     return PMatrix.from_rows(ctx, rows)
+
+
+def _check_variant(variant, n):
+    """The SO(q) variant rules: sp and so_even need even n >= 2, so_odd odd n >= 3."""
+    if variant not in SO_VARIANTS:
+        raise ParameterError(f"kind 'so' needs a variant from {SO_VARIANTS}, got {variant!r}")
+    if variant == "so_odd":
+        if n < 3 or n % 2 == 0:
+            raise ParameterError("variant 'so_odd' needs odd n >= 3")
+    elif n < 2 or n % 2:
+        raise ParameterError(f"variant {variant!r} needs even n >= 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,12 +119,7 @@ class EquationSpec:
         if self.kind == "sl" and self.n % ctx.p == 0:
             raise ParameterError("p must not divide n for kind 'sl'")
         if self.kind == "so":
-            if self.variant not in SO_VARIANTS:
-                raise ParameterError(f"kind 'so' needs a variant from {SO_VARIANTS}")
-            if self.variant in ("sp", "so_even") and self.n % 2:
-                raise ParameterError(f"variant {self.variant!r} needs even n")
-            if self.variant == "so_odd" and (self.n % 2 == 0 or self.n < 3):
-                raise ParameterError("variant 'so_odd' needs odd n >= 3")
+            _check_variant(self.variant, self.n)
         elif self.variant is not None:
             raise ParameterError("variant only applies to kind 'so'")
 
@@ -287,49 +289,27 @@ def solve(spec, u0, keep_iterates=False):
         if keep_iterates:
             trail.append(u)
 
-    res = residual(spec, u)
-    rv = res.valuation()
-    integrals = _integral_diagnostics(spec, u, q)
     return SolveReport(
         solution=u,
         iterations=ctx.N,
-        residual_valuation=rv,
-        integral_values=integrals,
-        fixedness=_fixedness(u),
+        residual_valuation=residual(spec, u).valuation(),
+        integral_values=prime_integral_check(spec, u),
+        fixedness=fixedness(u),
         iterates=tuple(trail) if keep_iterates else None,
     )
 
 
-def _integral_diagnostics(spec, u, q=None):
-    out = []
+def prime_integral_check(spec, u):
+    """Each prime integral at u with its delta, as (name, value, delta value):
+    (('det', det u, delta(det u)),) for sl, (('xtqx', u^t q u, delta(u^t q u)),)
+    for so, () for gl.  The delta values vanish when u solves spec."""
     if spec.kind == "sl":
         d = u.det()
-        out.append(("det", d, d.delta()))
-    elif spec.kind == "so":
-        if q is None:
-            q = spec.q_matrix()
-        form = u.form(q)
-        out.append(("xtqx", form, form.delta_entrywise()))
-    return tuple(out)
-
-
-def prime_integral_check(spec, u):
-    """delta of each prime integral at u: [('det', d(det u))] for sl,
-    [('xtqx', d(u^t q u))] for so, [] for gl."""
-    if spec.kind == "sl":
-        return [("det", u.det().delta())]
+        return (("det", d, d.delta()),)
     if spec.kind == "so":
-        return [("xtqx", u.form(spec.q_matrix()).delta_entrywise())]
-    return []
-
-
-def _fixedness(u):
-    """Smallest nu with phi^nu(u) = u; divides m, so at most m."""
-    m = u.ctx.m
-    for nu in sorted(d for d in range(1, m + 1) if m % d == 0):
-        if u.frobenius_entrywise(nu) == u:
-            return nu
-    return m
+        form = u.form(spec.q_matrix())
+        return (("xtqx", form, form.delta_entrywise()),)
+    return ()
 
 
 def frobenius_fixedness(u, nu):
@@ -337,6 +317,12 @@ def frobenius_fixedness(u, nu):
     if not 1 <= nu <= u.ctx.m:
         raise ParameterError("nu must satisfy 1 <= nu <= m")
     return u.frobenius_entrywise(nu) == u
+
+
+def fixedness(u):
+    """Smallest nu with phi^nu(u) = u; it divides m, as phi^m = 1."""
+    m = u.ctx.m
+    return next(nu for nu in range(1, m + 1) if m % nu == 0 and frobenius_fixedness(u, nu))
 
 
 def recover_alpha(u, kind, variant=None):

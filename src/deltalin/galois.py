@@ -27,6 +27,7 @@ __all__ = [
     "enumerate_N_delta",
     "is_monomial",
     "check_right_compatibility",
+    "constancy_values",
     "constancy_on_Gu",
     "scalar_galois_bound",
     "example_3_9",
@@ -87,16 +88,21 @@ def is_monomial(v):
     return True
 
 
-def enumerate_N_delta(ctx, n, d, cap=10 ** 6):
+# A cap on the N^delta list, like the context caps: the list is built whole,
+# and `galois` reports every candidate.
+MAX_N_DELTA = 10 ** 6
+
+
+def enumerate_N_delta(ctx, n, d):
     """All monomial matrices with entries Teichmueller units of order dividing d.
 
-    Products (permutation matrix) * diag(torsion units); requires d | p^m - 1.
-    Deterministic order: permutations lexicographically, then exponent
-    vectors lexicographically.
+    Products (permutation matrix) * diag(torsion units); requires d | p^m - 1
+    and n! d^n <= MAX_N_DELTA, or ParameterError.  Deterministic order:
+    permutations lexicographically, then exponent vectors lexicographically.
     """
     total = math.factorial(n) * d ** n
-    if total > cap:
-        raise ParameterError(f"enumeration size {total} exceeds cap {cap}")
+    if total > MAX_N_DELTA:
+        raise ParameterError(f"enumeration size {total} exceeds the cap {MAX_N_DELTA}")
     units = ctx.torsion_units(d)
     zero, out = ctx.zero(), []
     for perm in itertools.permutations(range(n)):
@@ -139,20 +145,23 @@ def check_right_compatibility(spec, samples=100, seed=0):
     return True, None
 
 
-def constancy_on_Gu(spec, u, v):
-    """The prime-integral values delta(det v) and, for so, delta(v^t q v).
+def constancy_values(spec, v):
+    """The prime-integral values (delta(det v), delta(v^t q v)) of a G_u
+    candidate v; the second is None unless spec.kind is so."""
+    d_det = v.det().delta()
+    d_form = v.form(spec.q_matrix()).delta_entrywise() if spec.kind == "so" else None
+    return d_det, d_form
 
-    Precondition: v is in G_u.  For kind sl the first component must vanish,
-    for kind so the second must vanish entrywise; for gl no vanishing is
-    claimed.
+
+def constancy_on_Gu(spec, u, v):
+    """`constancy_values` of a v that must be in G_u (else DomainError).
+
+    For kind sl the first component must vanish, for kind so the second
+    must vanish entrywise; for gl no vanishing is claimed.
     """
     if not in_Gu(spec, u, v):
         raise DomainError("v is not in G_u")
-    d_det = v.det().delta()
-    d_form = None
-    if spec.kind == "so":
-        d_form = v.form(spec.q_matrix()).delta_entrywise()
-    return d_det, d_form
+    return constancy_values(spec, v)
 
 
 def scalar_galois_bound(u, d):
@@ -224,7 +233,7 @@ def example_3_9(p, N=16, cap_order=64):
         candidate=c,
         in_Gu=member,
         in_N_delta=False,
-        constancy={"delta_det": c.det().delta().valuation()},
+        constancy={"delta_det": constancy_values(spec, c)[0].valuation()},
         notes={
             "p": p,
             "order": matrix_order(c, cap_order),

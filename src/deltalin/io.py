@@ -136,18 +136,14 @@ def spec_from_json(obj, ctx=None):
 
 def _integral_to_json(name, value, dvalue):
     if isinstance(value, RingElement):
-        return {
-            "name": name,
-            "type": "element",
-            "value": element_to_json(value),
-            "delta": element_to_json(dvalue),
-            "delta_valuation": valuation_to_json(dvalue.valuation()),
-        }
+        kind, encode = "element", element_to_json
+    else:
+        kind, encode = "matrix", matrix_to_json
     return {
         "name": name,
-        "type": "matrix",
-        "value": matrix_to_json(value),
-        "delta": matrix_to_json(dvalue),
+        "type": kind,
+        "value": encode(value),
+        "delta": encode(dvalue),
         "delta_valuation": valuation_to_json(dvalue.valuation()),
     }
 

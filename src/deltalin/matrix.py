@@ -10,7 +10,7 @@ classical groups and their delta-Lie algebras.
 
 import math
 
-from ._intmath import vp, vp_factorial
+from ._intmath import vp, vp_factorial, vp_min
 from .errors import (
     AlgebraInvariantError,
     DomainError,
@@ -18,7 +18,7 @@ from .errors import (
     PrecisionError,
     SingularMatrixError,
 )
-from .ring import RingElement
+from .ring import MAX_DIM, RingElement, zp_exponent
 
 __all__ = [
     "PMatrix",
@@ -52,7 +52,7 @@ class PMatrix:
         n = len(rows)
         if n < 1 or any(len(r) != n for r in rows):
             raise ParameterError("rows must form a square matrix")
-        _check_dim(ctx, n)
+        _check_dim(n)
         flat = []
         known = ctx.N if prec is None else prec
         for row in rows:
@@ -67,17 +67,17 @@ class PMatrix:
 
     @staticmethod
     def from_flat(ctx, flat, n, prec=None):
-        _check_dim(ctx, n)
+        _check_dim(n)
         return PMatrix(ctx, n, ctx.kernel.m_new(list(flat), n), ctx.N if prec is None else prec)
 
     @staticmethod
     def identity(ctx, n):
-        _check_dim(ctx, n)
+        _check_dim(n)
         return PMatrix(ctx, n, ctx.kernel.m_identity(n), ctx.N)
 
     @staticmethod
     def zeros(ctx, n):
-        _check_dim(ctx, n)
+        _check_dim(n)
         return PMatrix(ctx, n, ctx.kernel.m_new([0] * (n * n * ctx.m), n), ctx.N)
 
     @staticmethod
@@ -241,28 +241,18 @@ class PMatrix:
         return PMatrix(self.ctx, self.n, self.kernel.m_divp(self._h), self.known_prec - 1)
 
     def valuation(self):
-        p = self.ctx.p
-        cap = p ** self.known_prec
-        best = None
-        for c in self.flat:
-            c %= cap
-            if c:
-                v = vp(c, p)
-                if best is None or v < best:
-                    best = v
-        return math.inf if best is None else best
+        """min v_p over the entries, capped by known_prec; math.inf if 0."""
+        return vp_min(self.flat, self.ctx.p, self.known_prec)
 
     def is_zero(self):
         return self.valuation() == math.inf
 
 
-def _check_dim(ctx, n):
+def _check_dim(n):
     if n < 1:
         raise ParameterError("dimension must be >= 1")
-    if n > ctx.max_matrix_dim:
-        raise ParameterError(
-            f"n={n} exceeds the configured cap {ctx.max_matrix_dim}"
-        )
+    if n > MAX_DIM:
+        raise ParameterError(f"n={n} exceeds the cap {MAX_DIM}")
 
 
 # -- the delta-addition group law on gl_n ----------------------------------------
@@ -335,18 +325,7 @@ def matrix_one_plus_pT_pow(M, a):
     p = ctx.p
     if not M.eq_at(PMatrix.identity(ctx, M.n), 1):
         raise DomainError("binomial power requires M = 1 mod p")
-    K = M.known_prec
-    if isinstance(a, RingElement):
-        pk = p ** a.known_prec
-        if any(c % pk for c in a.coeffs[1:]):
-            raise DomainError("exponent must lie in the prime subring Z_p")
-        K = min(K, a.known_prec + 1)
-        e = a.coeffs[0]
-    elif isinstance(a, int):
-        e = a
-    else:
-        raise DomainError("exponent must be an int or a RingElement")
-
+    e, K = zp_exponent(ctx, a, M.known_prec)
     kmax = K - 1  # (M-1)^k vanishes mod p^K for k >= K
     G = vp_factorial(max(kmax, 1), p)
     g = ctx.guarded(G)

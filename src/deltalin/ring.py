@@ -14,12 +14,16 @@ always stored canonically reduced to [0, p^N).
 The analytic maps (exp_p, log_p, powers of 1 + pt, psi) are evaluated
 exactly mod p^known_prec by running their series in an internally lifted
 context with enough guard digits to absorb the denominators' valuations.
+Every other operation (inverse, Frobenius, delta, valuation, Teichmueller
+lift) is a method of RingElement or RingContext.
+
+Sizes are capped by fixed constants, not settings: `make_context` refuses
+p >= MAX_P, m > MAX_M and N > MAX_N, and matrices over any context are
+n x n with n <= MAX_DIM.
 """
 
-import math
-
 from . import _residue
-from ._intmath import int_to_digits, is_prime, vp, vp_factorial
+from ._intmath import int_to_digits, is_prime, vp, vp_factorial, vp_min
 from ._kernel import PureKernel
 from .errors import (
     AlgebraInvariantError,
@@ -32,17 +36,10 @@ __all__ = [
     "RingContext",
     "RingElement",
     "make_context",
-    "invert",
-    "frobenius",
-    "frobenius_inverse",
-    "delta",
-    "teichmueller",
-    "is_constant",
     "exp_p",
     "log_p",
     "one_plus_pt_pow",
     "psi",
-    "valuation",
 ]
 
 
@@ -61,11 +58,10 @@ class RingContext:
         "residue_poly",
         "frob_image",
         "kernel",
-        "max_matrix_dim",
         "_cache",
     )
 
-    def __init__(self, p, m, N, modulus, residue_poly, frob_image, kernel, max_matrix_dim):
+    def __init__(self, p, m, N, modulus, residue_poly, frob_image, kernel):
         self.p = p
         self.m = m
         self.N = N
@@ -73,7 +69,6 @@ class RingContext:
         self.residue_poly = residue_poly  # the same polynomial reduced mod p
         self.frob_image = frob_image      # coefficient tuple of phi(generator)
         self.kernel = kernel
-        self.max_matrix_dim = max_matrix_dim
         self._cache = {}
 
     # -- identity ------------------------------------------------------------
@@ -183,11 +178,7 @@ class RingContext:
         key = ("guard", extra)
         if key not in self._cache:
             self._cache[key] = make_context(
-                self.p,
-                self.m,
-                self.N + extra,
-                max_matrix_dim=self.max_matrix_dim,
-                _modulus_lift=self.modulus[:-1],
+                self.p, self.m, self.N + extra, _modulus_lift=self.modulus[:-1]
             )
         return self._cache[key]
 
@@ -326,52 +317,12 @@ class RingElement:
 
     def valuation(self):
         """min_i v_p(coeff_i), capped by known_prec; math.inf if 0 at precision."""
-        p = self.ctx.p
-        cap = p ** self.known_prec
-        best = None
-        for c in self.coeffs:
-            c %= cap
-            if c:
-                v = vp(c, p)
-                if best is None or v < best:
-                    best = v
-        return math.inf if best is None else best
+        return vp_min(self.coeffs, self.ctx.p, self.known_prec)
 
     def residue(self):
         """Image in F_{p^m} as a coefficient tuple mod p."""
         p = self.ctx.p
         return tuple(c % p for c in self.coeffs)
-
-
-# -- module-level operation surface ---------------------------------------------
-
-
-def invert(a):
-    return a.invert()
-
-
-def frobenius(a, k=1):
-    return a.frobenius(k)
-
-
-def frobenius_inverse(a):
-    return a.frobenius_inverse()
-
-
-def delta(a):
-    return a.delta()
-
-
-def is_constant(a):
-    return a.is_constant()
-
-
-def valuation(a):
-    return a.valuation()
-
-
-def teichmueller(ctx, residue):
-    return ctx.teichmueller(residue)
 
 
 # -- context construction ---------------------------------------------------------
@@ -383,9 +334,10 @@ def teichmueller(ctx, residue):
 MAX_P = 2 ** 64  # p < MAX_P
 MAX_M = 8
 MAX_N = 1024
+MAX_DIM = 8  # matrices are n x n with n <= MAX_DIM
 
 
-def make_context(p, m=1, N=2, residue_poly=None, *, max_matrix_dim=8, _modulus_lift=None):
+def make_context(p, m=1, N=2, residue_poly=None, *, _modulus_lift=None):
     """Build the ring W(F_{p^m}) / p^N.
 
     residue_poly, when given, is a sequence of m (or m + 1, monic) integer
@@ -440,7 +392,7 @@ def make_context(p, m=1, N=2, residue_poly=None, *, max_matrix_dim=8, _modulus_l
     _check_frobenius_order(kernel, m)
 
     modulus = tuple(c % kernel.q for c in tail) + (1,)
-    return RingContext(p, m, N, modulus, res_poly, frob_image, kernel, max_matrix_dim)
+    return RingContext(p, m, N, modulus, res_poly, frob_image, kernel)
 
 
 def _newton_frob_image(kernel, p, m, N):
@@ -586,21 +538,30 @@ def one_plus_pt_pow(u, a):
     class mod p^N) or as a RingElement of the prime subring.
     """
     ctx = u.ctx
-    prec = u.known_prec
+    e, prec = zp_exponent(ctx, a, u.known_prec)
+    e %= ctx.kernel.q
+    lg = log_p(u.with_prec(prec))
+    return exp_p(RingElement(ctx, ctx.kernel.s_scal_int(e, lg.coeffs), lg.known_prec))
+
+
+def zp_exponent(ctx, a, prec):
+    """(e, prec') for a p-adic integer exponent a of a power taken in ctx.
+
+    a is a plain int (e = a) or a RingElement of ctx's prime subring Z_p
+    (e its constant coefficient, and prec' = min(prec, a.known_prec + 1):
+    a known mod p^k moves (1 + pt)^a only mod p^{k+1}).  e is not reduced;
+    each caller reduces it mod the modulus it computes in.
+    """
     if isinstance(a, RingElement):
         if not ctx.same(a.ctx):
             raise DomainError("exponent belongs to a different ring")
         pk = ctx.p ** a.known_prec
         if any(c % pk for c in a.coeffs[1:]):
             raise DomainError("exponent must lie in the prime subring Z_p")
-        prec = min(prec, a.known_prec + 1)
-        e = a.coeffs[0]
-    elif isinstance(a, int):
-        e = a % ctx.kernel.q
-    else:
-        raise DomainError("exponent must be an int or a RingElement")
-    lg = log_p(u.with_prec(prec))
-    return exp_p(RingElement(ctx, ctx.kernel.s_scal_int(e, lg.coeffs), lg.known_prec))
+        return a.coeffs[0], min(prec, a.known_prec + 1)
+    if isinstance(a, int):
+        return a, prec
+    raise DomainError("exponent must be an int or a RingElement")
 
 
 def psi(u):

@@ -16,6 +16,7 @@ Samplers for the matrix groups used in tests:
            Lie algebra so(q) = {c : c^t q + q c = 0}; this preserves
            x^t q x = q and det = 1 exactly, and c = 0 mod p lands the result
            in the congruence subgroup.
+  delta_lie_alpha   the kind's alpha: matrix (gl), sl_delta_alpha, so_delta_alpha
 """
 
 from .errors import ParameterError, SingularMatrixError
@@ -110,6 +111,14 @@ class Rng:
         eps = _rescale_first_column(eps, eps.det().invert())
         alpha = (eps - PMatrix.identity(g, n)).exact_div_p()
         return _project_matrix(ctx, alpha)
+
+    def delta_lie_alpha(self, ctx, kind, n, variant=None):
+        """A random alpha in the kind's delta-Lie algebra (any matrix for gl)."""
+        if kind == "gl":
+            return self.matrix(ctx, n)
+        if kind == "sl":
+            return self.sl_delta_alpha(ctx, n)
+        return self.so_delta_alpha(ctx, n, variant)
 
     def so(self, ctx, n, variant):
         from .equations import build_q

@@ -72,7 +72,11 @@ def test_verify_rejects_tampered_solution(capsys, tmp_path):
     assert report["residual_valuation"] != "inf"
 
 
-def test_usage_errors_exit_2(capsys, tmp_path):
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solve called")
+
+
+def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "solve", "--p", "4", "--n", "2", "--kind", "gl")
     assert code == 2
     assert "odd prime" in err
@@ -121,6 +125,17 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     )
     assert code == 2
     assert out == "" and err.startswith("error: ") and "samples=1000000000 exceeds the cap" in err
+
+    # an N^delta list over the cap (8! * 4^8) or a torsion order that does
+    # not divide p^m - 1 is refused before the solve
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "solve", _no_solve)
+        for n, torsion, message in (("8", "4", "exceeds the cap"), ("2", "3", "does not divide")):
+            code, out, err = run_cli(
+                capsys, "galois", "--p", "5", "--n", n, "--kind", "gl", "--torsion", torsion,
+            )
+            assert code == 2, torsion
+            assert out == "" and err.startswith("error: ") and message in err, torsion
 
     # oversized contexts are refused before any work
     for flag, value in (("--prec", "100000"), ("--m", "9"), ("--p", "18446744073709551629")):

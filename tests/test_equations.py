@@ -385,11 +385,20 @@ def test_so_preservation_all_variants(c7):
 def test_prime_integral_check_dispatch(c5):
     rng = Rng(50)
     gl_spec = EquationSpec("gl", 2, PMatrix.zeros(c5, 2))
-    assert prime_integral_check(gl_spec, rng.gl(c5, 2)) == []
+    assert prime_integral_check(gl_spec, rng.gl(c5, 2)) == ()
     sl_spec = EquationSpec("sl", 2, rng.sl_delta_alpha(c5, 2))
     u = solve(sl_spec, rng.sl(c5, 2)).solution
-    [(name, d)] = prime_integral_check(sl_spec, u)
-    assert name == "det" and d.is_zero()
+    [(name, value, d)] = prime_integral_check(sl_spec, u)
+    assert name == "det" and value == u.det() and d.is_zero()
+    so_spec = EquationSpec("so", 2, rng.so_delta_alpha(c5, 2, "sp"), "sp")
+    rep = solve(so_spec, rng.so(c5, 2, "sp"))
+    [(name, value, d)] = prime_integral_check(so_spec, rep.solution)
+    assert name == "xtqx" and value == so_spec.q_matrix() and d.is_zero()
+    [(_, v, dv)] = rep.integral_values  # the solver reports the same values
+    assert v == value and dv == d and dv.known_prec == c5.N - 1
+    # off a solution delta(u^t q u) need not vanish
+    [(_, _, d)] = prime_integral_check(so_spec, rng.gl(c5, 2))
+    assert not d.is_zero()
 
 
 def test_prime_integral_constant_even_off_group(c5):

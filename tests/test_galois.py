@@ -104,7 +104,7 @@ def test_enumerate_requires_divisor(c5):
 
 def test_enumerate_cap(c5):
     with pytest.raises(ParameterError, match="cap"):
-        enumerate_N_delta(c5, 3, 4, cap=100)
+        enumerate_N_delta(c5, 8, 4)  # 8! * 4^8 > MAX_N_DELTA
 
 
 def test_n_delta_inside_Gu_for_all_kinds(c5):

@@ -18,7 +18,7 @@ from deltalin.matrix import (
     matrix_one_plus_pT_pow,
     matrix_sqrt_one_mod_p,
 )
-from deltalin.ring import make_context
+from deltalin.ring import make_context, one_plus_pt_pow
 from deltalin.sampling import Rng
 
 
@@ -67,7 +67,7 @@ def test_solve_and_form_contract(c5x2):
 
 
 def test_large_dimension_elimination_paths():
-    ctx = make_context(7, 1, 8, max_matrix_dim=8)
+    ctx = make_context(7, 1, 8)
     rng = Rng(22)
     I = PMatrix.identity(ctx, 6)
     for _ in range(10):
@@ -80,8 +80,6 @@ def test_dimension_cap_is_configurable():
     ctx = make_context(5, 1, 4)
     with pytest.raises(ParameterError, match="cap"):
         PMatrix.identity(ctx, 9)
-    wide = make_context(5, 1, 4, max_matrix_dim=16)
-    assert PMatrix.identity(wide, 9).det() == wide.one()
 
 
 # ---------------------------------------------------------------- entrywise maps
@@ -230,6 +228,34 @@ def test_matrix_pow_integer_exponent_matches_multiplication(c5):
     rng = Rng(32)
     M = PMatrix.identity(c5, 2) + 5 * rng.matrix(c5, 2)
     assert matrix_one_plus_pT_pow(M, 3) == M @ M @ M
+    assert matrix_one_plus_pT_pow(M, c5.element(3)) == M @ M @ M
+
+
+def test_power_exponent_checks_agree(c5, c5x2):
+    """The scalar and the matrix power read a Z_p exponent alike: one from
+    another ring (another p, N or m), one outside the prime subring and one
+    that is not a number are each refused."""
+    rng = Rng(34)
+    foreign = (
+        make_context(7, 1, 10).element(3),
+        make_context(5, 1, 8).element(3),
+        c5x2.element(3),
+        1.5,
+    )
+    bases = (
+        (one_plus_pt_pow, c5.one() + 5 * rng.element(c5), c5x2.one() + 5 * rng.element(c5x2)),
+        (
+            matrix_one_plus_pT_pow,
+            PMatrix.identity(c5, 2) + 5 * rng.matrix(c5, 2),
+            PMatrix.identity(c5x2, 2) + 5 * rng.matrix(c5x2, 2),
+        ),
+    )
+    for power, base, base_x2 in bases:
+        for e in foreign:
+            with pytest.raises(DomainError):
+                power(base, e)
+        with pytest.raises(DomainError):
+            power(base_x2, c5x2.generator())
 
 
 # ---------------------------------------------------------------- memberships
