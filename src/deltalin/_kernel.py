@@ -1,9 +1,12 @@
 """The arithmetic kernel for the truncated ring (Z/p^N)[x] / (f).
 
 An element is a tuple of m integers in [0, p^N), little-endian in the power
-basis 1, x, ..., x^{m-1}.  Matrices are flat row-major sequences of n*n*m
-coefficients wrapped in a kernel-owned handle; entry (i, j) occupies the
-slice [(i*n + j)*m : (i*n + j + 1)*m].
+basis 1, x, ..., x^{m-1}.  An n x n matrix is a flat row-major tuple of
+n*n*m such coefficients, with no wrapper; entry (i, j) occupies the slice
+[(i*n + j)*m : (i*n + j + 1)*m], and the ops that need n take it as an
+argument.  Coefficient-wise arithmetic (`add`, `sub`, `neg`, `scal_int`,
+`eq_mod`) is one op each, on a flat tuple of any length: an element and a
+matrix alike.
 
 The kernel works on Python ints with these rules:
 
@@ -94,16 +97,6 @@ def _free_masks(n):
         (row, tuple(mask for mask in range(1 << n) if mask.bit_count() == n - row))
         for row in range(n - 2, -1, -1)
     )
-
-
-class PureMat:
-    """Matrix handle of the pure kernel: flat coefficient tuple plus n."""
-
-    __slots__ = ("data", "n")
-
-    def __init__(self, data, n):
-        self.data = data
-        self.n = n
 
 
 class PureKernel:
@@ -377,29 +370,45 @@ class PureKernel:
         dot, nf = self._dot, (self._neg(f),)
         return [dot(nf, (y,), x) for x, y in zip(xs, ys)]
 
-    # -- scalar operations -------------------------------------------------
+    # -- coefficient-wise operations: an element or a matrix alike -----------
 
-    def s_add(self, a, b):
+    def add(self, a, b):
         q = self.q
         return tuple((x + y) % q for x, y in zip(a, b))
 
-    def s_sub(self, a, b):
+    def sub(self, a, b):
         q = self.q
         return tuple((x - y) % q for x, y in zip(a, b))
 
-    def s_neg(self, a):
+    def neg(self, a):
         q = self.q
         return tuple((-x) % q for x in a)
+
+    def scal_int(self, c, a):
+        q = self.q
+        c %= q
+        return tuple(c * x % q for x in a)
+
+    def eq_mod(self, a, b, k):
+        pk = self.p ** k
+        return all((x - y) % pk == 0 for x, y in zip(a, b))
+
+    def s_divp(self, a):
+        p = self.p
+        for c in a:
+            if c % p:
+                raise AlgebraInvariantError("exact division by p failed")
+        return tuple(c // p for c in a)
+
+    # One body; the two names keep separate per-op counts for elements and matrices.
+    m_divp = s_divp
+
+    # -- element operations --------------------------------------------------
 
     def s_mul(self, a, b):
         if self.m == 1:
             return (a[0] * b[0] % self.q,)
         return self._dot((a,), (b,))
-
-    def s_scal_int(self, c, a):
-        q = self.q
-        c %= q
-        return tuple(c * x % q for x in a)
 
     def s_pow(self, a, e):
         if e < 0:
@@ -442,105 +451,54 @@ class PureKernel:
             out[i] = acc % q
         return tuple(out)
 
-    def s_divp(self, a):
-        p = self.p
-        for c in a:
-            if c % p:
-                raise AlgebraInvariantError("exact division by p failed")
-        return tuple(c // p for c in a)
-
-    def s_eq_mod(self, a, b, k):
-        pk = self.p ** k
-        return all((x - y) % pk == 0 for x, y in zip(a, b))
-
-    # -- matrix operations ---------------------------------------------------
-
-    def m_new(self, flat, n):
-        q = self.q
-        data = tuple(c % q for c in flat)
-        if len(data) != n * n * self.m:
-            raise ValueError("flat length does not match dimension")
-        return PureMat(data, n)
-
-    def m_export(self, h):
-        return h.data
+    # -- matrix operations: flat tuples, n passed where the op needs it --------
 
     def m_identity(self, n):
         m = self.m
         flat = [0] * (n * n * m)
         for i in range(n):
             flat[(i * n + i) * m] = 1
-        return PureMat(tuple(flat), n)
+        return tuple(flat)
 
-    def m_add(self, A, B):
+    def m_transpose(self, A, n):
+        e = self._ents(A)
+        return self._flat(e[j * n + i] for i in range(n) for j in range(n))
+
+    def m_mul(self, A, B, n):
         q = self.q
-        return PureMat(tuple((x + y) % q for x, y in zip(A.data, B.data)), A.n)
-
-    def m_sub(self, A, B):
-        q = self.q
-        return PureMat(tuple((x - y) % q for x, y in zip(A.data, B.data)), A.n)
-
-    def m_neg(self, A):
-        q = self.q
-        return PureMat(tuple((-x) % q for x in A.data), A.n)
-
-    def m_transpose(self, A):
-        n = A.n
-        e = self._ents(A.data)
-        return PureMat(self._flat(e[j * n + i] for i in range(n) for j in range(n)), n)
-
-    def m_mul(self, A, B):
-        n, q = A.n, self.q
-        a, b = self._ents(A.data), self._ents(B.data)
+        a, b = self._ents(A), self._ents(B)
         rows = [a[i * n : (i + 1) * n] for i in range(n)]
         cols = [b[j::n] for j in range(n)]
         if self.m == 1:
-            return PureMat(tuple(sum(map(mul, r, c)) % q for r in rows for c in cols), n)
+            return tuple(sum(map(mul, r, c)) % q for r in rows for c in cols)
         dot = self._dot
-        return PureMat(self._flat(dot(r, c) for r in rows for c in cols), n)
+        return self._flat(dot(r, c) for r in rows for c in cols)
 
     def m_scal(self, s, A):
         c = s[0] if self.m == 1 else s
-        return PureMat(self._flat(self._scale(c, self._ents(A.data))), A.n)
-
-    def m_scal_int(self, c, A):
-        q = self.q
-        c %= q
-        return PureMat(tuple(c * x % q for x in A.data), A.n)
+        return self._flat(self._scale(c, self._ents(A)))
 
     def m_powp(self, A):
         p, q = self.p, self.q
         if self.m == 1:
-            return PureMat(tuple(pow(x, p, q) for x in A.data), A.n)
-        return PureMat(self._flat(self._pow(e, p) for e in self._ents(A.data)), A.n)
+            return tuple(pow(x, p, q) for x in A)
+        return self._flat(self._pow(e, p) for e in self._ents(A))
 
     def m_frob(self, A, k=1):
         if self.m == 1:
             return A
         if self.m == 2:
-            q, d = self.q, A.data
+            q = self.q
             f00, f01, f10, f11 = self._frob[k % 2]
             out = []
-            for a0, a1 in zip(d[::2], d[1::2]):
+            for a0, a1 in zip(A[::2], A[1::2]):
                 out += ((f00 * a0 + f01 * a1) % q, (f10 * a0 + f11 * a1) % q)
-            return PureMat(tuple(out), A.n)
+            return tuple(out)
         s_frob = self.s_frob
-        return PureMat(self._flat(s_frob(e, k) for e in self._ents(A.data)), A.n)
+        return self._flat(s_frob(e, k) for e in self._ents(A))
 
-    def m_divp(self, A):
-        p = self.p
-        for c in A.data:
-            if c % p:
-                raise AlgebraInvariantError("exact division by p failed")
-        return PureMat(tuple(c // p for c in A.data), A.n)
-
-    def m_eq_mod(self, A, B, k):
-        pk = self.p ** k
-        return all((x - y) % pk == 0 for x, y in zip(A.data, B.data))
-
-    def m_det(self, A):
-        n = A.n
-        e = self._ents(A.data)
+    def m_det(self, A, n):
+        e = self._ents(A)
         det = self._det_cofactor(e, n) if n <= 4 else self._det_elim(e, n)
         return (det,) if self.m == 1 else det
 
@@ -597,17 +555,17 @@ class PureKernel:
                     rows[r][col:] = self._axpy(rows[r][col:], factor, rows[col][col:])
         return det
 
-    def m_inv(self, A):
-        return self.m_solve(A, self.m_identity(A.n))
+    def m_inv(self, A, n):
+        return self.m_solve(A, self.m_identity(n), n)
 
-    def m_solve(self, A, B):
+    def m_solve(self, a, b, n):
         """A^{-1} B from R(A) Z = the stacked columns of B (module docstring)."""
-        n, m, a, b = A.n, self.m, A.data, B.data
+        m = self.m
         if m == 1:  # R(A) = A
             rows = [[*a[i * n : (i + 1) * n], *b[i * n : (i + 1) * n]] for i in range(n)]
-            return PureMat(tuple(chain.from_iterable(self._gauss_jordan(rows))), n)
+            return tuple(chain.from_iterable(self._gauss_jordan(rows)))
         if m == 2:
-            return PureMat(self._m_solve2(a, b, n), n)
+            return self._m_solve2(a, b, n)
         blocks = [self._mul_rows(a[s : s + m]) for s in range(0, len(a), m)]
         rows = []
         for i in range(n):
@@ -618,15 +576,15 @@ class PureKernel:
                 rows.append([c for blk in block_row for c in blk[r]] + list(b_row[r::m]))
         Z = self._gauss_jordan(rows)
         # row i*m + r of Z holds coefficient r of row i of A^{-1} B
-        return PureMat(tuple(Z[i * m + r][j] for i in range(n) for j in range(n) for r in range(m)), n)
+        return tuple(Z[i * m + r][j] for i in range(n) for j in range(n) for r in range(m))
 
-    def m_form(self, X, Q):
+    def m_form(self, X, Q, n):
         """X^t Q X: QX row by row from Q's nonzero entries, then X^t (QX)
         from the columns of X (module docstring)."""
-        n, m, q = X.n, self.m, self.q
-        x = self._ents(X.data)
+        m, q = self.m, self.q
+        x = self._ents(X)
         xrows = [x[k * n : (k + 1) * n] for k in range(n)]
-        qe = self._ents(Q.data)
+        qe = self._ents(Q)
         one, minus_one = self._e1, (q - 1 if m == 1 else (q - 1, *self.zero[1:]))
         dot, neg, nonzero = self._dot, self._neg, self._nonzero
         qx = []
@@ -642,5 +600,5 @@ class PureKernel:
         xcols = [x[i::n] for i in range(n)]
         qxcols = list(zip(*qx))
         if m == 1:
-            return PureMat(tuple(sum(map(mul, a, b)) % q for a in xcols for b in qxcols), n)
-        return PureMat(self._flat(dot(a, b) for a in xcols for b in qxcols), n)
+            return tuple(sum(map(mul, a, b)) % q for a in xcols for b in qxcols)
+        return self._flat(dot(a, b) for a in xcols for b in qxcols)

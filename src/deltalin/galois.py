@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .equations import EquationSpec, Phi, residual
+from .equations import EquationSpec, Phi, recover_alpha, residual
 from .errors import DomainError, ParameterError
 from .matrix import PMatrix
 from .ring import make_context
@@ -45,7 +45,7 @@ class GaloisReport:
 
 def Phi_u(spec, u, x):
     """Phi_u(x) = Phi(u)^{-1} Phi(u x)."""
-    return Phi(spec, u).solve(Phi(spec, u @ x))
+    return GuChecker(spec, u).phi_u(x)
 
 
 class GuChecker:
@@ -171,22 +171,14 @@ def scalar_galois_bound(u, d):
     passes (phi(c) = c^p), so the list is exactly the d-torsion units.
     """
     ctx = u.ctx
-    alpha = recover_scalar_alpha(u)
-    spec = EquationSpec("gl", 1, PMatrix.from_rows(ctx, [[alpha]]))
     U = PMatrix.from_rows(ctx, [[u]])
+    spec = EquationSpec("gl", 1, recover_alpha(U, "gl"))
     checker = GuChecker(spec, U)
     out = []
     for c in ctx.torsion_units(d):
         if checker(PMatrix.from_rows(ctx, [[c]])):
             out.append(c)
     return out
-
-
-def recover_scalar_alpha(u):
-    """alpha = delta(u) / u^p for a scalar unit solution."""
-    if not u.is_unit():
-        raise DomainError("u must be a unit")
-    return u.delta() * (u ** u.ctx.p).invert()
 
 
 def example_3_9(p, N=16, cap_order=64):

@@ -1,7 +1,8 @@
 """n x n matrix algebra over the truncated p-adic ring.
 
-PMatrix is a value type: flat kernel-owned storage, one trusted precision
-for the whole matrix (the minimum over the entries it was built from).
+PMatrix is a value type: the flat canonical coefficient tuple the kernel
+works on, one trusted precision for the whole matrix (the minimum over the
+entries it was built from).
 Entrywise Frobenius / Fermat-quotient / p-power maps, the group law
 a +_d b = a + b + p*a*b on gl_n, the matrix binomial series, Newton square
 roots of matrices congruent to 1 mod p, and membership predicates for the
@@ -35,14 +36,13 @@ __all__ = [
 
 
 class PMatrix:
-    __slots__ = ("ctx", "n", "known_prec", "_h", "_flat")
+    __slots__ = ("ctx", "n", "known_prec", "flat")
 
-    def __init__(self, ctx, n, handle, known_prec):
+    def __init__(self, ctx, n, flat, known_prec):
         self.ctx = ctx
         self.n = n
-        self._h = handle
+        self.flat = flat
         self.known_prec = known_prec
-        self._flat = None
 
     # -- construction ----------------------------------------------------------
 
@@ -63,12 +63,12 @@ class PMatrix:
                         raise DomainError("entry from a different ring")
                     known = min(known, v.known_prec)
                 flat.extend(e.coeffs)
-        return PMatrix(ctx, n, ctx.kernel.m_new(flat, n), known)
+        return PMatrix(ctx, n, _canonical(ctx, flat, n), known)
 
     @staticmethod
     def from_flat(ctx, flat, n, prec=None):
         _check_dim(n)
-        return PMatrix(ctx, n, ctx.kernel.m_new(list(flat), n), ctx.N if prec is None else prec)
+        return PMatrix(ctx, n, _canonical(ctx, flat, n), ctx.N if prec is None else prec)
 
     @staticmethod
     def identity(ctx, n):
@@ -78,34 +78,25 @@ class PMatrix:
     @staticmethod
     def zeros(ctx, n):
         _check_dim(n)
-        return PMatrix(ctx, n, ctx.kernel.m_new([0] * (n * n * ctx.m), n), ctx.N)
+        return PMatrix(ctx, n, (0,) * (n * n * ctx.m), ctx.N)
 
     @staticmethod
     def scalar(ctx, n, value):
         """value * identity."""
+        _check_dim(n)
         e = value if isinstance(value, RingElement) else ctx.element(value)
         k = ctx.kernel
         return PMatrix(ctx, n, k.m_scal(e.coeffs, k.m_identity(n)), min(ctx.N, e.known_prec))
 
     # -- plumbing ---------------------------------------------------------------
 
-    @property
-    def kernel(self):
-        return self.ctx.kernel
-
-    @property
-    def flat(self):
-        if self._flat is None:
-            self._flat = self.kernel.m_export(self._h)
-        return self._flat
-
-    def _wrap(self, handle, prec=None):
-        return PMatrix(self.ctx, self.n, handle, self.known_prec if prec is None else prec)
+    def _wrap(self, flat, prec=None):
+        return PMatrix(self.ctx, self.n, flat, self.known_prec if prec is None else prec)
 
     def _peer(self, other):
         if not isinstance(other, PMatrix):
             return None
-        if other.ctx is not self.ctx and not self.ctx.same(other.ctx):
+        if not self.ctx.same(other.ctx):
             raise DomainError("matrices over different rings")
         if other.n != self.n:
             raise DomainError("dimension mismatch")
@@ -134,16 +125,16 @@ class PMatrix:
         if other is None:
             return NotImplemented
         k = min(self.known_prec, other.known_prec)
-        return self.kernel.m_eq_mod(self._h, other._h, k)
+        return self.ctx.kernel.eq_mod(self.flat, other.flat, k)
 
     __hash__ = None
 
     def eq_at(self, other, k):
         other = self._peer(other)
-        return self.kernel.m_eq_mod(self._h, other._h, k)
+        return self.ctx.kernel.eq_mod(self.flat, other.flat, k)
 
     def with_prec(self, k):
-        return PMatrix(self.ctx, self.n, self._h, min(k, self.ctx.N))
+        return PMatrix(self.ctx, self.n, self.flat, min(k, self.ctx.N))
 
     # -- ring operations ---------------------------------------------------------
 
@@ -152,7 +143,7 @@ class PMatrix:
         if other is None:
             return NotImplemented
         return self._wrap(
-            self.kernel.m_add(self._h, other._h), min(self.known_prec, other.known_prec)
+            self.ctx.kernel.add(self.flat, other.flat), min(self.known_prec, other.known_prec)
         )
 
     def __sub__(self, other):
@@ -160,28 +151,29 @@ class PMatrix:
         if other is None:
             return NotImplemented
         return self._wrap(
-            self.kernel.m_sub(self._h, other._h), min(self.known_prec, other.known_prec)
+            self.ctx.kernel.sub(self.flat, other.flat), min(self.known_prec, other.known_prec)
         )
 
     def __neg__(self):
-        return self._wrap(self.kernel.m_neg(self._h))
+        return self._wrap(self.ctx.kernel.neg(self.flat))
 
     def __matmul__(self, other):
         other = self._peer(other)
         if other is None:
             return NotImplemented
         return self._wrap(
-            self.kernel.m_mul(self._h, other._h), min(self.known_prec, other.known_prec)
+            self.ctx.kernel.m_mul(self.flat, other.flat, self.n),
+            min(self.known_prec, other.known_prec),
         )
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self._wrap(self.kernel.m_scal_int(other, self._h))
+            return self._wrap(self.ctx.kernel.scal_int(other, self.flat))
         if isinstance(other, RingElement):
             if not self.ctx.same(other.ctx):
                 raise DomainError("scalar from a different ring")
             return self._wrap(
-                self.kernel.m_scal(other.coeffs, self._h),
+                self.ctx.kernel.m_scal(other.coeffs, self.flat),
                 min(self.known_prec, other.known_prec),
             )
         return NotImplemented
@@ -189,25 +181,28 @@ class PMatrix:
     __rmul__ = __mul__
 
     def transpose(self):
-        return self._wrap(self.kernel.m_transpose(self._h))
+        return self._wrap(self.ctx.kernel.m_transpose(self.flat, self.n))
 
     def det(self):
-        return RingElement(self.ctx, self.kernel.m_det(self._h), self.known_prec)
+        return RingElement(self.ctx, self.ctx.kernel.m_det(self.flat, self.n), self.known_prec)
 
     def inverse(self):
-        return self._wrap(self.kernel.m_inv(self._h))
+        return self._wrap(self.ctx.kernel.m_inv(self.flat, self.n))
 
     def solve(self, other):
         """self^{-1} other, by one elimination."""
         other = self._peer(other)
         return self._wrap(
-            self.kernel.m_solve(self._h, other._h), min(self.known_prec, other.known_prec)
+            self.ctx.kernel.m_solve(self.flat, other.flat, self.n),
+            min(self.known_prec, other.known_prec),
         )
 
     def form(self, q):
         """self^t q self, the bilinear form q pulled back along self."""
         q = self._peer(q)
-        return self._wrap(self.kernel.m_form(self._h, q._h), min(self.known_prec, q.known_prec))
+        return self._wrap(
+            self.ctx.kernel.m_form(self.flat, q.flat, self.n), min(self.known_prec, q.known_prec)
+        )
 
     def trace(self):
         acc = self.ctx.zero()
@@ -219,10 +214,10 @@ class PMatrix:
 
     def pow_p_entrywise(self):
         """u^{(p)}: entrywise p-th power."""
-        return self._wrap(self.kernel.m_powp(self._h))
+        return self._wrap(self.ctx.kernel.m_powp(self.flat))
 
     def frobenius_entrywise(self, k=1):
-        return self._wrap(self.kernel.m_frob(self._h, k))
+        return self._wrap(self.ctx.kernel.m_frob(self.flat, k))
 
     def frobenius_inverse_entrywise(self):
         m = self.ctx.m
@@ -231,14 +226,14 @@ class PMatrix:
     def delta_entrywise(self):
         if self.known_prec < 2:
             raise PrecisionError("delta needs known_prec >= 2")
-        k = self.kernel
-        num = k.m_sub(k.m_frob(self._h, 1), k.m_powp(self._h))
-        return PMatrix(self.ctx, self.n, k.m_divp(num), self.known_prec - 1)
+        k = self.ctx.kernel
+        num = k.sub(k.m_frob(self.flat, 1), k.m_powp(self.flat))
+        return self._wrap(k.m_divp(num), self.known_prec - 1)
 
     def exact_div_p(self):
         if self.known_prec < 1:
             raise PrecisionError("no digits left to divide")
-        return PMatrix(self.ctx, self.n, self.kernel.m_divp(self._h), self.known_prec - 1)
+        return self._wrap(self.ctx.kernel.m_divp(self.flat), self.known_prec - 1)
 
     def valuation(self):
         """min v_p over the entries, capped by known_prec; math.inf if 0."""
@@ -246,6 +241,15 @@ class PMatrix:
 
     def is_zero(self):
         return self.valuation() == math.inf
+
+
+def _canonical(ctx, flat, n):
+    """flat reduced mod q as a tuple, after checking it has n*n*m coefficients."""
+    q = ctx.kernel.q
+    flat = tuple(c % q for c in flat)
+    if len(flat) != n * n * ctx.m:
+        raise ParameterError("flat length does not match dimension")
+    return flat
 
 
 def _check_dim(n):
@@ -333,15 +337,15 @@ def matrix_one_plus_pT_pow(M, a):
     q_g = gk.q
     e %= q_g
 
-    X = gk.m_new(list(M.flat), M.n)
-    Xk = gk.m_identity(M.n)
-    acc = gk.m_identity(M.n)
-    X = gk.m_sub(X, Xk)  # M - 1, valuation >= 1
+    n = M.n
+    Xk = gk.m_identity(n)
+    acc = Xk
+    X = gk.sub(M.flat, Xk)  # M - 1, valuation >= 1
     c_num = 1  # product (a)(a-1)...(a-k+1) mod q_g
     vden = 0
     uden_inv = 1
     for k in range(1, kmax + 1):
-        Xk = gk.m_mul(Xk, X)
+        Xk = gk.m_mul(Xk, X, n)
         c_num = c_num * ((e - (k - 1)) % q_g) % q_g
         v = vp(k, p)
         vden += v
@@ -350,9 +354,8 @@ def matrix_one_plus_pT_pow(M, a):
         if c_num % pv:
             raise AlgebraInvariantError("binomial coefficient lost integrality")
         coeff = c_num // pv * uden_inv % q_g
-        acc = gk.m_add(acc, gk.m_scal_int(coeff, Xk))
-    flat = [c % ctx.kernel.q for c in gk.m_export(acc)]
-    return PMatrix.from_flat(ctx, flat, M.n, prec=K)
+        acc = gk.add(acc, gk.scal_int(coeff, Xk))
+    return PMatrix.from_flat(ctx, acc, n, prec=K)
 
 
 # -- membership predicates ----------------------------------------------------------
@@ -361,7 +364,7 @@ def matrix_one_plus_pT_pow(M, a):
 def in_GLn(A):
     """Invertibility over the ring, i.e. invertibility of the reduction mod p."""
     try:
-        A.kernel.m_inv(A._h)
+        A.ctx.kernel.m_inv(A.flat, A.n)
         return True
     except SingularMatrixError:
         return False

@@ -74,7 +74,7 @@ class RingContext:
     # -- identity ------------------------------------------------------------
 
     def same(self, other):
-        return (
+        return other is self or (
             isinstance(other, RingContext)
             and self.p == other.p
             and self.m == other.m
@@ -199,7 +199,7 @@ class RingElement:
         if isinstance(other, int):
             return self.ctx.element(other)
         if isinstance(other, RingElement):
-            if other.ctx is self.ctx or self.ctx.same(other.ctx):
+            if self.ctx.same(other.ctx):
                 return other
             raise DomainError("elements belong to different rings")
         return None
@@ -212,13 +212,13 @@ class RingElement:
         if other is None:
             return NotImplemented
         k = min(self.known_prec, other.known_prec)
-        return self.ctx.kernel.s_eq_mod(self.coeffs, other.coeffs, k)
+        return self.ctx.kernel.eq_mod(self.coeffs, other.coeffs, k)
 
     __hash__ = None
 
     def eq_at(self, other, k):
         other = self._peer(other)
-        return self.ctx.kernel.s_eq_mod(self.coeffs, other.coeffs, k)
+        return self.ctx.kernel.eq_mod(self.coeffs, other.coeffs, k)
 
     def with_prec(self, k):
         return RingElement(self.ctx, self.coeffs, min(k, self.ctx.N))
@@ -231,7 +231,7 @@ class RingElement:
             return NotImplemented
         return RingElement(
             self.ctx,
-            self.ctx.kernel.s_add(self.coeffs, other.coeffs),
+            self.ctx.kernel.add(self.coeffs, other.coeffs),
             min(self.known_prec, other.known_prec),
         )
 
@@ -243,7 +243,7 @@ class RingElement:
             return NotImplemented
         return RingElement(
             self.ctx,
-            self.ctx.kernel.s_sub(self.coeffs, other.coeffs),
+            self.ctx.kernel.sub(self.coeffs, other.coeffs),
             min(self.known_prec, other.known_prec),
         )
 
@@ -254,13 +254,13 @@ class RingElement:
         return other - self
 
     def __neg__(self):
-        return RingElement(self.ctx, self.ctx.kernel.s_neg(self.coeffs), self.known_prec)
+        return RingElement(self.ctx, self.ctx.kernel.neg(self.coeffs), self.known_prec)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return RingElement(
                 self.ctx,
-                self.ctx.kernel.s_scal_int(other, self.coeffs),
+                self.ctx.kernel.scal_int(other, self.coeffs),
                 self.known_prec,
             )
         other = self._peer(other)
@@ -291,7 +291,7 @@ class RingElement:
         return self.ctx.kernel.s_is_unit(self.coeffs)
 
     def is_zero(self):
-        return self.ctx.kernel.s_eq_mod(self.coeffs, self.ctx.kernel.zero, self.known_prec)
+        return self.ctx.kernel.eq_mod(self.coeffs, self.ctx.kernel.zero, self.known_prec)
 
     def invert(self):
         return RingElement(self.ctx, self.ctx.kernel.s_inv(self.coeffs), self.known_prec)
@@ -308,12 +308,12 @@ class RingElement:
         if self.known_prec < 2:
             raise PrecisionError("delta needs known_prec >= 2")
         k = self.ctx.kernel
-        num = k.s_sub(k.s_frob(self.coeffs, 1), k.s_pow(self.coeffs, self.ctx.p))
+        num = k.sub(k.s_frob(self.coeffs, 1), k.s_pow(self.coeffs, self.ctx.p))
         return RingElement(self.ctx, k.s_divp(num), self.known_prec - 1)
 
     def is_constant(self):
         d = self.delta()
-        return d.ctx.kernel.s_eq_mod(d.coeffs, d.ctx.kernel.zero, d.known_prec)
+        return d.ctx.kernel.eq_mod(d.coeffs, d.ctx.kernel.zero, d.known_prec)
 
     def valuation(self):
         """min_i v_p(coeff_i), capped by known_prec; math.inf if 0 at precision."""
@@ -409,10 +409,10 @@ def _newton_frob_image(kernel, p, m, N):
         if not any(fy):
             break
         fpy = _eval_monic_deriv(kernel, coeffs, y, m)
-        y = kernel.s_sub(y, kernel.s_mul(fy, kernel.s_inv(fpy)))
+        y = kernel.sub(y, kernel.s_mul(fy, kernel.s_inv(fpy)))
     if any(_eval_monic(kernel, coeffs, y, m)):
         raise AlgebraInvariantError("Newton iteration for the Frobenius image did not converge")
-    if not kernel.s_eq_mod(y, y0, 1):
+    if not kernel.eq_mod(y, y0, 1):
         raise AlgebraInvariantError("Frobenius image does not reduce to generator^p")
     return y
 
@@ -422,17 +422,17 @@ def _eval_monic(kernel, tail, y, m):
     for i in range(m - 1, -1, -1):
         acc = kernel.s_mul(acc, y)
         if tail[i]:
-            acc = kernel.s_add(acc, kernel.s_scal_int(tail[i], kernel.one))
+            acc = kernel.add(acc, kernel.scal_int(tail[i], kernel.one))
     return acc
 
 
 def _eval_monic_deriv(kernel, tail, y, m):
-    acc = kernel.s_scal_int(m, kernel.one)
+    acc = kernel.scal_int(m, kernel.one)
     for i in range(m - 1, 0, -1):
         acc = kernel.s_mul(acc, y)
         c = i * tail[i]
         if c:
-            acc = kernel.s_add(acc, kernel.s_scal_int(c, kernel.one))
+            acc = kernel.add(acc, kernel.scal_int(c, kernel.one))
     return acc
 
 
@@ -500,8 +500,8 @@ def exp_p(a):
         if k - vf >= K:
             continue
         num = _div_ppow(pw, p, vf)
-        term = gk.s_scal_int(pow(uf, -1, gk.q), num)
-        acc = gk.s_add(acc, term)
+        term = gk.scal_int(pow(uf, -1, gk.q), num)
+        acc = gk.add(acc, term)
     return RingElement(ctx, tuple(c % ctx.kernel.q for c in acc), K)
 
 
@@ -512,12 +512,12 @@ def log_p(u):
     if K < 1 or (u.coeffs[0] - 1) % p or any(c % p for c in u.coeffs[1:]):
         raise DomainError("log_p requires an argument congruent to 1 mod p")
     scan = K + max(2, K.bit_length()) + 2
-    included = [k for k in range(1, scan + 1) if k - vp(k, p) < K]
-    kmax = included[-1]
-    G = max(vp(k, p) for k in included)
+    included = [k for k in range(1, scan + 1) if k - vp(k, p) < K]  # none at K = 1: log = 0
+    kmax = included[-1] if included else 0
+    G = max((vp(k, p) for k in included), default=0)
     g = ctx.guarded(G)
     gk = g.kernel
-    x = gk.s_sub(tuple(c % gk.q for c in u.coeffs), gk.one)
+    x = gk.sub(tuple(c % gk.q for c in u.coeffs), gk.one)
     acc = gk.zero
     pw = gk.one
     for k in range(1, kmax + 1):
@@ -526,8 +526,8 @@ def log_p(u):
         if k - v >= K:
             continue
         num = _div_ppow(pw, p, v)
-        term = gk.s_scal_int(pow(k // p ** v, -1, gk.q), num)
-        acc = gk.s_add(acc, term) if k % 2 == 1 else gk.s_sub(acc, term)
+        term = gk.scal_int(pow(k // p ** v, -1, gk.q), num)
+        acc = gk.add(acc, term) if k % 2 == 1 else gk.sub(acc, term)
     return RingElement(ctx, tuple(c % ctx.kernel.q for c in acc), K)
 
 
@@ -541,7 +541,7 @@ def one_plus_pt_pow(u, a):
     e, prec = zp_exponent(ctx, a, u.known_prec)
     e %= ctx.kernel.q
     lg = log_p(u.with_prec(prec))
-    return exp_p(RingElement(ctx, ctx.kernel.s_scal_int(e, lg.coeffs), lg.known_prec))
+    return exp_p(RingElement(ctx, ctx.kernel.scal_int(e, lg.coeffs), lg.known_prec))
 
 
 def zp_exponent(ctx, a, prec):

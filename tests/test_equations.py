@@ -220,7 +220,7 @@ def test_cold_roots_take_a_closed_form_step(monkeypatch, K):
 
     solves, inversions = [], []
     m_solve, s_inv = ctx.kernel.m_solve, ctx.kernel.s_inv
-    monkeypatch.setattr(ctx.kernel, "m_solve", lambda A, B: solves.append(A) or m_solve(A, B))
+    monkeypatch.setattr(ctx.kernel, "m_solve", lambda A, B, n: solves.append(A) or m_solve(A, B, n))
     monkeypatch.setattr(ctx.kernel, "s_inv", lambda a: inversions.append(a) or s_inv(a))
     S = matrix_sqrt_one_mod_p(M)
     assert len(solves) == (K - 1).bit_length() - 1

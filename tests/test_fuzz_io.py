@@ -1,4 +1,5 @@
-"""Hypothesis fuzzing of the JSON decoders and of `deltalin verify`.
+"""Hypothesis fuzzing of the JSON decoders and of `deltalin verify`,
+`deltalin solve` and `deltalin galois`.
 
 Inputs are generated JSON: valid wire objects (small rings, elements,
 matrices, specs and solve reports), half of them with one node, at any
@@ -6,8 +7,12 @@ depth, deleted or replaced by a value of the wrong type, range or size, or
 by arbitrary JSON.  A decoder either returns or raises a usage error
 (`DeltaLinError`, never `AlgebraInvariantError`, which reports a bug);
 `cli.main(["verify", ...])` exits 0, 1 or 2 and never lets an exception out.
-Valid rings stay small (p <= 13, N <= 6, n <= 3) so that a decoded input
-verifies in milliseconds.
+`solve` and `galois` get a ring, a kind, a variant and a dimension drawn
+independently (so some combinations are refused) and `--alpha`/`--u0` as
+'random' or the like, or as a file of generated matrix JSON, broken half the
+time; they exit 0, 1 or 2 too.  Valid rings stay small (p <= 13, N <= 6,
+n <= 3) so that a decoded input verifies in milliseconds, and `galois` gets
+a small `--torsion` and `--samples`, valid or not.
 """
 
 import contextlib
@@ -160,3 +165,47 @@ def test_verify_never_raises(tmp_path_factory, payload):
     with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(stdio.StringIO()):
         code = cli.main(["verify", "--input", str(path)])
     assert code in (0, 1, 2)
+
+
+def _run_cli(argv):
+    with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(stdio.StringIO()):
+        return cli.main(argv)
+
+
+@st.composite
+def solve_args(draw, tmp):
+    """The arguments shared by `solve` and `galois`; a matrix source that is
+    not a keyword is written to a file under tmp."""
+    r = draw(ring())
+    n = draw(st.integers(1, 3))
+    args = ["--p", str(r["p"]), "--m", str(r["m"]), "--prec", str(r["N"]), "--n", str(n),
+            "--kind", draw(st.sampled_from(["gl", "sl", "so"])),
+            "--seed", str(draw(st.integers(0, 5)))]
+    variant = draw(st.sampled_from([None, "sp", "so_even", "so_odd"]))
+    if variant is not None:
+        args += ["--variant", variant]
+    for flag, keywords in (("--alpha", ["random"]),
+                           ("--u0", ["identity", "random", "random-sl", "random-so"])):
+        source = draw(st.sampled_from(keywords + ["file", "file"]))
+        if source == "file":
+            path = tmp / f"fuzz{flag}.json"
+            path.write_text(json.dumps(draw(corrupted(st.one_of(matrix(r, n), matrix(r))))))
+            source = str(path)
+        args += [flag, source]
+    return args
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_solve_never_raises(tmp_path_factory, data):
+    args = data.draw(solve_args(tmp_path_factory.getbasetemp()))
+    assert _run_cli(["solve", *args]) in (0, 1, 2)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_galois_never_raises(tmp_path_factory, data):
+    args = data.draw(solve_args(tmp_path_factory.getbasetemp()))
+    args += ["--torsion", str(data.draw(st.sampled_from([1, 2, 3, 0, -1]))),
+             "--samples", str(data.draw(st.sampled_from([0, 2, -1, 10 ** 5])))]
+    assert _run_cli(["galois", *args]) in (0, 1, 2)

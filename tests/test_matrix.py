@@ -82,6 +82,21 @@ def test_dimension_cap_is_configurable():
         PMatrix.identity(ctx, 9)
 
 
+@pytest.mark.parametrize("n", [0, 9])
+def test_every_constructor_checks_the_dimension(n):
+    ctx = make_context(5, 1, 4)
+    builders = [
+        lambda: PMatrix.identity(ctx, n),
+        lambda: PMatrix.zeros(ctx, n),
+        lambda: PMatrix.scalar(ctx, n, 2),
+        lambda: PMatrix.from_flat(ctx, [1] * (n * n), n),
+        lambda: PMatrix.from_rows(ctx, [[1] * n for _ in range(n)]),
+    ]
+    for build in builders:
+        with pytest.raises(ParameterError):
+            build()
+
+
 # ---------------------------------------------------------------- entrywise maps
 
 

@@ -1,4 +1,4 @@
-"""Every claimed known_prec of the twist roots holds.
+"""Every claimed known_prec of the twist roots and of the analytic maps holds.
 
 Each root is recomputed cold in `ctx.guarded(4)` from the same
 representatives, and the two must agree on every digit the result claims.
@@ -8,13 +8,20 @@ whatever the digits of the inputs beyond their precision.  Inputs are
 random, with precision K <= N; warm starts are the truth perturbed by
 p^c times a random matrix or element, so they are correct to c digits and,
 for the matrix root, need not commute with the radicand.
+
+The analytic maps `exp_p`, `log_p` and `matrix_one_plus_pT_pow` are
+recomputed in `ctx.guarded(4)` too, but from inputs whose unknown digits are
+replaced at random, so that a claim beyond what the input determines fails:
+an input known to K digits determines exp_p(pt), log_p(1 + pt) and
+(1 + pT)^a to K digits, and an exponent a known to k digits determines the
+power to k + 1 digits.
 """
 
 import pytest
 
 from deltalin.equations import Lambda_so, _nth_root_one_mod_p, build_q, lambda_sl
-from deltalin.matrix import PMatrix, matrix_sqrt_one_mod_p
-from deltalin.ring import make_context
+from deltalin.matrix import PMatrix, matrix_one_plus_pT_pow, matrix_sqrt_one_mod_p
+from deltalin.ring import exp_p, log_p, make_context
 from deltalin.sampling import Rng
 
 GUARD = 4
@@ -78,3 +85,52 @@ def test_claimed_precision_holds_cold_and_warm(p, m, N):
                 got = root(x, start, c)
                 assert got.known_prec >= claim(K, None if start is None else c), (name, K, c)
                 assert got.eq_at(truth, got.known_prec), (name, K, c)
+
+
+def _exponents(ctx, rng):
+    """(exponent, its claim on the power's digits given the base's K): plain
+    ints of either sign, above q too, and elements of Z_p known to k digits."""
+    p, N = ctx.p, ctx.N
+    out = [(a, lambda K: K) for a in (0, 1, -1, p, rng.below(p ** (N + 3)), -rng.below(p ** N))]
+    for _ in range(2):
+        k = 1 + rng.below(N)
+        a = ctx.element(rng.below(p ** N)).with_prec(k)
+        out.append((a, lambda K, k=k: min(K, k + 1)))
+    return out
+
+
+def _beyond(g, rng, x):
+    """x read in g with its digits from known_prec on replaced at random."""
+    noise = g.p ** x.known_prec
+    if isinstance(x, PMatrix):
+        return _lift(g, x) + noise * rng.matrix(g, x.n)
+    return _lift(g, x) + noise * rng.element(g)
+
+
+@pytest.mark.parametrize("p, m, N", CONTEXTS)
+def test_analytic_maps_claimed_precision_holds(p, m, N):
+    """exp_p, log_p and (1 + pT)^a: each input is read in the guarded context
+    with the digits it does not know replaced at random, and the result
+    there agrees with the claimed digits."""
+    ctx = make_context(p, m, N)
+    g = ctx.guarded(GUARD)
+    rng = Rng(2000 * p + 10 * m + N)
+    for _ in range(DRAWS):
+        K = 1 + rng.below(N)  # the input's precision, 1..N
+        x = (p * rng.element(ctx)).with_prec(K)
+        got = exp_p(x)
+        assert got.known_prec >= K
+        assert got.eq_at(_down(ctx, exp_p(_beyond(g, rng, x))), got.known_prec), ("exp_p", K)
+        u = (ctx.one() + x).with_prec(K)
+        got = log_p(u)
+        assert got.known_prec >= K
+        assert got.eq_at(_down(ctx, log_p(_beyond(g, rng, u))), got.known_prec), ("log_p", K)
+        for n in (1, 2, 3):
+            M = (PMatrix.identity(ctx, n) + p * rng.matrix(ctx, n)).with_prec(K)
+            for a, claim in _exponents(ctx, rng):
+                got = matrix_one_plus_pT_pow(M, a)
+                if not isinstance(a, int):  # unknown digits of a Z_p exponent
+                    a = _lift(g, a) + p ** a.known_prec * rng.below(p ** N)
+                truth = _down(ctx, matrix_one_plus_pT_pow(_beyond(g, rng, M), a))
+                assert got.known_prec >= claim(K), ("pow", K, a)
+                assert got.eq_at(truth, got.known_prec), ("pow", K, a)

@@ -7,15 +7,20 @@ repeated multiplication, a determinant is the Leibniz sum over
 permutations, and the Frobenius is phi(sum a_i x^i) = sum a_i phi(x)^i.
 Inverses and solves A^{-1} B are checked by multiplying back, which pins
 them down because inverses are unique, and X^t Q X against two reference
-products.  Contexts cover m = 1, 2, 3, each with p^N below and
-above 2^63, a cubic modulus whose tail coefficients are all nonzero, and
-m = 4, so the multiplication matrices of the inverse fold through reduction
-rows with nonzero entries.  Every default quadratic modulus is x^2 + c, so
-the m = 2 contexts include x^2 + x + 2, below and above 2^63: with it
+products.  The coefficient-wise ops, shared by elements and matrices, are
+checked on tuples of both lengths: a sum, a difference, a negation and an
+integer multiple entry by entry through the reference product, and
+agreement mod p^k against the valuation of the difference.
+
+Contexts cover m = 1, 2, 3, each with p^N below and above 2^63, a cubic
+modulus whose tail coefficients are all nonzero, and m = 4, so the
+multiplication matrices of the inverse fold through reduction rows with
+nonzero entries.  Every default quadratic modulus is x^2 + c, so the m = 2
+contexts include x^2 + x + 2, below and above 2^63: with it
 x^2 = r0 + r1 x has r1 != 0, and the r1 terms of the closed-form m = 2
-product, square, norm and row update are exercised.  Matrices are n = 1..5 (n = 5 takes the
-elimination determinant), and singular ones include columns of valuation
-1..3.
+product, square, norm and row update are exercised.  Matrices are
+n = 1..5 (n = 5 takes the elimination determinant), and singular ones
+include columns of valuation 1..3.
 """
 
 import itertools
@@ -25,6 +30,7 @@ import pytest
 
 from deltalin.equations import SO_VARIANTS, build_q
 from deltalin.errors import NotUnitError, ParameterError, SingularMatrixError
+from deltalin.matrix import PMatrix
 from deltalin.ring import make_context
 
 # (p, m, N, residue polynomial or None for the default one)
@@ -129,7 +135,7 @@ def _entries(flat, m):
 
 
 def _flat(entries):
-    return [c for e in entries for c in e]
+    return tuple(c for e in entries for c in e)
 
 
 def _canonical(values, q):
@@ -156,6 +162,60 @@ def test_scalar_ops_match_reference(p, m, N, f):
                 k.s_inv(a)
 
 
+@pytest.mark.parametrize("n", [None, 1, 3])
+@pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
+def test_coefficient_ops_match_reference(p, m, N, f, n):
+    """add, sub, neg, scal_int and eq_mod on an element (n None) and on an
+    n x n matrix: the same op serves both lengths."""
+    k, ref = _setup(p, m, N, f)
+    rnd = random.Random(p * 1000 + m * 100 + N * 10 + (n or 0) + 3)
+    count = 1 if n is None else n * n
+    minus_one = (-1,)
+    for _ in range(10):
+        A = [_element(rnd, ref) for _ in range(count)]
+        B = [_element(rnd, ref) for _ in range(count)]
+        a, b = _flat(A), _flat(B)
+        c = rnd.choice([0, 1, -1, p, ref.q + 2, -ref.q - 3, rnd.randrange(-ref.q, ref.q)])
+        assert _entries(k.add(a, b), m) == [ref.add(x, y) for x, y in zip(A, B)]
+        assert _entries(k.sub(a, b), m) == [ref.add(x, ref.mul(minus_one, y)) for x, y in zip(A, B)]
+        assert _entries(k.neg(a), m) == [ref.mul(minus_one, x) for x in A]
+        assert _entries(k.scal_int(c, a), m) == [ref.mul((c,), x) for x in A]
+        for out in (k.add(a, b), k.sub(a, b), k.neg(a), k.scal_int(c, a)):
+            assert len(out) == len(a) and _canonical(out, ref.q)
+        # b agrees with a to exactly j digits: a + p^j times a unit entry
+        j = rnd.randrange(N + 1)
+        unit = (rnd.randrange(1, p),) + _element(rnd, ref)[1:]
+        D = [unit] + [_element(rnd, ref) for _ in range(count - 1)]
+        rnd.shuffle(D)
+        b = _flat([ref.add(x, ref.mul((p ** j,), d)) for x, d in zip(A, D)])
+        diff = [x - y for x, y in zip(a, b)]
+        agree = min((_vp(d, p) for d in diff if d % ref.q), default=N)
+        assert agree == j
+        for e in range(N + 1):
+            assert k.eq_mod(a, b, e) == (e <= agree), (j, e)
+
+
+def _vp(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def test_from_flat_checks_the_length():
+    """A flat tuple of the wrong length is a usage error (a ParameterError,
+    still a ValueError); the right length is reduced to canonical form."""
+    ctx = make_context(5, 2, 4)
+    for n, length in ((2, 7), (2, 9), (1, 4), (3, 8)):
+        with pytest.raises(ParameterError, match="flat length"):
+            PMatrix.from_flat(ctx, [1] * length, n)
+        with pytest.raises(ValueError):
+            PMatrix.from_flat(ctx, [1] * length, n)
+    M = PMatrix.from_flat(ctx, [-1, 626, 3, 0, 0, 0, 1, 1], 2)
+    assert M.flat == (624, 1, 3, 0, 0, 0, 1, 1)
+
+
 def _test_matrix(rnd, ref, n, trial):
     """A matrix of unit entries; trial % 4 == 1 puts a non-unit in the corner
     (the pivot search must swap rows), trial % 4 == 3 makes the last row
@@ -178,27 +238,27 @@ def test_matrix_ops_match_reference(p, m, N, f, n):
     for trial in range(8 if n < 5 else 4):
         A = _test_matrix(rnd, ref, n, trial)
         B = [_element(rnd, ref) for _ in range(n * n)]
-        hA, hB = k.m_new(_flat(A), n), k.m_new(_flat(B), n)
+        fA, fB = _flat(A), _flat(B)
         s = _element(rnd, ref)
 
-        product = k.m_export(k.m_mul(hA, hB))
+        product = k.m_mul(fA, fB, n)
         assert _entries(product, m) == ref.matmul(A, B, n)
-        assert _entries(k.m_export(k.m_scal(s, hA)), m) == [ref.mul(s, x) for x in A]
-        assert _entries(k.m_export(k.m_powp(hA)), m) == [ref.pow(x, p) for x in A]
+        assert _entries(k.m_scal(s, fA), m) == [ref.mul(s, x) for x in A]
+        assert _entries(k.m_powp(fA), m) == [ref.pow(x, p) for x in A]
         for j in {1, m - 1}:
-            assert _entries(k.m_export(k.m_frob(hA, j)), m) == [ref.frob(x, j) for x in A]
+            assert _entries(k.m_frob(fA, j), m) == [ref.frob(x, j) for x in A]
 
         det = ref.det(A, n)
-        assert k.m_det(hA) == det
+        assert k.m_det(fA, n) == det
         if ref.is_unit(det):
-            inv = k.m_export(k.m_inv(hA))
+            inv = k.m_inv(fA, n)
             assert _canonical(inv, ref.q)
             assert ref.matmul(A, _entries(inv, m), n) == identity
             assert ref.matmul(_entries(inv, m), A, n) == identity
         else:
             singular += 1
             with pytest.raises(SingularMatrixError):
-                k.m_inv(hA)
+                k.m_inv(fA, n)
     assert singular  # the singular branch ran
 
 
@@ -213,18 +273,18 @@ def test_solve_matches_reference(p, m, N, f, n):
     for trial in range(8 if n < 5 else 4):
         A = _test_matrix(rnd, ref, n, trial)
         B = [_element(rnd, ref) for _ in range(n * n)]
-        hA, hB = k.m_new(_flat(A), n), k.m_new(_flat(B), n)
+        fA, fB = _flat(A), _flat(B)
         if ref.is_unit(ref.det(A, n)):
-            X = k.m_export(k.m_solve(hA, hB))
+            X = k.m_solve(fA, fB, n)
             assert _canonical(X, ref.q)
             assert ref.matmul(A, _entries(X, m), n) == B
-            k.m_inv(hA)  # does not raise either
+            k.m_inv(fA, n)  # does not raise either
         else:
             singular += 1
             with pytest.raises(SingularMatrixError):
-                k.m_solve(hA, hB)
+                k.m_solve(fA, fB, n)
             with pytest.raises(SingularMatrixError):
-                k.m_inv(hA)
+                k.m_inv(fA, n)
     assert singular  # the singular branch ran
 
 
@@ -275,7 +335,7 @@ def test_form_matches_reference(p, m, N, f, n):
         for _ in range(3):
             X = [_element(rnd, ref) for _ in range(n * n)]
             Xt = [X[j * n + i] for i in range(n) for j in range(n)]
-            got = k.m_export(k.m_form(k.m_new(_flat(X), n), k.m_new(_flat(Q), n)))
+            got = k.m_form(_flat(X), _flat(Q), n)
             assert _canonical(got, ref.q), label
             assert _entries(got, m) == ref.matmul(ref.matmul(Xt, Q, n), X, n), label
     assert labels >= {"dense", "monomial", "mixed"} and (n < 2 or len(labels) > 3)
@@ -312,7 +372,7 @@ def test_singular_det_matches_reference(p, m, N, f, n):
     for A in cases:
         det = ref.det(A, n)
         assert not ref.is_unit(det)
-        assert k.m_det(k.m_new(_flat(A), n)) == det
+        assert k.m_det(_flat(A), n) == det
     assert ref.det(cases[-1], n) == ref.zero and ref.det(cases[-2], n) == ref.zero
 
 

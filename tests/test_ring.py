@@ -87,10 +87,10 @@ def test_modulus_root_property(c5x2):
     # modulus(frob_image) = 0 and frob_image = generator^p mod p
     k = c5x2.kernel
     y = c5x2.frob_image
-    val = k.s_add(k.s_mul(k.s_mul(y, y), k.one), k.s_add(k.s_scal_int(4, y), k.s_scal_int(2, k.one)))
+    val = k.add(k.s_mul(k.s_mul(y, y), k.one), k.add(k.scal_int(4, y), k.scal_int(2, k.one)))
     assert val == k.zero
     gp = k.s_pow((0, 1), 5)
-    assert k.s_eq_mod(y, gp, 1)
+    assert k.eq_mod(y, gp, 1)
 
 
 def test_frobenius_identity_on_prime_field(c5):
@@ -305,6 +305,16 @@ def test_log_of_six_mod_125():
     lg = log_p(u)
     assert lg.coeffs[0] == 55  # 5 - 25/2 + 125/3 truncated, frozen by hand
     assert exp_p(lg) == u
+
+
+def test_log_at_one_known_digit(c5, c5x2):
+    """log(1 + pt) = 0 mod p: one known digit needs no series term."""
+    for ctx in (c5, c5x2):
+        u = (ctx.one() + 5 * ctx.element(7)).with_prec(1)
+        lg = log_p(u)
+        assert lg.known_prec == 1 and lg.is_zero()
+        power = one_plus_pt_pow(u, 3)
+        assert power.known_prec == 1 and power == ctx.one()
 
 
 def test_exp_log_roundtrip(c5, c5x2):
