@@ -21,9 +21,8 @@ The kernel works on Python ints with these rules:
   and reduces each coefficient once.  At m >= 3 every product of two
   elements goes through `_dot`.
 - m == 1: a matrix entry is a plain int, not a 1-tuple.  `m_mul` sums the
-  products of row and column slices of the flat tuple, `m_powp` is
-  pow(x, p, q), and `m_det` eliminates on ints with pow(x, -1, q).  For
-  m > 1 the same elimination code runs on m-tuples through `_dot`.
+  products of row and column slices of the flat tuple, and `m_powp` is
+  pow(x, p, q).
 - m == 2: entries are pairs (a0, a1) and the arithmetic is written out.
   With f = x^2 + c1 x + c0 and `_red[0]` = (r0, r1) = (-c0, -c1), so
   x^2 = r0 + r1 x:
@@ -71,13 +70,10 @@ The kernel works on Python ints with these rules:
   multiplication (every form `build_q` makes is a signed permutation);
   any other row is a `_dot` per entry.  Each entry of X^t (QX) is then one
   `_dot` of a column of X with a column of QX; the transpose is not built.
-- `m_det` for n <= 4 is the Laplace expansion along the rows, memoized:
-  the minor on the rows below the ones expanded is fixed by the mask of
-  columns those left free, so it is built once, bottom-up, with one `_dot`
-  per mask (11 at n = 4, where the plain recursion made 41).
-- `m_det` for n >= 5 pivots on an entry p^v u of least valuation in its
-  column.  Every entry below it is divisible by p^v, so (entry / p^v) u^{-1}
-  is an exact row factor; a column that is 0 mod q gives the determinant 0.
+- `m_det` is the Laplace expansion along the rows at every n <= MAX_DIM,
+  memoized: the minor on the rows below the ones expanded is fixed by the
+  mask of columns those left free, so it is built once, bottom-up, with one
+  `_dot` per mask, 2^n - n - 1 of them (11 at n = 4, 247 at n = 8).
 """
 
 from functools import lru_cache
@@ -115,7 +111,6 @@ class PureKernel:
         self._coords = range(m)
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
-        self._e0, self._e1 = (0, 1) if m == 1 else (self.zero, self.one)  # as matrix entries
 
     # -- setup ------------------------------------------------------------
 
@@ -331,28 +326,8 @@ class PureKernel:
     def _nonzero(self, x):
         return any(x) if self.m > 1 else x != 0
 
-    def _inv(self, x):
-        return self.s_inv(x) if self.m > 1 else pow(x, -1, self.q)
-
     def _neg(self, x):
         return tuple(-c for c in x) if self.m > 1 else -x
-
-    def _val(self, x):
-        """v_p of an entry, the least over its coefficients; None for 0."""
-        p, v = self.p, None
-        for c in x if self.m > 1 else (x,):
-            if c:
-                k = 0
-                while not c % p:
-                    c //= p
-                    k += 1
-                if v is None or k < v:
-                    v = k
-        return v
-
-    def _div_exact(self, x, d):
-        """An entry divided by an integer d that divides each coefficient."""
-        return tuple(c // d for c in x) if self.m > 1 else x // d
 
     def _scale(self, c, xs):
         """[c * x for x in xs], each reduced."""
@@ -361,14 +336,6 @@ class PureKernel:
             return [c * x % q for x in xs]
         dot, c = self._dot, (c,)
         return [dot(c, (x,)) for x in xs]
-
-    def _axpy(self, xs, f, ys):
-        """[x - f * y for x, y in zip(xs, ys)], each reduced once."""
-        if self.m == 1:
-            q = self.q
-            return [(x - f * y) % q for x, y in zip(xs, ys)]
-        dot, nf = self._dot, (self._neg(f),)
-        return [dot(nf, (y,), x) for x, y in zip(xs, ys)]
 
     # -- coefficient-wise operations: an element or a matrix alike -----------
 
@@ -498,18 +465,14 @@ class PureKernel:
         return self._flat(s_frob(e, k) for e in self._ents(A))
 
     def m_det(self, A, n):
-        e = self._ents(A)
-        det = self._det_cofactor(e, n) if n <= 4 else self._det_elim(e, n)
-        return (det,) if self.m == 1 else det
-
-    def _det_cofactor(self, e, n):
         """Laplace expansion along the rows, memoized by column mask.
 
         The minor on rows row..n-1 is fixed by the mask of the n - row
         columns that rows 0..row-1 left free, so the minors are built
-        bottom-up, one `_dot` per mask: 2^n - n - 1 of them (11 at n = 4).
-        A minor on the last row alone is its one entry.
+        bottom-up, one `_dot` per mask: 2^n - n - 1 of them (11 at n = 4,
+        247 at n = 8).  A minor on the last row alone is its one entry.
         """
+        e = self._ents(A)
         dot, neg, nonzero = self._dot, self._neg, self._nonzero
         last = e[(n - 1) * n :]
         minors = {1 << j: last[j] for j in range(n)}
@@ -527,33 +490,8 @@ class PureKernel:
                             ys.append(above[mask ^ (1 << j)])
                         odd = not odd
                 minors[mask] = dot(xs, ys)
-        return minors[(1 << n) - 1]
-
-    def _det_elim(self, e, n):
-        """Gaussian elimination, pivoting on an entry of least valuation."""
-        dot, p = self._dot, self.p
-        rows = [e[i * n : (i + 1) * n] for i in range(n)]
-        det = self._e1
-        for col in range(n):
-            vals = [(self._val(rows[r][col]), r) for r in range(col, n)]
-            vals = [t for t in vals if t[0] is not None]
-            if not vals:  # the column is 0 mod q below the pivots
-                return self._e0
-            v, piv = min(vals)
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = self._neg(det)  # reduced by the product below
-            pivot = rows[col][col]
-            det = dot((det,), (pivot,))
-            # pivot = p^v u with u a unit; the entries below are p^v times
-            # their exact quotients, which u^{-1} turns into the row factors
-            pv = p ** v
-            uinv = self._inv(self._div_exact(pivot, pv))
-            for r in range(col + 1, n):
-                factor = dot((self._div_exact(rows[r][col], pv),), (uinv,))
-                if self._nonzero(factor):
-                    rows[r][col:] = self._axpy(rows[r][col:], factor, rows[col][col:])
-        return det
+        det = minors[(1 << n) - 1]
+        return (det,) if self.m == 1 else det
 
     def m_inv(self, A, n):
         return self.m_solve(A, self.m_identity(n), n)
@@ -585,7 +523,7 @@ class PureKernel:
         x = self._ents(X)
         xrows = [x[k * n : (k + 1) * n] for k in range(n)]
         qe = self._ents(Q)
-        one, minus_one = self._e1, (q - 1 if m == 1 else (q - 1, *self.zero[1:]))
+        one, minus_one = (1, q - 1) if m == 1 else (self.one, (q - 1, *self.zero[1:]))
         dot, neg, nonzero = self._dot, self._neg, self._nonzero
         qx = []
         for i in range(n):

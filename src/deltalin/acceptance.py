@@ -287,7 +287,7 @@ def criterion_9(session):
 
 
 def criterion_10(session):
-    """Galois bounds: N^delta passes in_Gu; constancy holds; scalar bound."""
+    """Galois bounds: N^delta passes GuChecker; constancy holds; scalar bound."""
     rng = session.rng(10)
     failures = 0
     cases = 0

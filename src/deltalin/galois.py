@@ -1,13 +1,19 @@
 """Membership tools for the Galois layer attached to a solved equation.
 
-For a solution u, the set G_u consists of the v with phi(v) = Phi_u(v),
-Phi_u(x) = Phi(u)^{-1} Phi(ux).  Automorphism groups themselves are not
-computable at finite precision; what is computed here are the certified
-bounds: G_u membership, the monomial-with-constant-entries subgroup N^delta
-(which always lands in G_u because the three twists are right compatible
-with monomial matrices), the prime-integral constraints that every G_u
-member must satisfy, and the exact order-2 example on GL_2 built from a
-cube root of unity.
+For a solution u, the set G_u consists of the v with
+phi(v) = Phi(u)^{-1} Phi(uv); `GuChecker(spec, u)` tests membership.
+Automorphism groups themselves are not computable at finite precision; what
+is computed here are the certified bounds: G_u membership, the
+monomial-with-constant-entries subgroup N^delta (which always lands in G_u
+because the three twists are right compatible with monomial matrices), the
+prime-integral values of a candidate (`constancy_values`), and the exact
+order-2 example on GL_2 built from a cube root of unity.
+
+Of the prime-integral values, delta(det v) = 0 holds on every G_u member
+for kind sl.  delta(v^t q v) = 0 holds for kind so only when u^t q u = q.
+Every member is v = u^{-1} w for a solution w of the same equation, so
+v^t q v = w^t (u^{-t} q u^{-1}) w: this is the prime integral w^t q w of w
+when u is in SO_q, and in general it is not constant.
 """
 
 import itertools
@@ -15,20 +21,17 @@ import math
 from dataclasses import dataclass, field
 
 from .equations import EquationSpec, Phi, recover_alpha, residual
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .matrix import PMatrix
 from .ring import make_context
 
 __all__ = [
     "GaloisReport",
-    "Phi_u",
-    "in_Gu",
     "GuChecker",
     "enumerate_N_delta",
     "is_monomial",
     "check_right_compatibility",
     "constancy_values",
-    "constancy_on_Gu",
     "scalar_galois_bound",
     "example_3_9",
 ]
@@ -43,11 +46,6 @@ class GaloisReport:
     notes: dict = field(default_factory=dict)
 
 
-def Phi_u(spec, u, x):
-    """Phi_u(x) = Phi(u)^{-1} Phi(u x)."""
-    return GuChecker(spec, u).phi_u(x)
-
-
 class GuChecker:
     """Membership tester for G_u with Phi(u)^{-1} cached across candidates:
     one product per candidate costs less than a solve per candidate."""
@@ -58,19 +56,17 @@ class GuChecker:
         self._phi_u_inv = Phi(spec, u).inverse()
 
     def phi_u(self, x):
+        """Phi(u)^{-1} Phi(u x)."""
         return self._phi_u_inv @ Phi(self.spec, self.u @ x)
 
     def __call__(self, v, prec=None):
+        """Whether phi(v) = Phi(u)^{-1} Phi(uv), at working precision or
+        mod p^prec."""
         lhs = v.frobenius_entrywise()
         rhs = self.phi_u(v)
         if prec is None:
             return lhs == rhs
         return lhs.eq_at(rhs, prec)
-
-
-def in_Gu(spec, u, v, prec=None):
-    """Whether phi(v) = Phi(u)^{-1} Phi(uv) at working precision."""
-    return GuChecker(spec, u)(v, prec)
 
 
 def is_monomial(v):
@@ -147,21 +143,11 @@ def check_right_compatibility(spec, samples=100, seed=0):
 
 def constancy_values(spec, v):
     """The prime-integral values (delta(det v), delta(v^t q v)) of a G_u
-    candidate v; the second is None unless spec.kind is so."""
+    candidate v; the second is None unless spec.kind is so.  Which of them
+    vanish on G_u is stated in the module docstring."""
     d_det = v.det().delta()
     d_form = v.form(spec.q_matrix()).delta_entrywise() if spec.kind == "so" else None
     return d_det, d_form
-
-
-def constancy_on_Gu(spec, u, v):
-    """`constancy_values` of a v that must be in G_u (else DomainError).
-
-    For kind sl the first component must vanish, for kind so the second
-    must vanish entrywise; for gl no vanishing is claimed.
-    """
-    if not in_Gu(spec, u, v):
-        raise DomainError("v is not in G_u")
-    return constancy_values(spec, v)
 
 
 def scalar_galois_bound(u, d):
@@ -211,7 +197,7 @@ def example_3_9(p, N=16, cap_order=64):
         checks = {
             "det_unit": u.det().is_unit(),
             "delta_u_zero": u.delta_entrywise().is_zero(),
-            "c_in_Gu": in_Gu(spec, u, c),
+            "c_in_Gu": GuChecker(spec, u)(c),
             "c_not_in_N": not is_monomial(c),
             "uc_swaps_roots": uc == swapped,
             "c_squared_identity": (c @ c) == PMatrix.identity(ctx, 2),

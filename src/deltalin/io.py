@@ -47,10 +47,10 @@ def element_to_json(e):
     return [int_to_digits(c, p, N) for c in e.coeffs]
 
 
-def element_from_json(ctx, obj, prec=None):
+def element_from_json(ctx, obj):
     """Decode an element: at most m coordinates of at most N digits in [0, p)."""
     if isinstance(obj, int):
-        return ctx.element(obj, prec)
+        return ctx.element(obj)
     if not isinstance(obj, list):
         raise ParameterError("element must be an int or an array of digit arrays")
     if len(obj) > ctx.m:
@@ -67,7 +67,7 @@ def element_from_json(ctx, obj, prec=None):
             if not 0 <= d < ctx.p:
                 raise ParameterError(f"digit {d} is outside [0, p={ctx.p})")
         coeffs.append(digits_to_int(digits, ctx.p))
-    return ctx.element(coeffs, prec)
+    return ctx.element(coeffs)
 
 
 def matrix_to_json(M):
@@ -77,7 +77,7 @@ def matrix_to_json(M):
     }
 
 
-def matrix_from_json(ctx, obj, prec=None):
+def matrix_from_json(ctx, obj):
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise ParameterError('matrix must be {"n": ..., "entries": [...]}')
     n = obj["n"]
@@ -91,7 +91,7 @@ def matrix_from_json(ctx, obj, prec=None):
     rows = []
     for i in range(n):
         rows.append([element_from_json(ctx, entries[i * n + j]) for j in range(n)])
-    return PMatrix.from_rows(ctx, rows, prec=prec)
+    return PMatrix.from_rows(ctx, rows)
 
 
 def context_to_json(ctx):
@@ -122,14 +122,13 @@ def spec_to_json(spec):
     }
 
 
-def spec_from_json(obj, ctx=None):
+def spec_from_json(obj):
     if not isinstance(obj, dict):
         raise ParameterError("spec must be a JSON object")
-    for key in (("ring",) if ctx is None else ()) + ("kind", "n", "alpha"):
+    for key in ("ring", "kind", "n", "alpha"):
         if key not in obj:
             raise ParameterError(f"spec is missing {key!r}")
-    if ctx is None:
-        ctx = context_from_json(obj["ring"])
+    ctx = context_from_json(obj["ring"])
     alpha = matrix_from_json(ctx, obj["alpha"])
     return EquationSpec(obj["kind"], obj["n"], alpha, obj.get("variant"))
 

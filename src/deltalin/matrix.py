@@ -204,12 +204,6 @@ class PMatrix:
             self.ctx.kernel.m_form(self.flat, q.flat, self.n), min(self.known_prec, q.known_prec)
         )
 
-    def trace(self):
-        acc = self.ctx.zero()
-        for i in range(self.n):
-            acc = acc + self.entry(i, i)
-        return acc
-
     # -- entrywise p-adic maps ------------------------------------------------
 
     def pow_p_entrywise(self):

@@ -71,14 +71,6 @@ class Rng:
             if e.is_unit():
                 return e
 
-    def one_mod_p(self, ctx):
-        """A random element congruent to 1 mod p."""
-        return ctx.one() + ctx.p * self.element(ctx)
-
-    def subring_element(self, ctx):
-        """A random element of the m = 1 subring Z/p^N."""
-        return ctx.element(self.below(ctx.kernel.q))
-
     # -- matrix-level draws ------------------------------------------------
 
     def matrix(self, ctx, n):

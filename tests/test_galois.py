@@ -3,20 +3,19 @@ import math
 import pytest
 
 from deltalin.equations import EquationSpec, residual, solve
-from deltalin.errors import DomainError, ParameterError
+from deltalin.errors import ParameterError
 from deltalin.galois import (
     GuChecker,
-    Phi_u,
     check_right_compatibility,
-    constancy_on_Gu,
+    constancy_values,
     enumerate_N_delta,
     example_3_9,
-    in_Gu,
     is_monomial,
     matrix_order,
     scalar_galois_bound,
 )
 from deltalin.matrix import PMatrix
+from deltalin.ring import make_context
 from deltalin.sampling import Rng
 
 
@@ -40,21 +39,21 @@ def test_phi_u_at_identity(c5):
     rng = Rng(70)
     spec, u = _solved(c5, rng, "sl", None, 2)
     I = PMatrix.identity(c5, 2)
-    assert Phi_u(spec, u, I) == I
+    assert GuChecker(spec, u).phi_u(I) == I
 
 
 def test_phi_u_gl_specialization(c5):
     rng = Rng(71)
     spec = EquationSpec("gl", 2, rng.matrix(c5, 2))
     u, x = rng.gl(c5, 2), rng.gl(c5, 2)
-    assert Phi_u(spec, u, x) == u.pow_p_entrywise().inverse() @ (u @ x).pow_p_entrywise()
+    assert GuChecker(spec, u).phi_u(x) == u.pow_p_entrywise().inverse() @ (u @ x).pow_p_entrywise()
 
 
 def test_identity_always_in_Gu(c5):
     rng = Rng(72)
     for kind, variant, n in (("gl", None, 2), ("sl", None, 2), ("so", "sp", 2)):
         spec, u = _solved(c5, rng, kind, variant, n)
-        assert in_Gu(spec, u, PMatrix.identity(c5, n))
+        assert GuChecker(spec, u)(PMatrix.identity(c5, n))
 
 
 def test_membership_transports_solutions(c5):
@@ -62,8 +61,9 @@ def test_membership_transports_solutions(c5):
     rng = Rng(73)
     for kind, variant, n in (("gl", None, 2), ("sl", None, 2), ("so", "so_even", 2)):
         spec, u = _solved(c5, rng, kind, variant, n)
+        checker = GuChecker(spec, u)
         for v in enumerate_N_delta(c5, n, 4)[:8]:
-            assert in_Gu(spec, u, v)
+            assert checker(v)
             assert residual(spec, u @ v).is_zero()
 
 
@@ -154,27 +154,69 @@ def test_right_compatibility_gl_is_ppower_multiplicativity(c5):
 # ---------------------------------------------------------------- constancy
 
 
-def test_constancy_on_Gu(c5):
+def test_constancy_values_on_N_delta(c5):
     rng = Rng(78)
     spec, u = _solved(c5, rng, "sl", None, 2)
+    checker = GuChecker(spec, u)
     for v in enumerate_N_delta(c5, 2, 4)[:10]:
-        d_det, d_form = constancy_on_Gu(spec, u, v)
+        assert checker(v)
+        d_det, d_form = constancy_values(spec, v)
         assert d_det.is_zero()
         assert d_form is None
 
     spec_so, u_so = _solved(c5, rng, "so", "sp", 2)
+    checker = GuChecker(spec_so, u_so)
     for v in enumerate_N_delta(c5, 2, 4)[:10]:
-        d_det, d_form = constancy_on_Gu(spec_so, u_so, v)
+        assert checker(v)
+        d_det, d_form = constancy_values(spec_so, v)
         assert d_form is not None and d_form.is_zero()
 
 
-def test_constancy_requires_membership(c5):
-    rng = Rng(79)
-    spec, u = _solved(c5, rng, "sl", None, 2)
-    outsider = PMatrix.identity(c5, 2) + 5 * rng.matrix(c5, 2)
-    if not in_Gu(spec, u, outsider):
-        with pytest.raises(DomainError, match="G_u"):
-            constancy_on_Gu(spec, u, outsider)
+@pytest.mark.parametrize(
+    "kind, variant, n, p, m",
+    [
+        ("sl", None, 3, 5, 1),
+        ("sl", None, 2, 7, 2),
+        ("so", "so_even", 2, 5, 2),
+        ("so", "so_odd", 3, 5, 1),
+        ("so", "sp", 4, 7, 1),
+    ],
+)
+def test_constancy_on_generated_members(kind, variant, n, p, m):
+    """G_u members beyond N^delta, for u0 in the kind's group and in GL_n.
+
+    uv solves the equation exactly when v is in G_u, so v = u^{-1} w is a
+    member for every solution w; w is the solution of a random residue.
+    Each such v passes GuChecker and v (1 + p^3 X) does not.  delta(det v)
+    vanishes on every member for sl.  delta(v^t q v) vanishes on every
+    member for so when u is in SO_q, and not on every member when u0 is
+    drawn from GL_n.
+    """
+    ctx = make_context(p, m, 10)
+    rng = Rng(11)
+    one = PMatrix.identity(ctx, n)
+    spec = EquationSpec(kind, n, rng.delta_lie_alpha(ctx, kind, n, variant), variant)
+    in_group = rng.sl(ctx, n) if kind == "sl" else rng.so(ctx, n, variant)
+    for u0 in (in_group, rng.gl(ctx, n)):
+        u = solve(spec, u0).solution
+        checker = GuChecker(spec, u)
+        u_inv = u.inverse()
+        members = [u_inv @ solve(spec, rng.gl(ctx, n)).solution for _ in range(6)]
+        assert not all(is_monomial(v) for v in members)
+        form_zero = []
+        for v in members:
+            assert checker(v)
+            assert not checker(v @ (one + p ** 3 * rng.matrix(ctx, n)))
+            d_det, d_form = constancy_values(spec, v)
+            if kind == "sl":
+                assert d_det.is_zero()
+            else:
+                form_zero.append(d_form.is_zero())
+        if kind == "so":
+            if u0 is in_group:
+                assert all(form_zero)
+            else:
+                assert not all(form_zero)
 
 
 # ---------------------------------------------------------------- scalar bound

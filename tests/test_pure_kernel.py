@@ -19,8 +19,10 @@ nonzero entries.  Every default quadratic modulus is x^2 + c, so the m = 2
 contexts include x^2 + x + 2, below and above 2^63: with it
 x^2 = r0 + r1 x has r1 != 0, and the r1 terms of the closed-form m = 2
 product, square, norm and row update are exercised.  Matrices are
-n = 1..5 (n = 5 takes the elimination determinant), and singular ones
-include columns of valuation 1..3.
+n = 1..5, and singular ones include columns of valuation 1..3.  The
+determinant is also checked against the Leibniz sum at n = 6, and by
+det(AB) = det(A) det(B) at n = 7 and n = 8 = MAX_DIM, where the Leibniz sum
+is too slow.
 """
 
 import itertools
@@ -349,18 +351,30 @@ def _scale_column(ref, A, n, j, c):
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
 def test_singular_det_matches_reference(p, m, N, f, n):
-    """Determinants of matrices singular mod p, for the memoized cofactor
-    (n = 3, 4) and the elimination (n = 5) paths: columns of valuation 1..3,
+    """Determinants of matrices singular mod p: columns of valuation 1..3,
     a zero column and a row that is the sum of two others."""
     k, ref = _setup(p, m, N, f)
     rnd = random.Random(p * 1000 + m * 100 + N * 10 + n)
+    cases = _singular_cases(rnd, ref, n)
+    for A in cases:
+        det = ref.det(A, n)
+        assert not ref.is_unit(det)
+        assert k.m_det(_flat(A), n) == det
+    assert ref.det(cases[-1], n) == ref.zero and ref.det(cases[-2], n) == ref.zero
+
+
+def _singular_cases(rnd, ref, n):
+    """Matrices singular mod p: one column of valuation v for v = 1, 2, 3,
+    two columns of valuation 2 and 1, a zero column, and a last row that
+    is the sum of the first two."""
+    p = ref.p
     cases = []
     for v in (1, 2, 3):
         A = [_element(rnd, ref, unit=True) for _ in range(n * n)]
         _scale_column(ref, A, n, rnd.randrange(n), p ** v)
         cases.append(A)
     A = [_element(rnd, ref, unit=True) for _ in range(n * n)]
-    _scale_column(ref, A, n, 0, p ** 2)  # least valuation moves between columns
+    _scale_column(ref, A, n, 0, p ** 2)  # two columns of different valuation
     _scale_column(ref, A, n, n - 1, p)
     cases.append(A)
     A = [_element(rnd, ref) for _ in range(n * n)]
@@ -369,11 +383,41 @@ def test_singular_det_matches_reference(p, m, N, f, n):
     A = [_element(rnd, ref) for _ in range(n * n)]
     A[(n - 1) * n :] = [ref.add(x, y) for x, y in zip(A[:n], A[n : 2 * n])]
     cases.append(A)
+    return cases
+
+
+@pytest.mark.parametrize("p, m, N, f", [CONTEXTS[0], CONTEXTS[5]], ids=[IDS[0], IDS[5]])
+def test_det_matches_leibniz_at_six(p, m, N, f):
+    """n = 6 against the Leibniz sum, for m = 1 and m = 2 (r1 != 0, p^N >
+    2^63): matrices of unit entries, one with a non-unit corner, one with
+    scattered zero entries, and the singular cases."""
+    k, ref = _setup(p, m, N, f)
+    rnd = random.Random(p * 1000 + m * 100 + N * 10 + 6)
+    cases = [_test_matrix(rnd, ref, 6, trial) for trial in (0, 1)]
+    cases.append([x if rnd.random() < 0.6 else ref.zero for x in _test_matrix(rnd, ref, 6, 0)])
+    cases += _singular_cases(rnd, ref, 6)
     for A in cases:
-        det = ref.det(A, n)
-        assert not ref.is_unit(det)
-        assert k.m_det(_flat(A), n) == det
-    assert ref.det(cases[-1], n) == ref.zero and ref.det(cases[-2], n) == ref.zero
+        assert k.m_det(_flat(A), 6) == ref.det(A, 6)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
+def test_det_is_multiplicative_up_to_max_dim(p, m, N, f, n):
+    """det(AB) = det(A) det(B) with det(A) != 0, det of A with one column
+    times p^v is p^v det(A), and a zero column gives 0."""
+    k, ref = _setup(p, m, N, f)
+    rnd = random.Random(p * 1000 + m * 100 + N * 10 + n)
+    A = [_element(rnd, ref) for _ in range(n * n)]
+    B = [_element(rnd, ref) for _ in range(n * n)]
+    fA, fB = _flat(A), _flat(B)
+    det_a, det_b = k.m_det(fA, n), k.m_det(fB, n)
+    assert _canonical(det_a, ref.q) and len(det_a) == m and det_a != ref.zero
+    assert k.m_det(k.m_mul(fA, fB, n), n) == ref.mul(det_a, det_b)
+    j, v = rnd.randrange(n), rnd.randrange(1, 4)
+    _scale_column(ref, A, n, j, p ** v)
+    assert k.m_det(_flat(A), n) == ref.mul((p ** v,), det_a)
+    _scale_column(ref, A, n, j, 0)
+    assert k.m_det(_flat(A), n) == ref.zero
 
 
 def test_wide_precision_inverse():
