@@ -68,16 +68,6 @@ def vp_min(values, p: int, k: int):
     return best
 
 
-def vp_factorial(k: int, p: int) -> int:
-    """Valuation of k! (Legendre)."""
-    v = 0
-    pk = p
-    while pk <= k:
-        v += k // pk
-        pk *= p
-    return v
-
-
 def int_to_digits(value: int, p: int, length: int) -> list:
     """Little-endian base-p digits of value mod p^length."""
     digits = []

@@ -39,7 +39,8 @@ The kernel works on Python ints with these rules:
     unit pivots, each inverted by its norm.  A row update x - f*y applies
     the matrix M_f = [[f0, r0 f1], [f1, f0 + r1 f1]] of multiplication by
     f to each pair y.
-  - `s_frob`/`m_frob` apply the 2x2 matrix `_frob[k % 2]` to each entry.
+  - `s_frob`/`m_frob` (one body under two names) apply the 2x2 matrix
+    `_frob[k % 2]` to each entry.
   Results equal the m >= 3 path's because products are exact and inverses
   unique.  The errors fire on the same inputs: over the field F_{p^2} an
   n x n matrix is invertible exactly when elimination finds a unit pivot
@@ -107,7 +108,7 @@ class PureKernel:
         if len(self.modulus_tail) != m:
             raise ValueError("modulus tail must have m coefficients")
         self._red = self._reduction_rows()
-        self._frob = None  # list of m flat m*m matrices: phi^0 .. phi^{m-1}
+        self._frob = None  # phi^0 .. phi^{m-1}, each as a tuple of its m rows
         self._coords = range(m)
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
@@ -136,7 +137,7 @@ class PureKernel:
         F = tuple(c % q for c in frob_flat)
         for _ in range(1, m):
             mats.append(self._matmul_small(mats[-1], F))
-        self._frob = mats
+        self._frob = [tuple(A[i * m : (i + 1) * m] for i in range(m)) for A in mats]
 
     def _matmul_small(self, A, B):
         m, q = self.m, self.q
@@ -401,22 +402,27 @@ class PureKernel:
         return tuple([z for (z,) in self._gauss_jordan(rows)])
 
     def s_frob(self, a, k=1):
+        """phi^k on every entry of a flat tuple: one element, or a matrix."""
         m, q = self.m, self.q
         if m == 1:
             return a
         if m == 2:
-            f00, f01, f10, f11 = self._frob[k % 2]
-            a0, a1 = a
-            return ((f00 * a0 + f01 * a1) % q, (f10 * a0 + f11 * a1) % q)
-        F = self._frob[k % m]
-        out = [0] * m
-        for i in range(m):
-            acc = 0
-            row = i * m
-            for j in range(m):
-                acc += F[row + j] * a[j]
-            out[i] = acc % q
+            (f00, f01), (f10, f11) = self._frob[k % 2]
+            out = []
+            it = iter(a)
+            for a0 in it:
+                a1 = next(it)
+                out += ((f00 * a0 + f01 * a1) % q, (f10 * a0 + f11 * a1) % q)
+            return tuple(out)
+        rows = self._frob[k % m]
+        out = []
+        for s in range(0, len(a), m):
+            e = a[s : s + m]
+            out += [sum(map(mul, row, e)) % q for row in rows]
         return tuple(out)
+
+    # One body; the two names keep separate per-op counts for elements and matrices.
+    m_frob = s_frob
 
     # -- matrix operations: flat tuples, n passed where the op needs it --------
 
@@ -450,19 +456,6 @@ class PureKernel:
         if self.m == 1:
             return tuple(pow(x, p, q) for x in A)
         return self._flat(self._pow(e, p) for e in self._ents(A))
-
-    def m_frob(self, A, k=1):
-        if self.m == 1:
-            return A
-        if self.m == 2:
-            q = self.q
-            f00, f01, f10, f11 = self._frob[k % 2]
-            out = []
-            for a0, a1 in zip(A[::2], A[1::2]):
-                out += ((f00 * a0 + f01 * a1) % q, (f10 * a0 + f11 * a1) % q)
-            return tuple(out)
-        s_frob = self.s_frob
-        return self._flat(s_frob(e, k) for e in self._ents(A))
 
     def m_det(self, A, n):
         """Laplace expansion along the rows, memoized by column mask.

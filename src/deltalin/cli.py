@@ -52,21 +52,20 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _add_ring_args(sp, with_kind=True):
+def _add_ring_args(sp):
     sp.add_argument("--p", type=int, required=True, help="odd prime")
     sp.add_argument("--m", type=int, default=1, help="residue extension degree")
     sp.add_argument("--prec", type=int, default=16, help="precision N in p-adic digits")
-    if with_kind:
-        sp.add_argument("--n", type=int, required=True, help="matrix dimension")
-        sp.add_argument("--kind", choices=KINDS, required=True)
-        sp.add_argument("--variant", choices=SO_VARIANTS, default=None)
-        sp.add_argument("--alpha", default="random", help="'random' or a JSON matrix file")
-        sp.add_argument(
-            "--u0",
-            default="random",
-            help="'identity', 'random', 'random-sl', 'random-so', or a JSON matrix file",
-        )
-        sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n", type=int, required=True, help="matrix dimension")
+    sp.add_argument("--kind", choices=KINDS, required=True)
+    sp.add_argument("--variant", choices=SO_VARIANTS, default=None)
+    sp.add_argument("--alpha", default="random", help="'random' or a JSON matrix file")
+    sp.add_argument(
+        "--u0",
+        default="random",
+        help="'identity', 'random', 'random-sl', 'random-so', or a JSON matrix file",
+    )
+    sp.add_argument("--seed", type=int, default=0)
 
 
 @lru_cache(maxsize=None)

@@ -342,7 +342,7 @@ def lang_map(a):
 # -- scalar closed forms ------------------------------------------------------------
 
 
-def solve_scalar_closed_form(zeta, epsilon, terms=None):
+def solve_scalar_closed_form(zeta, epsilon):
     """u = zeta * eps_{-1} * eps_{-2}^p * eps_{-3}^{p^2} * ... (truncated product).
 
     Solves phi(u) = eps * u^p with u = zeta mod p, for constant zeta and
@@ -353,15 +353,11 @@ def solve_scalar_closed_form(zeta, epsilon, terms=None):
         raise DomainError("zeta must be a constant (delta zeta = 0)")
     if (epsilon - ctx.one()).valuation() < 1:
         raise DomainError("epsilon must be = 1 mod p")
-    if terms is None:
-        terms = ctx.N
-    if terms < ctx.N:
-        raise ParameterError("need at least N factors for full precision")
     m = ctx.m
     u = zeta
     pk = 1  # p^{k-1}
-    for k in range(1, terms + 1):
-        eps_k = epsilon.frobenius((-k) % m if m > 1 else 0)
+    for k in range(1, ctx.N + 1):
+        eps_k = epsilon.frobenius((-k) % m)
         u = u * eps_k ** pk
         pk *= ctx.p
     return u
@@ -380,5 +376,5 @@ def solve_scalar_exp(zeta, beta):
     pn = 1
     for n in range(1, ctx.N):
         pn *= ctx.p
-        acc = acc + pn * beta.frobenius((-n) % m if m > 1 else 0)
+        acc = acc + pn * beta.frobenius((-n) % m)
     return zeta * exp_p(acc)

@@ -167,7 +167,7 @@ def scalar_galois_bound(u, d):
     return out
 
 
-def example_3_9(p, N=16, cap_order=64):
+def example_3_9(p, N=16):
     """The order-2 Galois example on GL_2 over Z_p with a cube root of unity.
 
     Requires p = 1 mod 3 and runs over m = 1.  For each of the two labelings
@@ -214,7 +214,7 @@ def example_3_9(p, N=16, cap_order=64):
         constancy={"delta_det": constancy_values(spec, c)[0].valuation()},
         notes={
             "p": p,
-            "order": matrix_order(c, cap_order),
+            "order": matrix_order(c),
             "labelings": labelings,
             "all_pass": all_pass,
         },

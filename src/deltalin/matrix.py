@@ -4,14 +4,15 @@ PMatrix is a value type: the flat canonical coefficient tuple the kernel
 works on, one trusted precision for the whole matrix (the minimum over the
 entries it was built from).
 Entrywise Frobenius / Fermat-quotient / p-power maps, the group law
-a +_d b = a + b + p*a*b on gl_n, the matrix binomial series, Newton square
-roots of matrices congruent to 1 mod p, and membership predicates for the
-classical groups and their delta-Lie algebras.
+a +_d b = a + b + p*a*b on gl_n, Newton square roots of matrices congruent
+to 1 mod p, and membership predicates for the classical groups and their
+delta-Lie algebras.  The binomial powers (1 + pT)^a run the series of
+`ring.py`, the one that serves exp_p, log_p and (1 + pt)^a on elements.
 """
 
 import math
 
-from ._intmath import vp, vp_factorial, vp_min
+from ._intmath import vp_min
 from .errors import (
     AlgebraInvariantError,
     DomainError,
@@ -19,7 +20,7 @@ from .errors import (
     PrecisionError,
     SingularMatrixError,
 )
-from .ring import MAX_DIM, RingElement, zp_exponent
+from .ring import MAX_DIM, RingElement, _binomial_power
 
 __all__ = [
     "PMatrix",
@@ -47,14 +48,14 @@ class PMatrix:
     # -- construction ----------------------------------------------------------
 
     @staticmethod
-    def from_rows(ctx, rows, prec=None):
+    def from_rows(ctx, rows):
         rows = [list(r) for r in rows]
         n = len(rows)
         if n < 1 or any(len(r) != n for r in rows):
             raise ParameterError("rows must form a square matrix")
         _check_dim(n)
         flat = []
-        known = ctx.N if prec is None else prec
+        known = ctx.N
         for row in rows:
             for v in row:
                 e = ctx.element(v) if not isinstance(v, RingElement) else v
@@ -66,9 +67,9 @@ class PMatrix:
         return PMatrix(ctx, n, _canonical(ctx, flat, n), known)
 
     @staticmethod
-    def from_flat(ctx, flat, n, prec=None):
+    def from_flat(ctx, flat, n):
         _check_dim(n)
-        return PMatrix(ctx, n, _canonical(ctx, flat, n), ctx.N if prec is None else prec)
+        return PMatrix(ctx, n, _canonical(ctx, flat, n), ctx.N)
 
     @staticmethod
     def identity(ctx, n):
@@ -314,42 +315,13 @@ def matrix_sqrt_one_mod_p(M, start=None, correct=0):
 
 
 def matrix_one_plus_pT_pow(M, a):
-    """(1 + pT)^a as a binomial series for M = 1 mod p and a p-adic integer a.
+    """(1 + pT)^a for M = 1 mod p and a p-adic integer a.
 
-    The series sum binom(a, k) (M - 1)^k is evaluated in a lifted context
-    with enough guard digits that every term is exact mod p^known_prec.
+    The binomial series of `ring.one_plus_pt_pow`, on the matrix: the terms
+    binom(a, k) (M - 1)^k for k < known_prec.
     """
-    ctx = M.ctx
-    p = ctx.p
-    if not M.eq_at(PMatrix.identity(ctx, M.n), 1):
-        raise DomainError("binomial power requires M = 1 mod p")
-    e, K = zp_exponent(ctx, a, M.known_prec)
-    kmax = K - 1  # (M-1)^k vanishes mod p^K for k >= K
-    G = vp_factorial(max(kmax, 1), p)
-    g = ctx.guarded(G)
-    gk = g.kernel
-    q_g = gk.q
-    e %= q_g
-
-    n = M.n
-    Xk = gk.m_identity(n)
-    acc = Xk
-    X = gk.sub(M.flat, Xk)  # M - 1, valuation >= 1
-    c_num = 1  # product (a)(a-1)...(a-k+1) mod q_g
-    vden = 0
-    uden_inv = 1
-    for k in range(1, kmax + 1):
-        Xk = gk.m_mul(Xk, X, n)
-        c_num = c_num * ((e - (k - 1)) % q_g) % q_g
-        v = vp(k, p)
-        vden += v
-        uden_inv = uden_inv * pow(k // p ** v, -1, q_g) % q_g
-        pv = p ** vden
-        if c_num % pv:
-            raise AlgebraInvariantError("binomial coefficient lost integrality")
-        coeff = c_num // pv * uden_inv % q_g
-        acc = gk.add(acc, gk.scal_int(coeff, Xk))
-    return PMatrix.from_flat(ctx, acc, n, prec=K)
+    flat, K = _binomial_power(M.ctx, M.flat, M.n, a, M.known_prec)
+    return PMatrix(M.ctx, M.n, flat, K)
 
 
 # -- membership predicates ----------------------------------------------------------

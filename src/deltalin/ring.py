@@ -11,9 +11,13 @@ operation propagates the minimum of its inputs, and the Fermat quotient
 delta(a) = (phi(a) - a^p) / p costs exactly one digit.  Coefficients are
 always stored canonically reduced to [0, p^N).
 
-The analytic maps (exp_p, log_p, powers of 1 + pt, psi) are evaluated
-exactly mod p^known_prec by running their series in an internally lifted
-context with enough guard digits to absorb the denominators' valuations.
+The analytic maps are power series, all evaluated by one helper, `_series`:
+a map supplies the terms c_k x^k, c_k = w_k / p^{v_k}, that can matter mod
+p^known_prec, and the helper forms the powers of x in a context with
+max v_k guard digits, divides each exactly by p^{v_k} and reduces the sum.
+exp_p supplies 1/k!, log_p (-1)^{k+1}/k, and the binomial series of
+(1 + pT)^a binom(a, k); that one series serves `one_plus_pt_pow` on
+elements and `matrix.matrix_one_plus_pT_pow` on matrices.  psi is a log_p.
 Every other operation (inverse, Frobenius, delta, valuation, Teichmueller
 lift) is a method of RingElement or RingContext.
 
@@ -23,7 +27,7 @@ n x n with n <= MAX_DIM.
 """
 
 from . import _residue
-from ._intmath import int_to_digits, is_prime, vp, vp_factorial, vp_min
+from ._intmath import int_to_digits, is_prime, vp, vp_min
 from ._kernel import PureKernel
 from .errors import (
     AlgebraInvariantError,
@@ -87,15 +91,14 @@ class RingContext:
 
     # -- element constructors --------------------------------------------------
 
-    def element(self, value, prec=None):
+    def element(self, value):
         """Build a RingElement from an int, a coefficient sequence, or an element."""
         q, m = self.kernel.q, self.m
         if isinstance(value, RingElement):
             if not self.same(value.ctx):
                 raise DomainError("element belongs to a different ring")
-            coeffs = value.coeffs
-            prec = value.known_prec if prec is None else min(prec, value.known_prec)
-        elif isinstance(value, int):
+            return RingElement(self, value.coeffs, value.known_prec)
+        if isinstance(value, int):
             coeffs = (value % q,) + (0,) * (m - 1)
         else:
             vals = list(value)
@@ -103,7 +106,7 @@ class RingContext:
                 raise DomainError(f"at most {m} coordinates expected")
             vals += [0] * (m - len(vals))
             coeffs = tuple(v % q for v in vals)
-        return RingElement(self, coeffs, self.N if prec is None else prec)
+        return RingElement(self, coeffs, self.N)
 
     def zero(self):
         return RingElement(self, self.kernel.zero, self.N)
@@ -464,104 +467,120 @@ def _require_val_ge_one(a, what):
         raise DomainError(f"{what} requires valuation >= 1")
 
 
-def _div_ppow(coeffs, p, v):
-    if v == 0:
-        return tuple(coeffs)
-    pv = p ** v
-    for c in coeffs:
-        if c % pv:
-            raise AlgebraInvariantError("exact division by p^v failed in series")
-    return tuple(c // pv for c in coeffs)
+def _series(ctx, x, n, terms):
+    """sum_k w_k x^k / p^{v_k} mod p^N, over the (k, w_k, v_k) of `terms`.
+
+    x is the flat tuple of an n x n matrix (n = 1: an element) of valuation
+    >= 1, and the terms come in increasing k.  The powers of x are formed in
+    ctx.guarded(max v_k), where x^k / p^{v_k} is exact mod p^N; each w_k is
+    an integer taken mod p^N, so every term, and the sum, is exact mod p^N.
+    """
+    p = ctx.p
+    gk = ctx.guarded(max((v for _, _, v in terms), default=0)).kernel
+    pw = gk.m_identity(n)
+    acc = [0] * len(pw)  # unreduced; taken mod p^N once, at the end
+    j = 0
+    for k, w, v in terms:
+        while j < k:
+            pw = gk.s_mul(pw, x) if n == 1 else gk.m_mul(pw, x, n)
+            j += 1
+        num = pw
+        if v:
+            pv = p ** v
+            if any(c % pv for c in pw):
+                raise AlgebraInvariantError("exact division by p^v failed in series")
+            num = [c // pv for c in pw]
+        acc = [s + w * c for s, c in zip(acc, num)]
+    q = ctx.kernel.q
+    return tuple(s % q for s in acc)
 
 
 def exp_p(a):
-    """p-adic exponential pO -> 1 + pO, exact mod p^known_prec (p >= 3)."""
+    """p-adic exponential pO -> 1 + pO, exact mod p^known_prec (p >= 3).
+
+    The series sum a^k / k! over the k with k - v_p(k!) < K, the terms that
+    can matter mod p^K; k - v_p(k!) >= k/2, so every such k lies below 2K.
+    """
     _require_val_ge_one(a, "exp_p")
-    ctx = a.ctx
-    p, K = ctx.p, a.known_prec
-    # include every k whose term a^k / k! can matter mod p^K
-    kmax = 1
+    ctx, K = a.ctx, a.known_prec
+    p, q = ctx.p, ctx.kernel.q
+    terms = [(0, 1, 0)]
+    v = 0  # v_p(k!)
+    unit = 1  # k! / p^v mod q
     for k in range(1, 2 * K + 3):
-        if k - vp_factorial(k, p) < K:
-            kmax = k
-    G = vp_factorial(kmax, p)
-    g = ctx.guarded(G)
-    gk = g.kernel
-    x = tuple(c % gk.q for c in a.coeffs)
-    acc = gk.one
-    pw = gk.one
-    vf = 0
-    uf = 1
-    for k in range(1, kmax + 1):
-        pw = gk.s_mul(pw, x)
-        v = vp(k, p)
-        vf += v
-        uf = uf * (k // p ** v) % gk.q
-        if k - vf >= K:
-            continue
-        num = _div_ppow(pw, p, vf)
-        term = gk.scal_int(pow(uf, -1, gk.q), num)
-        acc = gk.add(acc, term)
-    return RingElement(ctx, tuple(c % ctx.kernel.q for c in acc), K)
+        vk = vp(k, p)
+        v += vk
+        unit = unit * (k // p ** vk) % q
+        if k - v < K:
+            terms.append((k, pow(unit, -1, q), v))
+    return RingElement(ctx, _series(ctx, a.coeffs, 1, terms), K)
 
 
 def log_p(u):
-    """p-adic logarithm 1 + pO -> pO, exact mod p^known_prec (p >= 3)."""
-    ctx = u.ctx
-    p, K = ctx.p, u.known_prec
-    if K < 1 or (u.coeffs[0] - 1) % p or any(c % p for c in u.coeffs[1:]):
+    """p-adic logarithm 1 + pO -> pO, exact mod p^known_prec (p >= 3).
+
+    The series sum (-1)^{k+1} x^k / k in x = u - 1 over the k with
+    k - v_p(k) < K (none at K = 1: log = 0).
+    """
+    ctx, K = u.ctx, u.known_prec
+    p, q = ctx.p, ctx.kernel.q
+    if K < 1 or not u.eq_at(ctx.one(), 1):
         raise DomainError("log_p requires an argument congruent to 1 mod p")
-    scan = K + max(2, K.bit_length()) + 2
-    included = [k for k in range(1, scan + 1) if k - vp(k, p) < K]  # none at K = 1: log = 0
-    kmax = included[-1] if included else 0
-    G = max((vp(k, p) for k in included), default=0)
-    g = ctx.guarded(G)
-    gk = g.kernel
-    x = gk.sub(tuple(c % gk.q for c in u.coeffs), gk.one)
-    acc = gk.zero
-    pw = gk.one
-    for k in range(1, kmax + 1):
-        pw = gk.s_mul(pw, x)
+    terms = []
+    for k in range(1, K + max(2, K.bit_length()) + 3):
         v = vp(k, p)
-        if k - v >= K:
-            continue
-        num = _div_ppow(pw, p, v)
-        term = gk.scal_int(pow(k // p ** v, -1, gk.q), num)
-        acc = gk.add(acc, term) if k % 2 == 1 else gk.sub(acc, term)
-    return RingElement(ctx, tuple(c % ctx.kernel.q for c in acc), K)
+        if k - v < K:
+            w = pow(k // p ** v, -1, q)
+            terms.append((k, w if k % 2 else q - w, v))
+    x = ctx.kernel.sub(u.coeffs, ctx.kernel.one)
+    return RingElement(ctx, _series(ctx, x, 1, terms), K)
 
 
 def one_plus_pt_pow(u, a):
-    """(1 + pt)^a for u = 1 + pt, computed as exp_p(a * log_p(u)).
+    """(1 + pt)^a for u = 1 + pt, as the binomial series sum binom(a, k) (pt)^k.
 
     The exponent a is a p-adic integer, given either as a plain int (its
     class mod p^N) or as a RingElement of the prime subring.
     """
-    ctx = u.ctx
-    e, prec = zp_exponent(ctx, a, u.known_prec)
-    e %= ctx.kernel.q
-    lg = log_p(u.with_prec(prec))
-    return exp_p(RingElement(ctx, ctx.kernel.scal_int(e, lg.coeffs), lg.known_prec))
+    if u.known_prec < 1:
+        raise DomainError("(1 + pt)^a needs at least one known digit")
+    coeffs, K = _binomial_power(u.ctx, u.coeffs, 1, a, u.known_prec)
+    return RingElement(u.ctx, coeffs, K)
 
 
-def zp_exponent(ctx, a, prec):
-    """(e, prec') for a p-adic integer exponent a of a power taken in ctx.
+def _binomial_power(ctx, flat, n, a, K):
+    """(flat of (1 + pT)^a, its precision) for 1 + pT = flat known to K digits.
 
-    a is a plain int (e = a) or a RingElement of ctx's prime subring Z_p
-    (e its constant coefficient, and prec' = min(prec, a.known_prec + 1):
-    a known mod p^k moves (1 + pt)^a only mod p^{k+1}).  e is not reduced;
-    each caller reduces it mod the modulus it computes in.
+    flat is an n x n matrix (n = 1: an element) that must be congruent to
+    1 mod p.  a is an int or a RingElement of the prime subring Z_p; a known
+    mod p^k moves the power only mod p^{k+1}.  The series is
+    sum binom(a, k) (pT)^k over k < K, since (pT)^k vanishes mod p^K from
+    k = K on; binom(a, k) is a(a-1)...(a-k+1) / (k! / p^v) over p^v, with
+    v = v_p(k!).
     """
+    kernel = ctx.kernel
+    one = kernel.m_identity(n)
+    if not kernel.eq_mod(flat, one, 1):
+        raise DomainError("(1 + pT)^a requires an argument congruent to 1 mod p")
     if isinstance(a, RingElement):
         if not ctx.same(a.ctx):
             raise DomainError("exponent belongs to a different ring")
         pk = ctx.p ** a.known_prec
         if any(c % pk for c in a.coeffs[1:]):
             raise DomainError("exponent must lie in the prime subring Z_p")
-        return a.coeffs[0], min(prec, a.known_prec + 1)
-    if isinstance(a, int):
-        return a, prec
-    raise DomainError("exponent must be an int or a RingElement")
+        a, K = a.coeffs[0], min(K, a.known_prec + 1)
+    elif not isinstance(a, int):
+        raise DomainError("exponent must be an int or a RingElement")
+    p, q = ctx.p, kernel.q
+    terms = [(0, 1, 0)]
+    v = 0
+    w = 1
+    for k in range(1, K):
+        vk = vp(k, p)
+        v += vk
+        w = w * (a - k + 1) * pow(k // p ** vk, -1, q) % q
+        terms.append((k, w, v))
+    return _series(ctx, kernel.sub(flat, one), n, terms), K
 
 
 def psi(u):

@@ -61,9 +61,9 @@ class Rng:
 
     # -- ring-level draws -------------------------------------------------
 
-    def element(self, ctx, prec=None):
+    def element(self, ctx):
         q = ctx.kernel.q
-        return ctx.element([self.below(q) for _ in range(ctx.m)], prec)
+        return ctx.element([self.below(q) for _ in range(ctx.m)])
 
     def unit(self, ctx):
         while True:
@@ -158,21 +158,13 @@ class Rng:
             perm[i], perm[j] = perm[j], perm[i]
         return tuple(perm)
 
-    def monomial(self, ctx, n, constants=False):
-        """Random element of N: permutation times diagonal of units.
-
-        With constants=True the diagonal entries are Teichmueller units,
-        yielding an element of N^delta.
-        """
+    def monomial(self, ctx, n):
+        """Random element of N: permutation times diagonal of units."""
         perm = self.permutation(n)
         zero = ctx.zero()
         rows = [[zero] * n for _ in range(n)]
         for i in range(n):
-            if constants:
-                u = ctx.teichmueller(self.unit_residue(ctx))
-            else:
-                u = self.unit(ctx)
-            rows[i][perm[i]] = u
+            rows[i][perm[i]] = self.unit(ctx)
         return PMatrix.from_rows(ctx, rows)
 
     def unit_residue(self, ctx):
@@ -186,7 +178,7 @@ def _rescale_first_column(a, s):
     rows = a.rows()
     for i in range(a.n):
         rows[i][0] = rows[i][0] * s
-    return PMatrix.from_rows(a.ctx, rows, prec=a.known_prec)
+    return PMatrix.from_rows(a.ctx, rows)
 
 
 def _project_matrix(ctx, M):

@@ -3,7 +3,8 @@
 A name deleted from a module but left in its __all__ (or in a package
 re-export) breaks `from ... import *`; these tests find it at once.  The
 kernel ops the benchmark counts by name must exist too: a renamed op would
-read as zero calls instead of failing.
+read as zero calls instead of failing.  So must the entry points its tracer
+patches by name, or a rename would fail only inside a traced benchmark run.
 """
 
 import ast
@@ -59,3 +60,69 @@ def test_benchmark_kernel_ops_are_kernel_methods():
     for name in ops:
         assert not name.startswith("_"), name
         assert callable(getattr(PureKernel, name, None)), name
+
+
+PERFBENCH_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# The entry points `install` wraps by name; each must be among the names read.
+TRACED = (
+    "deltalin.equations.solve",
+    "deltalin.equations.residual",
+    "deltalin.equations.lambda_sl",
+    "deltalin.equations.Lambda_so",
+    "deltalin.equations.matrix_sqrt_one_mod_p",
+    "deltalin.galois.enumerate_N_delta",
+    "deltalin.galois.GuChecker.__call__",
+    "deltalin.ring.RingContext.teichmueller",
+)
+
+
+def _dotted(node):
+    """'a.b.c' for the attribute chain a.b.c, None for anything else."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
+def _perfbench_traced_names():
+    """The deltalin names perfbench/tracing.py's `install` reads, without
+    importing it: every attribute chain on a deltalin module it imports, and
+    the attribute named by each `patch(module, "name", ...)` (the names of
+    `io.__all__` it patches are checked by `test_all_names_resolve`)."""
+    tree = ast.parse(PERFBENCH_TRACING.read_text(encoding="utf-8"))
+    install = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "install"
+    )
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(install)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.startswith("deltalin")
+    }
+    names = set()
+    for node in ast.walk(install):
+        chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+        if chain and chain.split(".")[0] in modules:
+            names.add(chain)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "patch":
+            module, attr = node.args[:2]
+            if isinstance(attr, ast.Constant):  # not the loop over io.__all__
+                names.add(f"{module.id}.{attr.value}")
+    return {modules[n.split(".")[0]] + n[n.index(".") :] for n in names}
+
+
+def test_benchmark_traced_names_exist():
+    names = _perfbench_traced_names()
+    assert set(TRACED) <= names
+    for name in sorted(names):
+        module, _, rest = name.partition(".")
+        module = f"{module}.{rest.split('.')[0]}"
+        obj = importlib.import_module(module)
+        for attr in rest.split(".")[1:]:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)

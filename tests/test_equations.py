@@ -282,7 +282,7 @@ def test_solve_rejects_singular_u0(c5):
 
 
 def test_solve_requires_full_precision_alpha(c5):
-    alpha = PMatrix.from_rows(c5, [[1, 0], [0, 1]], prec=5)
+    alpha = PMatrix.from_rows(c5, [[1, 0], [0, 1]]).with_prec(5)
     spec = EquationSpec("gl", 2, alpha)
     with pytest.raises(PrecisionError):
         solve(spec, PMatrix.identity(c5, 2))
@@ -550,7 +550,7 @@ def test_delta_of_has_the_twisted_product_form(c5):
     for _ in range(20):
         x = rng.gl(c5, 2)
         lam = lambda_sl(x)
-        scale = c5.element(tuple(c // 5 for c in (lam - c5.one()).coeffs), prec=c5.N - 1)
+        scale = c5.element(tuple(c // 5 for c in (lam - c5.one()).coeffs)).with_prec(c5.N - 1)
         assert Delta_of(spec_sl, x) == scale * x.pow_p_entrywise()
 
     spec_so = EquationSpec("so", 2, PMatrix.zeros(c5, 2), "sp")

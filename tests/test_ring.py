@@ -224,17 +224,17 @@ def test_delta_sum_rule(c5):
 
 def test_delta_needs_two_digits(c5):
     with pytest.raises(PrecisionError):
-        c5.element(3, prec=1).delta()
+        c5.element(3).with_prec(1).delta()
 
 
 def test_delta_costs_one_digit(c5):
-    a = c5.element(7, prec=6)
+    a = c5.element(7).with_prec(6)
     assert a.delta().known_prec == 5
 
 
 def test_min_precision_propagation(c5):
-    a = c5.element(3, prec=4)
-    b = c5.element(9, prec=7)
+    a = c5.element(3).with_prec(4)
+    b = c5.element(9).with_prec(7)
     assert (a * b).known_prec == 4
     assert (a + b).known_prec == 4
 
@@ -438,7 +438,7 @@ def test_psi_exp_equivalence(c5x2):
         rhs = exp_p((p * beta).with_prec(c5x2.N)) * u ** p
         assert lhs.eq_at(rhs, c5x2.N - 1)
         # converse: build u from beta via exp and check psi recovers it
-        beta2 = rng.element(c5x2, prec=c5x2.N)
+        beta2 = rng.element(c5x2)
         acc = c5x2.zero()
         pn = 1
         for k in range(1, c5x2.N):
