@@ -20,20 +20,31 @@ digit.  As u_0 = u mod p for the solution u, u_k = u mod p^{k+1}, and after
 N steps the result is exact mod p^N: the unique solution congruent to u0
 mod p.
 
-Step k needs the twist (lambda or Lambda) only mod p^{k+2}: an error
-divisible by p^j in it changes u_{k+1} only mod p^j, and u_{k+1} is only
-claimed mod p^{k+2}.  The solver therefore carries the twist's root from
+sl is solved as gl times a scalar.  For a unit scalar c, (c x)^{(p)} =
+c^p x^{(p)} and det(c x) = c^n det x, so lambda(c x)^{-n} =
+c^{pn} det(x^{(p)}) / (c^n det x)^p = lambda(x)^{-n}, and the root
+congruent to 1 mod p gives lambda(c x) = lambda(x).  Let w be the gl
+solution, phi(w) = eps w^{(p)} with w = u0 mod p, and c = 1 mod p the
+scalar with phi(c) = lambda(w) c^p.  Then u = c w has u = u0 mod p and
+phi(u) = phi(c) phi(w) = lambda(w) c^p eps w^{(p)} = eps lambda(u) u^{(p)},
+so u is the sl solution.  c comes from the scalar loop
+c <- phi^{-1}(lambda(w) c^p), N steps from 1, which gains one digit per
+step by the same argument as the matrix loop.  So the sl solve runs the gl
+loop, one cold lambda at full precision and the scalar loop; no twist is
+computed inside the matrix loop.
+
+Only the so loop carries a twist.  Step k needs Lambda only mod p^{k+2}: an
+error divisible by p^j in it changes u_{k+1} only mod p^j, and u_{k+1} is
+only claimed mod p^{k+2}.  The solver therefore carries Lambda's root from
 step to step instead of rebuilding it from 1.  As u_k = u_{k-1} mod p^k, the
 radicand (a function of p-th powers) moves only in digits >= k+1; the root
 congruent to 1 mod p of a radicand known mod p^j is itself determined mod
 p^j, so the previous root is still correct to k+1 digits.  One Newton step
-from it suffices.  For the scalar -1/n-th root it doubles the correct
-digits.  For the matrix square root it gains one: the previous root does
-not commute with the new radicand, so the step's error E becomes
+from it suffices: it gains one digit, since the previous root does not
+commute with the new radicand, and the step's error E becomes
 O(pE) + O(E^2) instead of O(E^2) (see `matrix_sqrt_one_mod_p`).  Step 0
-starts from 1, which every twist is congruent to mod p.  The final residual
-is computed with cold roots at full precision, independently of the warm
-ones.
+starts from 1, which Lambda is congruent to mod p.  The final residual is
+computed with cold roots at full precision, independently of the warm ones.
 """
 
 from dataclasses import dataclass, field
@@ -153,30 +164,22 @@ class SolveReport:
 # -- the twists ------------------------------------------------------------------
 
 
-def _nth_root_one_mod_p(base, n, start=None, correct=0):
+def _nth_root_one_mod_p(base, n):
     """The unique y = 1 mod p with y^n = base, for base = 1 mod p and p not | n.
 
-    Hensel-Newton: y <- y - (y^n - base) / (n y^{n-1}); each step doubles the
-    number of correct digits.  With no start value it runs from 1 to base's
-    precision K: the step from 1 is 1 + (base - 1)/n in closed form, with an
-    integer inverse of n and no ring inversion, and bitlen(K-1) - 1 Newton
-    steps follow, which take the 2 correct digits to 2^bitlen(K-1) >= K.  A
-    start value correct to `correct` >= 1 digits gets one step, and the
-    result carries known_prec min(K, 2 * correct).
+    Hensel-Newton from 1 to base's precision K: the step from 1 is
+    1 + (base - 1)/n in closed form, with an integer inverse of n and no ring
+    inversion, and bitlen(K-1) - 1 steps y <- y - (y^n - base) / (n y^{n-1})
+    follow.  Each doubles the number of correct digits, which takes the 2
+    correct digits of the first step to 2^bitlen(K-1) >= K.
     """
     ctx = base.ctx
     one = ctx.one()
     if (base - one).valuation() < 1:
         raise DomainError("n-th root requires base = 1 mod p")
     K = base.known_prec
-    if start is None:
-        y = one + (base - one) * pow(n, -1, ctx.kernel.q)
-        steps = (max(K, 2) - 1).bit_length() - 1
-    else:
-        if correct < 1:
-            raise ParameterError("a start value must be correct to at least one digit")
-        y, steps, K = start, 1, min(K, 2 * correct)
-    for _ in range(steps):
+    y = one + (base - one) * pow(n, -1, ctx.kernel.q)
+    for _ in range((max(K, 2) - 1).bit_length() - 1):
         y_n1 = y ** (n - 1)
         y = y - (y_n1 * y - base) * (ctx.element(n) * y_n1).invert()
     if not (y ** n).eq_at(base, K):
@@ -184,11 +187,10 @@ def _nth_root_one_mod_p(base, n, start=None, correct=0):
     return y.with_prec(K)
 
 
-def lambda_sl(x, start=None, correct=0, *, _xp=None):
+def lambda_sl(x, *, _xp=None):
     """lambda(x) = (det(x^{(p)}) / det(x)^p)^{-1/n}, the sl-type scalar twist.
 
     Characterized by lambda(x)^n * det(x^{(p)}) = det(x)^p and = 1 mod p.
-    `start` and `correct` warm-start the root (see `_nth_root_one_mod_p`).
     `_xp`, when given, is x^{(p)}, already computed by the caller.
     """
     ctx = x.ctx
@@ -200,7 +202,7 @@ def lambda_sl(x, start=None, correct=0, *, _xp=None):
         raise DomainError("x must be invertible")
     xp = x.pow_p_entrywise() if _xp is None else _xp
     # lambda^n = det(x)^p / det(x^{(p)}), with a single inversion
-    return _nth_root_one_mod_p(d ** ctx.p * xp.det().invert(), n, start, correct)
+    return _nth_root_one_mod_p(d ** ctx.p * xp.det().invert(), n)
 
 
 def Lambda_so(x, q, start=None, correct=0, *, _xp=None):
@@ -221,13 +223,13 @@ def Lambda_so(x, q, start=None, correct=0, *, _xp=None):
 
 def _phi_kind(kind, variant, x, q=None, start=None, correct=0):
     """Phi(x) and its twist factor (None for gl, lambda(x) for sl, Lambda(x)
-    for so); `start` and `correct` warm-start the twist's root.  x^{(p)} is
+    for so); `start` and `correct` warm-start Lambda's root.  x^{(p)} is
     computed once and shared with the twist."""
     xp = x.pow_p_entrywise()
     if kind == "gl":
         return xp, None
     if kind == "sl":
-        twist = lambda_sl(x, start, correct, _xp=xp)
+        twist = lambda_sl(x, _xp=xp)
         return twist * xp, twist
     if q is None:
         q = build_q(x.ctx, variant, x.n)
@@ -258,11 +260,15 @@ def solve(spec, u0, keep_iterates=False):
 
     Returns the unique solution congruent to u0 mod p, with residual and
     prime-integral diagnostics.  Step k gains the digit k+1 of the solution,
-    so it needs the twist only mod p^{k+2}.  Its root therefore starts from
-    the previous step's root, correct to k+1 digits because the radicand
-    moved only in digits >= k+1, and takes one Newton step: the matrix square
-    root gains one digit, the scalar root doubles (see the module docstring).
-    Step 0 starts from 1.  The residual is a cold, full-precision Phi.
+    so it needs the twist only mod p^{k+2}.  For so, Lambda's root therefore
+    starts from the previous step's root, correct to k+1 digits because the
+    radicand moved only in digits >= k+1, and takes one Newton step, which
+    gains one digit; step 0 starts from 1.  sl runs the gl loop to its
+    solution w, then N steps of c <- phi^{-1}(lambda(w) c^p) from c = 1 with
+    one cold lambda(w), and returns c w: lambda is blind to scalar factors,
+    so c w solves the sl equation (see the module docstring).  The iterates
+    of sl are c times those of the gl loop.  The residual is a cold,
+    full-precision Phi.
     """
     ctx = spec.ctx
     if not ctx.same(u0.ctx):
@@ -276,18 +282,27 @@ def solve(spec, u0, keep_iterates=False):
 
     eps = spec.epsilon()
     q = spec.q_matrix()
+    kind = "gl" if spec.kind == "sl" else spec.kind
     u = u0
-    # Every twist is 1 mod p, so 1 is a start correct to one digit.
-    twist = PMatrix.identity(ctx, spec.n) if spec.kind == "so" else ctx.one()
+    # Lambda is 1 mod p, so 1 is a start correct to one digit.
+    twist = PMatrix.identity(ctx, spec.n) if kind == "so" else None
     trail = [u0] if keep_iterates else None
     for k in range(ctx.N):
-        P, twist = _phi_kind(spec.kind, spec.variant, u, q, twist, k + 1)
+        P, twist = _phi_kind(kind, spec.variant, u, q, twist, k + 1)
         # The twist is trusted to at least k+2 digits, and P with it; u stays a
         # representative mod p^N, and the contraction argument, not
         # known_prec, says that its digits below k+2 are final.
         u = (eps @ P).frobenius_inverse_entrywise().with_prec(ctx.N)
         if keep_iterates:
             trail.append(u)
+    if spec.kind == "sl":
+        lam = lambda_sl(u)
+        c = ctx.one()
+        for _ in range(ctx.N):
+            c = (lam * c ** ctx.p).frobenius_inverse()
+        u = (u * c).with_prec(ctx.N)
+        if keep_iterates:
+            trail = [w * c for w in trail]
 
     return SolveReport(
         solution=u,

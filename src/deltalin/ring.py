@@ -524,7 +524,9 @@ def log_p(u):
     """
     ctx, K = u.ctx, u.known_prec
     p, q = ctx.p, ctx.kernel.q
-    if K < 1 or not u.eq_at(ctx.one(), 1):
+    if K < 1:
+        raise PrecisionError("log_p needs at least one known digit")
+    if not u.eq_at(ctx.one(), 1):
         raise DomainError("log_p requires an argument congruent to 1 mod p")
     terms = []
     for k in range(1, K + max(2, K.bit_length()) + 3):
@@ -542,8 +544,6 @@ def one_plus_pt_pow(u, a):
     The exponent a is a p-adic integer, given either as a plain int (its
     class mod p^N) or as a RingElement of the prime subring.
     """
-    if u.known_prec < 1:
-        raise DomainError("(1 + pt)^a needs at least one known digit")
     coeffs, K = _binomial_power(u.ctx, u.coeffs, 1, a, u.known_prec)
     return RingElement(u.ctx, coeffs, K)
 
@@ -551,13 +551,15 @@ def one_plus_pt_pow(u, a):
 def _binomial_power(ctx, flat, n, a, K):
     """(flat of (1 + pT)^a, its precision) for 1 + pT = flat known to K digits.
 
-    flat is an n x n matrix (n = 1: an element) that must be congruent to
-    1 mod p.  a is an int or a RingElement of the prime subring Z_p; a known
+    flat is an n x n matrix (n = 1: an element) that must be known to
+    K >= 1 digits and congruent to 1 mod p.  a is an int or a RingElement of the prime subring Z_p; a known
     mod p^k moves the power only mod p^{k+1}.  The series is
     sum binom(a, k) (pT)^k over k < K, since (pT)^k vanishes mod p^K from
     k = K on; binom(a, k) is a(a-1)...(a-k+1) / (k! / p^v) over p^v, with
     v = v_p(k!).
     """
+    if K < 1:
+        raise PrecisionError("(1 + pT)^a needs at least one known digit")
     kernel = ctx.kernel
     one = kernel.m_identity(n)
     if not kernel.eq_mod(flat, one, 1):

@@ -6,6 +6,7 @@ import pytest
 from deltalin import cli
 from deltalin.cli import main
 from deltalin.errors import AlgebraInvariantError
+from deltalin.ring import log_p
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +227,19 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
     assert err.startswith("internal error (please report): Newton square root")
+
+
+def test_missing_digit_exits_2(capsys, monkeypatch):
+    def short_solve(spec, u0):
+        return log_p(spec.ctx.one().with_prec(0))
+
+    monkeypatch.setattr(cli, "solve", short_solve)
+    code, out, err = run_cli(
+        capsys, "solve", "--p", "5", "--n", "2", "--kind", "gl", "--prec", "6"
+    )
+    assert code == cli.EXIT_USAGE == 2
+    assert out == ""
+    assert err == "error: log_p needs at least one known digit\n"
 
 
 def test_example_3_9_command(capsys):

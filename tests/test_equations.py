@@ -102,19 +102,6 @@ def test_lambda_sl_defining_identity():
         assert lam * lam * x.pow_p_entrywise().det() == x.det() ** 5
 
 
-def test_lambda_sl_warm_step_doubles_digits(c5):
-    rng = Rng(39)
-    for c in (1, 2, 4):
-        for _ in range(10):
-            x = rng.gl(c5, 3)
-            lam = lambda_sl(x)
-            warm = lambda_sl(x, start=lam + 5 ** c * rng.element(c5), correct=c)
-            assert warm.known_prec == min(2 * c, c5.N)
-            assert warm.eq_at(lam, 2 * c)
-    with pytest.raises(ParameterError):
-        lambda_sl(PMatrix.identity(c5, 2), start=c5.one(), correct=0)
-
-
 def test_lambda_sl_p_divides_n(c5):
     with pytest.raises(DomainError):
         lambda_sl(PMatrix.identity(c5, 5))
@@ -337,6 +324,87 @@ def test_solve_is_consistent_across_precisions(p, m):
         high = solve(spec, u0).solution
         low = solve(low_spec, _reduce(lo, u0)).solution
         assert _reduce(lo, high).flat == low.flat, (kind, variant, n)
+
+
+def _warm_nth_root(base, n, start, correct):
+    """One Newton step of y^n = base from a start correct to `correct`
+    digits: the result is correct to min(K, 2 * correct) digits."""
+    K = min(base.known_prec, 2 * correct)
+    y_n1 = start ** (n - 1)
+    y = start - (y_n1 * start - base) * (base.ctx.element(n) * y_n1).invert()
+    assert (y ** n).eq_at(base, K)
+    return y.with_prec(K)
+
+
+def _sl_fixed_point_loop(spec, u0):
+    """The sl fixed-point loop u <- phi^{-1}(eps lambda(u) u^{(p)}), N steps,
+    with lambda at step k one Newton step from the previous step's lambda:
+    the twist computed inside the loop, as solve does for so."""
+    ctx = spec.ctx
+    eps = spec.epsilon()
+    u, lam = u0, ctx.one()
+    for k in range(ctx.N):
+        xp = u.pow_p_entrywise()
+        lam = _warm_nth_root(u.det() ** ctx.p * xp.det().invert(), spec.n, lam, k + 1)
+        u = (eps @ (lam * xp)).frobenius_inverse_entrywise().with_prec(ctx.N)
+    return u
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_sl_solve_matches_the_fixed_point_loop(p):
+    """solve runs sl as the gl loop times a scalar; the sl loop with its warm
+    lambda is the oracle, bit for bit, for unstructured and sl-type alpha."""
+    rng = Rng(300 + p)
+    for m in (1, 2, 3):
+        for N in (2, 3, 16, 37, 64):
+            ctx = make_context(p, m, N)
+            for n in (1, 2, 3, 4):
+                if n % p == 0:
+                    continue
+                for alpha in (rng.matrix(ctx, n), rng.sl_delta_alpha(ctx, n)):
+                    spec = EquationSpec("sl", n, alpha)
+                    u0 = rng.gl(ctx, n)
+                    expected = _sl_fixed_point_loop(spec, u0)
+                    got = solve(spec, u0).solution
+                    assert got.flat == expected.flat, (m, N, n)
+                    assert got.known_prec == expected.known_prec == N
+
+
+def test_lambda_sl_is_blind_to_scalar_factors():
+    """lambda(c x) = lambda(x) for a unit c: det(x^{(p)}) / det(x)^p gains
+    c^{pn} / c^{np}."""
+    rng = Rng(51)
+    for p, m, N in ((3, 1, 12), (5, 2, 10), (13, 2, 8)):
+        ctx = make_context(p, m, N)
+        for n in (1, 2, 4):
+            if n % p == 0:
+                continue
+            for _ in range(5):
+                x, c = rng.gl(ctx, n), rng.unit(ctx)
+                lam, scaled = lambda_sl(x), lambda_sl(x * c)
+                assert scaled.coeffs == lam.coeffs
+                assert scaled.known_prec == lam.known_prec == N
+
+
+def test_sl_solution_is_the_gl_solution_times_a_scalar():
+    """The sl solution u is c w for w the gl solution from the same u0, with
+    c = 1 mod p and phi(c) = lambda(w) c^p."""
+    rng = Rng(52)
+    for p, m, N in ((3, 1, 12), (7, 2, 10), (13, 3, 8)):
+        ctx = make_context(p, m, N)
+        for n in (1, 2, 3):
+            if n % p == 0:
+                continue
+            for alpha in (rng.matrix(ctx, n), rng.sl_delta_alpha(ctx, n)):
+                u0 = rng.gl(ctx, n)
+                w = solve(EquationSpec("gl", n, alpha), u0).solution
+                u = solve(EquationSpec("sl", n, alpha), u0).solution
+                i, j = next((i, j) for i in range(n) for j in range(n) if w.entry(i, j).is_unit())
+                c = u.entry(i, j) * w.entry(i, j).invert()
+                assert c.eq_at(ctx.one(), 1)
+                assert c.frobenius() == lambda_sl(w) * c ** p
+                assert c.known_prec == N
+                assert (w * c).flat == u.flat
 
 
 def test_uniqueness_under_perturbation(c7):

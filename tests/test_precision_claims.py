@@ -5,9 +5,10 @@ representatives, and the two must agree on every digit the result claims.
 The root congruent to 1 mod p of a radicand known to K digits is determined
 to K digits, so the guarded root reduced mod p^known_prec is the truth
 whatever the digits of the inputs beyond their precision.  Inputs are
-random, with precision K <= N; warm starts are the truth perturbed by
-p^c times a random matrix or element, so they are correct to c digits and,
-for the matrix root, need not commute with the radicand.
+random, with precision K <= N.  The matrix square root and Lambda_so also
+take warm starts: the truth perturbed by p^c times a random matrix, so they
+are correct to c digits and need not commute with the radicand.  The n-th
+root and lambda_sl run cold only.
 
 The analytic maps `exp_p`, `log_p` and `matrix_one_plus_pT_pow` are
 recomputed in `ctx.guarded(4)` too, but from inputs whose unknown digits are
@@ -44,22 +45,22 @@ def _down(ctx, x):
 
 
 def _cases(ctx, rng):
-    """(name, root, x, claim): root(x, start, correct), whose result must be
-    known to claim(K, c) digits at least, c None for a cold root."""
+    """(name, root, x, warm_claim): the cold root(x) must be known to x's
+    precision K; a root with a warm start also runs as root(x, start, c),
+    whose result must be known to warm_claim(K, c) digits at least.
+    warm_claim is None for the roots that run cold only."""
     p = ctx.p
-    sqrt_claim = lambda K, c: K if c is None else min(K, c + 1)
-    nth_claim = lambda K, c: K if c is None else min(K, 2 * c)
+    sqrt_claim = lambda K, c: min(K, c + 1)
     out = []
     for n in (2, 3):
         out.append(("sqrt", matrix_sqrt_one_mod_p, PMatrix.identity(ctx, n) + p * rng.matrix(ctx, n),
                     sqrt_claim))
         if n % p:
-            out.append(("lambda_sl", lambda_sl, rng.gl(ctx, n), nth_claim))
-    out.append(("nth_root", lambda b, s, c: _nth_root_one_mod_p(b, 4, s, c),
-                ctx.one() + p * rng.element(ctx), nth_claim))
+            out.append(("lambda_sl", lambda_sl, rng.gl(ctx, n), None))
+    out.append(("nth_root", lambda b: _nth_root_one_mod_p(b, 4), ctx.one() + p * rng.element(ctx), None))
     for variant, n in (("sp", 2), ("so_even", 2), ("so_odd", 3)):
         out.append((f"Lambda_so/{variant}",
-                    lambda x, s, c, variant=variant: Lambda_so(x, build_q(x.ctx, variant, x.n), s, c),
+                    lambda x, *warm, variant=variant: Lambda_so(x, build_q(x.ctx, variant, x.n), *warm),
                     rng.gl(ctx, n), sqrt_claim))
     return out
 
@@ -76,14 +77,18 @@ def test_claimed_precision_holds_cold_and_warm(p, m, N):
     g = ctx.guarded(GUARD)
     rng = Rng(1000 * p + 10 * m + N)
     for _ in range(DRAWS):
-        for name, root, x, claim in _cases(ctx, rng):
+        for name, root, x, warm_claim in _cases(ctx, rng):
             K = 2 + rng.below(N - 1)  # the input's precision, 2..N
             x = x.with_prec(K)
-            truth = _down(ctx, root(_lift(g, x), None, 0))
-            starts = [(None, 0)] + [(_perturb(ctx, rng, truth, c), c) for c in (1, 1 + rng.below(N))]
-            for start, c in starts:
-                got = root(x, start, c)
-                assert got.known_prec >= claim(K, None if start is None else c), (name, K, c)
+            truth = _down(ctx, root(_lift(g, x)))
+            got = root(x)
+            assert got.known_prec >= K, (name, K)
+            assert got.eq_at(truth, got.known_prec), (name, K)
+            if warm_claim is None:
+                continue
+            for c in (1, 1 + rng.below(N)):
+                got = root(x, _perturb(ctx, rng, truth, c), c)
+                assert got.known_prec >= warm_claim(K, c), (name, K, c)
                 assert got.eq_at(truth, got.known_prec), (name, K, c)
 
 

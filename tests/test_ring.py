@@ -12,6 +12,7 @@ from deltalin.errors import (
     ParameterError,
     PrecisionError,
 )
+from deltalin.matrix import PMatrix, matrix_one_plus_pT_pow
 from deltalin.ring import (
     exp_p,
     log_p,
@@ -340,6 +341,32 @@ def test_exp_log_domain_errors(c5):
         exp_p(c5.element(3))
     with pytest.raises(DomainError):
         log_p(c5.element(2))
+
+
+def test_analytic_maps_tell_a_missing_digit_from_a_wrong_residue(c5):
+    """An argument known to 0 digits is a PrecisionError for every map,
+    whatever its residue; a known residue outside the domain is a
+    DomainError."""
+    for bad in (c5.element(2), c5.element(6)):
+        with pytest.raises(PrecisionError, match="needs at least one known digit"):
+            log_p(bad.with_prec(0))
+        with pytest.raises(PrecisionError, match="needs at least one known digit"):
+            one_plus_pt_pow(bad.with_prec(0), 3)
+        with pytest.raises(PrecisionError, match="needs at least one known digit"):
+            matrix_one_plus_pT_pow(PMatrix.scalar(c5, 2, bad).with_prec(0), 3)
+        with pytest.raises(PrecisionError, match="needs at least one known digit"):
+            exp_p((bad - 1).with_prec(0))
+    two = c5.element(2).with_prec(1)
+    with pytest.raises(DomainError, match="congruent to 1 mod p"):
+        log_p(two)
+    with pytest.raises(DomainError, match="congruent to 1 mod p"):
+        one_plus_pt_pow(two, 3)
+    with pytest.raises(DomainError, match="congruent to 1 mod p"):
+        matrix_one_plus_pT_pow(PMatrix.scalar(c5, 2, two), 3)
+    six = c5.element(6).with_prec(1)
+    assert log_p(six).known_prec == 1
+    assert one_plus_pt_pow(six, 3).known_prec == 1
+    assert matrix_one_plus_pT_pow(PMatrix.scalar(c5, 2, six), 3).known_prec == 1
 
 
 def test_exp_p3_worst_case_denominators():
