@@ -12,13 +12,12 @@ The -1/n-th and 1/2 powers are the unique roots congruent to 1 mod p; they
 are computed here by Hensel-Newton iteration, which is exact mod p^N and
 agrees with the usual binomial series by uniqueness.
 
-The solver iterates u_{k+1} = phi^{-1}((1 + p*alpha) * Phi(u_k)), k = 0..N-1.
-Phi depends on u only through p-th powers (x^{(p)}, det(x)^p and
-(x^t q x)^{(p)}), and a = b mod p^j implies a^p = b^p mod p^{j+1}; so if
-u = u' mod p^j then Phi(u) = Phi(u') mod p^{j+1}, and each step gains one
-digit.  As u_0 = u mod p for the solution u, u_k = u mod p^{k+1}, and after
-N steps the result is exact mod p^N: the unique solution congruent to u0
-mod p.
+The solver iterates u_{k+1} = phi^{-1}((1 + p*alpha) * Phi(u_k)), k = 0..N-1,
+from u_0 = u0 known to one digit.  Phi depends on u only through p-th powers
+(x^{(p)}, det(x)^p and (x^t q x)^{(p)}), and a p-th power is known to one
+digit more than its base (`ring.py`), so each step gains one digit: u_k
+carries known_prec k + 1, u_k = u mod p^{k+1} for the unique solution u
+congruent to u0 mod p, and the result is known to N digits.
 
 sl is solved as gl times a scalar.  For a unit scalar c, (c x)^{(p)} =
 c^p x^{(p)} and det(c x) = c^n det x, so lambda(c x)^{-n} =
@@ -28,23 +27,21 @@ solution, phi(w) = eps w^{(p)} with w = u0 mod p, and c = 1 mod p the
 scalar with phi(c) = lambda(w) c^p.  Then u = c w has u = u0 mod p and
 phi(u) = phi(c) phi(w) = lambda(w) c^p eps w^{(p)} = eps lambda(u) u^{(p)},
 so u is the sl solution.  c comes from the scalar loop
-c <- phi^{-1}(lambda(w) c^p), N steps from 1, which gains one digit per
-step by the same argument as the matrix loop.  So the sl solve runs the gl
+c <- phi^{-1}(lambda(w) c^p), N steps from 1 known to one digit, which
+gains one digit per step by the same rule.  So the sl solve runs the gl
 loop, one cold lambda at full precision and the scalar loop; no twist is
 computed inside the matrix loop.
 
-Only the so loop carries a twist.  Step k needs Lambda only mod p^{k+2}: an
-error divisible by p^j in it changes u_{k+1} only mod p^j, and u_{k+1} is
-only claimed mod p^{k+2}.  The solver therefore carries Lambda's root from
-step to step instead of rebuilding it from 1.  As u_k = u_{k-1} mod p^k, the
-radicand (a function of p-th powers) moves only in digits >= k+1; the root
-congruent to 1 mod p of a radicand known mod p^j is itself determined mod
-p^j, so the previous root is still correct to k+1 digits.  One Newton step
-from it suffices: it gains one digit, since the previous root does not
-commute with the new radicand, and the step's error E becomes
+Only the so loop carries a twist.  Each known_prec counts the digits a
+value shares with its value at the solution, so step k needs Lambda(u_k)
+to k + 2 digits, as many as its radicand is known to.  The solver carries
+Lambda's root from step to step instead of rebuilding it from 1: the
+previous root is known to k + 1 digits, a warm start is trusted to its own
+known_prec, and one Newton step gains one digit, since the previous root
+does not commute with the new radicand and the step's error E becomes
 O(pE) + O(E^2) instead of O(E^2) (see `matrix_sqrt_one_mod_p`).  Step 0
-starts from 1, which Lambda is congruent to mod p.  The final residual is
-computed with cold roots at full precision, independently of the warm ones.
+starts from 1 known to one digit, which Lambda is congruent to mod p.  The
+final residual is computed with cold roots at full precision.
 """
 
 from dataclasses import dataclass, field
@@ -205,45 +202,40 @@ def lambda_sl(x, *, _xp=None):
     return _nth_root_one_mod_p(d ** ctx.p * xp.det().invert(), n)
 
 
-def Lambda_so(x, q, start=None, correct=0, *, _xp=None):
+def Lambda_so(x, q, start=None, *, _xp=None):
     """Lambda(x) = (((x^{(p)})^t q x^{(p)})^{-1} (x^t q x)^{(p)})^{1/2}.
 
     The radicand is A^{-1} C with A = (x^{(p)})^t q x^{(p)} and
     C = (x^t q x)^{(p)}: each form is one kernel product (`PMatrix.form`)
     and A^{-1} C is one elimination (`PMatrix.solve`), with no inverse
-    built.  `start` and `correct` warm-start the root (see
-    `matrix_sqrt_one_mod_p`).  `_xp`, when given, is x^{(p)}, already
-    computed by the caller.
+    built; Lambda(x) is known to one digit more than x.  `start`, trusted
+    to its own known_prec, warm-starts the root (`matrix_sqrt_one_mod_p`).
+    `_xp`, when given, is x^{(p)}, already computed by the caller.
     """
     xp = x.pow_p_entrywise() if _xp is None else _xp
     A = xp.form(q)
     C = x.form(q).pow_p_entrywise()
-    return matrix_sqrt_one_mod_p(A.solve(C), start, correct)
+    return matrix_sqrt_one_mod_p(A.solve(C), start)
 
 
-def _phi_kind(kind, variant, x, q=None, start=None, correct=0):
-    """Phi(x) and its twist factor (None for gl, lambda(x) for sl, Lambda(x)
-    for so); `start` and `correct` warm-start Lambda's root.  x^{(p)} is
-    computed once and shared with the twist."""
+def _phi(kind, x, q):
+    """Phi(x) of the kind, cold, with x^{(p)} shared with the twist."""
     xp = x.pow_p_entrywise()
     if kind == "gl":
-        return xp, None
+        return xp
     if kind == "sl":
-        twist = lambda_sl(x, _xp=xp)
-        return twist * xp, twist
-    if q is None:
-        q = build_q(x.ctx, variant, x.n)
-    twist = Lambda_so(x, q, start, correct, _xp=xp)
-    return xp @ twist, twist
+        return lambda_sl(x, _xp=xp) * xp
+    return xp @ Lambda_so(x, q, _xp=xp)
 
 
 def Phi(spec, x):
     """The twist Phi(x) = x^{(p)} + p*Delta(x) of the given type."""
-    return _phi_kind(spec.kind, spec.variant, x, spec.q_matrix())[0]
+    return _phi(spec.kind, x, spec.q_matrix())
 
 
 def Delta_of(spec, x):
-    """Delta(x) = (Phi(x) - x^{(p)}) / p, by exact digit-shift division."""
+    """Delta(x) = (Phi(x) - x^{(p)}) / p, by exact digit-shift division;
+    known to as many digits as x, at most N - 1."""
     return (Phi(spec, x) - x.pow_p_entrywise()).exact_div_p()
 
 
@@ -259,16 +251,17 @@ def solve(spec, u0, keep_iterates=False):
     """Fixed-point iteration u <- phi^{-1}(eps * Phi(u)), run exactly N times.
 
     Returns the unique solution congruent to u0 mod p, with residual and
-    prime-integral diagnostics.  Step k gains the digit k+1 of the solution,
-    so it needs the twist only mod p^{k+2}.  For so, Lambda's root therefore
-    starts from the previous step's root, correct to k+1 digits because the
-    radicand moved only in digits >= k+1, and takes one Newton step, which
-    gains one digit; step 0 starts from 1.  sl runs the gl loop to its
-    solution w, then N steps of c <- phi^{-1}(lambda(w) c^p) from c = 1 with
-    one cold lambda(w), and returns c w: lambda is blind to scalar factors,
-    so c w solves the sl equation (see the module docstring).  The iterates
-    of sl are c times those of the gl loop.  The residual is a cold,
-    full-precision Phi.
+    prime-integral diagnostics.  The loop starts from u0 known to one digit,
+    and Phi(u) is known to one digit more than u (the p-th power rule of
+    `ring.py`), so iterate k carries known_prec k + 1 and the solution N.
+    For so, Lambda's root starts from the previous step's root, trusted to
+    its own known_prec k + 1, and takes one Newton step to k + 2; step 0
+    starts from 1 known to one digit.  sl runs the gl loop to its solution
+    w, then N steps of c <- phi^{-1}(lambda(w) c^p) from c = 1 known to one
+    digit with one cold lambda(w), and returns c w: lambda is blind to
+    scalar factors, so c w solves the sl equation (see the module
+    docstring).  The iterates of sl are c times those of the gl loop.  The
+    residual is a cold, full-precision Phi.
     """
     ctx = spec.ctx
     if not ctx.same(u0.ctx):
@@ -282,25 +275,24 @@ def solve(spec, u0, keep_iterates=False):
 
     eps = spec.epsilon()
     q = spec.q_matrix()
-    kind = "gl" if spec.kind == "sl" else spec.kind
-    u = u0
-    # Lambda is 1 mod p, so 1 is a start correct to one digit.
-    twist = PMatrix.identity(ctx, spec.n) if kind == "so" else None
-    trail = [u0] if keep_iterates else None
-    for k in range(ctx.N):
-        P, twist = _phi_kind(kind, spec.variant, u, q, twist, k + 1)
-        # The twist is trusted to at least k+2 digits, and P with it; u stays a
-        # representative mod p^N, and the contraction argument, not
-        # known_prec, says that its digits below k+2 are final.
-        u = (eps @ P).frobenius_inverse_entrywise().with_prec(ctx.N)
+    u = u0.with_prec(1)
+    # Lambda is 1 mod p, so 1 is a start known to one digit.
+    twist = PMatrix.identity(ctx, spec.n).with_prec(1) if spec.kind == "so" else None
+    trail = [u] if keep_iterates else None
+    for _ in range(ctx.N):
+        P = u.pow_p_entrywise()
+        if twist is not None:
+            twist = Lambda_so(u, q, twist, _xp=P)
+            P = P @ twist
+        u = (eps @ P).frobenius_inverse_entrywise()
         if keep_iterates:
             trail.append(u)
     if spec.kind == "sl":
         lam = lambda_sl(u)
-        c = ctx.one()
+        c = ctx.one().with_prec(1)
         for _ in range(ctx.N):
             c = (lam * c ** ctx.p).frobenius_inverse()
-        u = (u * c).with_prec(ctx.N)
+        u = u * c
         if keep_iterates:
             trail = [w * c for w in trail]
 
@@ -343,7 +335,7 @@ def fixedness(u):
 def recover_alpha(u, kind, variant=None):
     """alpha = (phi(u) * Phi(u)^{-1} - 1) / p, the twist solved by u."""
     phi_u = u.frobenius_entrywise()
-    P, _ = _phi_kind(kind, variant, u)
+    P = _phi(kind, u, build_q(u.ctx, variant, u.n) if kind == "so" else None)
     one = PMatrix.identity(u.ctx, u.n)
     return (phi_u @ P.inverse() - one).exact_div_p()
 

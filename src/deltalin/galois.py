@@ -48,7 +48,9 @@ class GaloisReport:
 
 class GuChecker:
     """Membership tester for G_u with Phi(u)^{-1} cached across candidates:
-    one product per candidate costs less than a solve per candidate."""
+    one product per candidate costs less than a solve per candidate.  A
+    candidate is tested to its own known_prec: `checker(v.with_prec(k))`
+    tests mod p^k and computes Phi(u v) to k + 1 digits only."""
 
     def __init__(self, spec, u):
         self.spec = spec
@@ -59,14 +61,9 @@ class GuChecker:
         """Phi(u)^{-1} Phi(u x)."""
         return self._phi_u_inv @ Phi(self.spec, self.u @ x)
 
-    def __call__(self, v, prec=None):
-        """Whether phi(v) = Phi(u)^{-1} Phi(uv), at working precision or
-        mod p^prec."""
-        lhs = v.frobenius_entrywise()
-        rhs = self.phi_u(v)
-        if prec is None:
-            return lhs == rhs
-        return lhs.eq_at(rhs, prec)
+    def __call__(self, v):
+        """Whether phi(v) = Phi(u)^{-1} Phi(uv) mod p^{v.known_prec}."""
+        return v.frobenius_entrywise() == self.phi_u(v)
 
 
 def is_monomial(v):

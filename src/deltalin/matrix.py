@@ -20,7 +20,7 @@ from .errors import (
     PrecisionError,
     SingularMatrixError,
 )
-from .ring import MAX_DIM, RingElement, _binomial_power
+from .ring import MAX_DIM, RingElement, _binomial_power, _power_prec
 
 __all__ = [
     "PMatrix",
@@ -94,8 +94,10 @@ class PMatrix:
     def _wrap(self, flat, prec=None):
         return PMatrix(self.ctx, self.n, flat, self.known_prec if prec is None else prec)
 
-    def _peer(self, other):
+    def _peer(self, other, strict=False):
         if not isinstance(other, PMatrix):
+            if strict:  # a method with no reflected form to defer to
+                raise DomainError(f"expected a PMatrix, got {type(other).__name__}")
             return None
         if not self.ctx.same(other.ctx):
             raise DomainError("matrices over different rings")
@@ -131,7 +133,7 @@ class PMatrix:
     __hash__ = None
 
     def eq_at(self, other, k):
-        other = self._peer(other)
+        other = self._peer(other, strict=True)
         return self.ctx.kernel.eq_mod(self.flat, other.flat, k)
 
     def with_prec(self, k):
@@ -192,7 +194,7 @@ class PMatrix:
 
     def solve(self, other):
         """self^{-1} other, by one elimination."""
-        other = self._peer(other)
+        other = self._peer(other, strict=True)
         return self._wrap(
             self.ctx.kernel.m_solve(self.flat, other.flat, self.n),
             min(self.known_prec, other.known_prec),
@@ -200,7 +202,7 @@ class PMatrix:
 
     def form(self, q):
         """self^t q self, the bilinear form q pulled back along self."""
-        q = self._peer(q)
+        q = self._peer(q, strict=True)
         return self._wrap(
             self.ctx.kernel.m_form(self.flat, q.flat, self.n), min(self.known_prec, q.known_prec)
         )
@@ -208,8 +210,9 @@ class PMatrix:
     # -- entrywise p-adic maps ------------------------------------------------
 
     def pow_p_entrywise(self):
-        """u^{(p)}: entrywise p-th power."""
-        return self._wrap(self.ctx.kernel.m_powp(self.flat))
+        """u^{(p)}: entrywise p-th power, known to one digit more than u (`ring.py`)."""
+        ctx = self.ctx
+        return self._wrap(ctx.kernel.m_powp(self.flat), _power_prec(ctx, self.known_prec, ctx.p))
 
     def frobenius_entrywise(self, k=1):
         return self._wrap(self.ctx.kernel.m_frob(self.flat, k))
@@ -272,7 +275,7 @@ def delta_inverse(a):
 # -- matrix square roots and binomial powers --------------------------------------
 
 
-def matrix_sqrt_one_mod_p(M, start=None, correct=0):
+def matrix_sqrt_one_mod_p(M, start=None):
     """The unique square root S of M that is congruent to 1 mod p.
 
     Requires M = 1 mod p and p odd.  Newton's step is Y <- (Y + Y^{-1} M)/2,
@@ -286,11 +289,11 @@ def matrix_sqrt_one_mod_p(M, start=None, correct=0):
     which take its 2 correct digits to 2^bitlen(K-1) >= K: the result is
     exact at M's precision K, and it carries known_prec K.
 
-    Warm (a start value correct to `correct` >= 1 digits): exactly one step.
+    Warm (a start trusted to its own known_prec c >= 1): exactly one step.
     The start need not commute with M, and then the new error is
     (E - S^{-1} E S)/2 + O(E^2) = S^{-1} [S, E]/2 + O(E^2).  As S = 1 mod p,
     [S, E] = O(pE), so a warm step gains one digit where a cold one doubles;
-    the result carries known_prec min(K, correct + 1).
+    the result carries known_prec min(K, c + 1).
 
     Either way Y^2 = M is checked at the returned precision.
     """
@@ -304,9 +307,9 @@ def matrix_sqrt_one_mod_p(M, start=None, correct=0):
         Y = half * (one + M)
         steps = (max(K, 2) - 1).bit_length() - 1
     else:
-        if correct < 1:
-            raise ParameterError("a start value must be correct to at least one digit")
-        Y, steps, K = start, 1, min(K, correct + 1)
+        if start.known_prec < 1:
+            raise ParameterError("a start value must be known to at least one digit")
+        Y, steps, K = start, 1, min(K, start.known_prec + 1)
     for _ in range(steps):
         Y = half * (Y + Y.solve(M))
     if not (Y @ Y).eq_at(M, K):

@@ -8,8 +8,10 @@ computed once by Newton iteration.
 
 Elements carry a per-element trusted precision `known_prec`: every ring
 operation propagates the minimum of its inputs, and the Fermat quotient
-delta(a) = (phi(a) - a^p) / p costs exactly one digit.  Coefficients are
-always stored canonically reduced to [0, p^N).
+delta(a) = (phi(a) - a^p) / p costs exactly one digit, and a p-th power
+gains one: a = b mod p^j, j >= 1, gives a^p = b^p mod p^{j+1}, so a^e is
+known to v_p(e) digits more than a (capped at N; 0 stays 0, a^0 is exact).
+Coefficients are always stored canonically reduced to [0, p^N).
 
 The analytic maps are power series, all evaluated by one helper, `_series`:
 a map supplies the terms c_k x^k, c_k = w_k / p^{v_k}, that can matter mod
@@ -220,8 +222,10 @@ class RingElement:
     __hash__ = None
 
     def eq_at(self, other, k):
-        other = self._peer(other)
-        return self.ctx.kernel.eq_mod(self.coeffs, other.coeffs, k)
+        peer = self._peer(other)
+        if peer is None:
+            raise DomainError(f"expected a RingElement or an int, got {type(other).__name__}")
+        return self.ctx.kernel.eq_mod(self.coeffs, peer.coeffs, k)
 
     def with_prec(self, k):
         return RingElement(self.ctx, self.coeffs, min(k, self.ctx.N))
@@ -280,13 +284,9 @@ class RingElement:
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
-        if e < 0:
-            return RingElement(
-                self.ctx,
-                self.ctx.kernel.s_pow(self.ctx.kernel.s_inv(self.coeffs), -e),
-                self.known_prec,
-            )
-        return RingElement(self.ctx, self.ctx.kernel.s_pow(self.coeffs, e), self.known_prec)
+        k = self.ctx.kernel
+        base = self.coeffs if e >= 0 else k.s_inv(self.coeffs)
+        return RingElement(self.ctx, k.s_pow(base, abs(e)), _power_prec(self.ctx, self.known_prec, e))
 
     # -- named operations ----------------------------------------------------
 
@@ -326,6 +326,13 @@ class RingElement:
         """Image in F_{p^m} as a coefficient tuple mod p."""
         p = self.ctx.p
         return tuple(c % p for c in self.coeffs)
+
+
+def _power_prec(ctx, known, e):
+    """The digits of x^e for an x known to `known` digits (module docstring)."""
+    if e == 0:
+        return ctx.N
+    return min(known + vp(abs(e), ctx.p), ctx.N) if known > 0 else known
 
 
 # -- context construction ---------------------------------------------------------

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from deltalin.ring import make_context
+
+# One Hypothesis profile for every property test: the same examples on every
+# run, no example database, and no per-example deadline (the timings of
+# exact arithmetic vary with the host).  Tests set only max_examples.
+settings.register_profile("deltalin", derandomize=True, database=None, deadline=None)
+settings.load_profile("deltalin")
 
 
 @pytest.fixture(scope="session")

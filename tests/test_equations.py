@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -20,6 +21,7 @@ from deltalin.equations import (
     solve_scalar_exp,
 )
 from deltalin.errors import DomainError, ParameterError, PrecisionError
+from deltalin.galois import GuChecker
 from deltalin.matrix import PMatrix, in_SLn, in_SOq, matrix_sqrt_one_mod_p
 from deltalin.ring import make_context, one_plus_pt_pow, psi
 from deltalin.sampling import Rng
@@ -422,6 +424,32 @@ def test_convergence_one_digit_per_iteration(c7):
     rep = solve(spec, rng.sl(c7, 2), keep_iterates=True)
     for k in range(c7.N):
         assert rep.iterates[k].eq_at(rep.solution, min(k + 1, c7.N))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_iterates_carry_their_digits_in_known_prec(m):
+    """Iterate k is known to min(k + 1, N) digits and agrees with the
+    solution on them, and the solution is known to N: the precision comes
+    from the p-th power rule alone, with no override in the solver."""
+    ctx = make_context(5, m, 9)
+    rng = Rng(60 + m)
+    cells = (("gl", None, 3), ("sl", None, 2), ("so", "sp", 4), ("so", "so_even", 2), ("so", "so_odd", 3))
+    for kind, variant, n in cells:
+        spec = EquationSpec(kind, n, rng.matrix(ctx, n), variant)
+        rep = solve(spec, rng.gl(ctx, n), keep_iterates=True)
+        assert rep.iterations == ctx.N and len(rep.iterates) == ctx.N + 1
+        assert rep.solution.known_prec == ctx.N
+        for k, u in enumerate(rep.iterates):
+            assert u.known_prec == min(k + 1, ctx.N), (kind, variant, k)
+            assert u.eq_at(rep.solution, u.known_prec), (kind, variant, k)
+
+
+def test_no_precision_side_arguments_remain():
+    """Trusted digits travel in known_prec only: no solver, twist, root or
+    membership test takes a precision of its own."""
+    for f in (solve, Phi, Delta_of, lambda_sl, Lambda_so, matrix_sqrt_one_mod_p, GuChecker.__call__):
+        assert not {"correct", "prec"} & set(inspect.signature(f).parameters), f.__name__
+    assert not hasattr(equations, "_phi_kind")
 
 
 def test_sl_preservation(c7):

@@ -29,7 +29,7 @@ from deltalin.errors import AlgebraInvariantError, DeltaLinError
 from deltalin.io import context_from_json, element_from_json, matrix_from_json, spec_from_json
 from deltalin.ring import make_context
 
-FUZZ = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+FUZZ = settings(max_examples=100)
 
 any_json = st.recursive(
     st.none() | st.booleans() | st.integers(-10, 10) | st.floats(allow_nan=False) | st.text(max_size=4),
@@ -155,7 +155,7 @@ def verify_input(draw):
     return {"spec": s, "solution": solution}
 
 
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(payload=corrupted(verify_input(), max_depth=3))
 def test_verify_never_raises(tmp_path_factory, payload):
     """The payload's own fields: spec, report, solution and their members
@@ -195,14 +195,14 @@ def solve_args(draw, tmp):
     return args
 
 
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_solve_never_raises(tmp_path_factory, data):
     args = data.draw(solve_args(tmp_path_factory.getbasetemp()))
     assert _run_cli(["solve", *args]) in (0, 1, 2)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_galois_never_raises(tmp_path_factory, data):
     args = data.draw(solve_args(tmp_path_factory.getbasetemp()))

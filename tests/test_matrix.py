@@ -66,6 +66,23 @@ def test_solve_and_form_contract(c5x2):
         PMatrix.from_rows(c5x2, [[5, 0], [0, 1]]).solve(PMatrix.identity(c5x2, 2))
 
 
+@pytest.mark.parametrize("bad", [None, 3, "x", 1.5])
+def test_operand_that_is_not_a_matrix_raises_domain_error(c5x2, bad):
+    """eq_at, solve and form have no reflected form to defer to, so an
+    operand of the wrong type is refused with DomainError, as is a scalar
+    method given a matrix or a non-element."""
+    a = PMatrix.identity(c5x2, 2)
+    for call in (lambda: a.eq_at(bad, 1), lambda: a.solve(bad), lambda: a.form(bad),
+                 lambda: a.eq_at(c5x2.one(), 1), lambda: c5x2.one().eq_at(a, 1)):
+        with pytest.raises(DomainError):
+            call()
+    if not isinstance(bad, int):
+        with pytest.raises(DomainError):
+            c5x2.one().eq_at(bad, 1)
+    else:
+        assert c5x2.one().eq_at(bad, 1) == (bad % 5 == 1)
+
+
 def test_large_dimension_elimination_paths():
     ctx = make_context(7, 1, 8)
     rng = Rng(22)
@@ -221,14 +238,14 @@ def test_matrix_sqrt_warm_step_gains_one_digit(c5):
         for _ in range(10):
             M = one + 5 * rng.matrix(c5, 2)
             S = matrix_sqrt_one_mod_p(M)
-            Y = matrix_sqrt_one_mod_p(M, start=S + 5 ** c * rng.matrix(c5, 2), correct=c)
+            Y = matrix_sqrt_one_mod_p(M, start=(S + 5 ** c * rng.matrix(c5, 2)).with_prec(c))
             assert Y.known_prec == min(c + 1, c5.N)
             assert Y.eq_at(S, c + 1)
             short_by_one += not Y.eq_at(S, c + 2)
         if c + 2 <= c5.N:
             assert short_by_one > 0
     with pytest.raises(ParameterError):
-        matrix_sqrt_one_mod_p(one, start=one, correct=0)
+        matrix_sqrt_one_mod_p(one, start=one.with_prec(0))
 
 
 def test_matrix_pow_domain(c5):

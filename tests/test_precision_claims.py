@@ -1,26 +1,31 @@
-"""Every claimed known_prec of the twist roots and of the analytic maps holds.
+"""Every claimed known_prec of the powers, the twists, their roots and the
+analytic maps holds.
 
-Each root is recomputed cold in `ctx.guarded(4)` from the same
-representatives, and the two must agree on every digit the result claims.
-The root congruent to 1 mod p of a radicand known to K digits is determined
-to K digits, so the guarded root reduced mod p^known_prec is the truth
-whatever the digits of the inputs beyond their precision.  Inputs are
-random, with precision K <= N.  The matrix square root and Lambda_so also
-take warm starts: the truth perturbed by p^c times a random matrix, so they
-are correct to c digits and need not commute with the radicand.  The n-th
-root and lambda_sl run cold only.
+Each map is recomputed in `ctx.guarded(4)` from its input with the digits
+the input does not know replaced at random (`_beyond`), and the two results
+must agree on every digit the result claims; so a claim beyond what the
+input determines fails.  Inputs are random, with precision K <= N.  The
+claims:
 
-The analytic maps `exp_p`, `log_p` and `matrix_one_plus_pT_pow` are
-recomputed in `ctx.guarded(4)` too, but from inputs whose unknown digits are
-replaced at random, so that a claim beyond what the input determines fails:
-an input known to K digits determines exp_p(pt), log_p(1 + pt) and
-(1 + pT)^a to K digits, and an exponent a known to k digits determines the
-power to k + 1 digits.
+- a p-th power gains one digit: x^{(p)} is known to K + 1 digits, a^e to
+  K + v_p(e), each capped at N;
+- Phi sees x only through p-th powers, so lambda_sl(x) and Lambda_so(x) are
+  known to K + 1 digits, and Delta(x) = (Phi(x) - x^{(p)}) / p to K (at
+  most N - 1, as Phi is capped at N);
+- the root congruent to 1 mod p of a radicand known to K digits is known to
+  K digits.  The matrix square root and Lambda_so also take warm starts:
+  the truth perturbed by p^c times a random matrix, known to c digits, so
+  the start need not commute with the radicand, and one warm step gains one
+  digit.  The n-th root and lambda_sl run cold only;
+- an input known to K digits determines exp_p(pt), log_p(1 + pt) and
+  (1 + pT)^a to K digits, and an exponent a known to k digits determines
+  the power to k + 1 digits.
 """
 
 import pytest
 
-from deltalin.equations import Lambda_so, _nth_root_one_mod_p, build_q, lambda_sl
+from deltalin._intmath import vp
+from deltalin.equations import Delta_of, EquationSpec, Lambda_so, _nth_root_one_mod_p, build_q, lambda_sl
 from deltalin.matrix import PMatrix, matrix_one_plus_pT_pow, matrix_sqrt_one_mod_p
 from deltalin.ring import exp_p, log_p, make_context
 from deltalin.sampling import Rng
@@ -37,6 +42,14 @@ def _lift(g, x):
     return g.element(x.coeffs)
 
 
+def _beyond(g, rng, x):
+    """x read in g with its digits from known_prec on replaced at random."""
+    noise = g.p ** x.known_prec
+    if isinstance(x, PMatrix):
+        return _lift(g, x) + noise * rng.matrix(g, x.n)
+    return _lift(g, x) + noise * rng.element(g)
+
+
 def _down(ctx, x):
     """A guarded result reduced mod p^N, at full precision."""
     if isinstance(x, PMatrix):
@@ -45,30 +58,32 @@ def _down(ctx, x):
 
 
 def _cases(ctx, rng):
-    """(name, root, x, warm_claim): the cold root(x) must be known to x's
-    precision K; a root with a warm start also runs as root(x, start, c),
-    whose result must be known to warm_claim(K, c) digits at least.
-    warm_claim is None for the roots that run cold only."""
-    p = ctx.p
-    sqrt_claim = lambda K, c: min(K, c + 1)
+    """(name, root, x, claim, warm_claim): the cold root(x) must be known to
+    claim(K) digits for x known to K; a root with a warm start also runs as
+    root(x, start) for a start known to c digits, whose result must be known
+    to warm_claim(K, c) digits.  warm_claim is None for the roots that run
+    cold only."""
+    p, N = ctx.p, ctx.N
+    same = lambda K: K
+    gains = lambda K: min(K + 1, N)
     out = []
     for n in (2, 3):
         out.append(("sqrt", matrix_sqrt_one_mod_p, PMatrix.identity(ctx, n) + p * rng.matrix(ctx, n),
-                    sqrt_claim))
+                    same, lambda K, c: min(K, c + 1)))
         if n % p:
-            out.append(("lambda_sl", lambda_sl, rng.gl(ctx, n), None))
-    out.append(("nth_root", lambda b: _nth_root_one_mod_p(b, 4), ctx.one() + p * rng.element(ctx), None))
+            out.append(("lambda_sl", lambda_sl, rng.gl(ctx, n), gains, None))
+    out.append(("nth_root", lambda b: _nth_root_one_mod_p(b, 4), ctx.one() + p * rng.element(ctx),
+                same, None))
     for variant, n in (("sp", 2), ("so_even", 2), ("so_odd", 3)):
         out.append((f"Lambda_so/{variant}",
                     lambda x, *warm, variant=variant: Lambda_so(x, build_q(x.ctx, variant, x.n), *warm),
-                    rng.gl(ctx, n), sqrt_claim))
+                    rng.gl(ctx, n), gains, lambda K, c: min(K + 1, c + 1, N)))
     return out
 
 
 def _perturb(ctx, rng, truth, c):
-    if isinstance(truth, PMatrix):
-        return truth + ctx.p ** c * rng.matrix(ctx, truth.n)
-    return truth + ctx.p ** c * rng.element(ctx)
+    """truth + p^c times a random matrix, known to c digits."""
+    return (truth + ctx.p ** c * rng.matrix(ctx, truth.n)).with_prec(c)
 
 
 @pytest.mark.parametrize("p, m, N", CONTEXTS)
@@ -77,19 +92,56 @@ def test_claimed_precision_holds_cold_and_warm(p, m, N):
     g = ctx.guarded(GUARD)
     rng = Rng(1000 * p + 10 * m + N)
     for _ in range(DRAWS):
-        for name, root, x, warm_claim in _cases(ctx, rng):
-            K = 2 + rng.below(N - 1)  # the input's precision, 2..N
+        for name, root, x, claim, warm_claim in _cases(ctx, rng):
+            K = 1 + rng.below(N)  # the input's precision, 1..N
             x = x.with_prec(K)
-            truth = _down(ctx, root(_lift(g, x)))
+            truth = _down(ctx, root(_beyond(g, rng, x)))
             got = root(x)
-            assert got.known_prec >= K, (name, K)
+            assert got.known_prec == claim(K), (name, K)
             assert got.eq_at(truth, got.known_prec), (name, K)
             if warm_claim is None:
                 continue
             for c in (1, 1 + rng.below(N)):
-                got = root(x, _perturb(ctx, rng, truth, c), c)
-                assert got.known_prec >= warm_claim(K, c), (name, K, c)
+                got = root(x, _perturb(ctx, rng, truth, c))
+                assert got.known_prec == warm_claim(K, c), (name, K, c)
                 assert got.eq_at(truth, got.known_prec), (name, K, c)
+
+
+_TWISTED = [("gl", None, 3), ("sl", None, 2), ("so", "sp", 2), ("so", "so_even", 2), ("so", "so_odd", 3)]
+
+
+@pytest.mark.parametrize("p, m, N", CONTEXTS)
+def test_p_th_powers_gain_a_digit_and_Delta_keeps_them(p, m, N):
+    """For K >= 1, x^{(p)} is known to K + 1 digits, a^e to K + v_p(e), each
+    capped at N, and Delta(x) to K, capped at N - 1; the guarded
+    recomputation from a random completion of the input agrees on all of
+    them.  At K = 0 a power stays at 0, and x^0 is the exact 1."""
+    ctx = make_context(p, m, N)
+    g = ctx.guarded(GUARD)
+    rng = Rng(3000 * p + 10 * m + N)
+    for _ in range(DRAWS):
+        K = 1 + rng.below(N)  # the input's precision, 1..N
+        for n in (1, 2, 3):
+            x = rng.matrix(ctx, n).with_prec(K)
+            got = x.pow_p_entrywise()
+            assert got.known_prec == min(K + 1, N)
+            assert got.eq_at(_down(ctx, _beyond(g, rng, x).pow_p_entrywise()), got.known_prec), K
+        a = rng.unit(ctx).with_prec(K)
+        for e in (p, -p, 2 * p, p * p, -3 * p ** 3, p + 1):
+            got = a ** e
+            assert got.known_prec == min(K + vp(abs(e), p), N)
+            assert got.eq_at(_down(ctx, _beyond(g, rng, a) ** e), got.known_prec), (K, e)
+        for kind, variant, n in _TWISTED:
+            spec = EquationSpec(kind, n, PMatrix.zeros(ctx, n), variant)
+            x = rng.gl(ctx, n).with_prec(K)
+            got = Delta_of(spec, x)
+            truth = Delta_of(EquationSpec(kind, n, PMatrix.zeros(g, n), variant), _beyond(g, rng, x))
+            assert got.known_prec == min(K, N - 1)
+            assert got.eq_at(_down(ctx, truth), got.known_prec), (kind, variant, K)
+    assert rng.matrix(ctx, 2).with_prec(0).pow_p_entrywise().known_prec == 0
+    a = rng.unit(ctx).with_prec(0)
+    assert (a ** p).known_prec == (a ** -p).known_prec == 0
+    assert (a ** 0).known_prec == N and a ** 0 == ctx.one()
 
 
 def _exponents(ctx, rng):
@@ -102,14 +154,6 @@ def _exponents(ctx, rng):
         a = ctx.element(rng.below(p ** N)).with_prec(k)
         out.append((a, lambda K, k=k: min(K, k + 1)))
     return out
-
-
-def _beyond(g, rng, x):
-    """x read in g with its digits from known_prec on replaced at random."""
-    noise = g.p ** x.known_prec
-    if isinstance(x, PMatrix):
-        return _lift(g, x) + noise * rng.matrix(g, x.n)
-    return _lift(g, x) + noise * rng.element(g)
 
 
 @pytest.mark.parametrize("p, m, N", CONTEXTS)

@@ -21,7 +21,7 @@ def ctx_for(p, m=1, N=8):
 primes = st.sampled_from([3, 5, 7, 13])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(p=primes, a=st.integers(0), b=st.integers(0))
 def test_delta_interacts_with_frobenius(p, a, b):
     ctx = ctx_for(p)
@@ -32,7 +32,7 @@ def test_delta_interacts_with_frobenius(p, a, b):
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(p=primes, a=st.integers(0), b=st.integers(0))
 def test_delta_sum_correction(p, a, b):
     ctx = ctx_for(p)
@@ -43,7 +43,7 @@ def test_delta_sum_correction(p, a, b):
     assert (x + y).delta() == x.delta() + y.delta() - corr
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(p=primes, g=st.integers(0), h=st.integers(0))
 def test_teichmueller_is_multiplicative_section(p, g, h):
     ctx = ctx_for(p)
@@ -53,7 +53,7 @@ def test_teichmueller_is_multiplicative_section(p, g, h):
     assert tg ** (p ** 1) == tg
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     p=primes,
     flat_a=st.lists(st.integers(0), min_size=4, max_size=4),
@@ -73,7 +73,7 @@ def test_delta_add_is_a_group(p, flat_a, flat_b, flat_c):
     assert I + p * delta_add(a, b) == (I + p * a) @ (I + p * b)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(p=primes, a=st.integers(0), e1=st.integers(0, 50), e2=st.integers(0, 50))
 def test_unit_power_laws(p, a, e1, e2):
     ctx = ctx_for(p)
@@ -84,3 +84,11 @@ def test_unit_power_laws(p, a, e1, e2):
         return
     assert x ** (e1 + e2) == x ** e1 * x ** e2
     assert (x ** e1).invert() == x ** (-e1) if e1 else True
+
+
+def test_hypothesis_profile_is_deterministic():
+    """conftest.py loads one profile: the same examples on every run and no
+    example database."""
+    assert settings.default.derandomize is True
+    assert settings.default.database is None
+    assert settings.default.deadline is None

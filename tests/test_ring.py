@@ -159,7 +159,7 @@ def test_negative_int_representative(c5):
     assert c5.element(-6).coeffs[0] == 5 ** 10 - 6
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(a=st.integers(0, 5 ** 10 - 1), b=st.integers(0, 5 ** 10 - 1))
 def test_ring_axioms_m1(a, b):
     ctx = make_context(5, 1, 10)
