@@ -21,7 +21,7 @@ from .equations import (
     EquationSpec,
     fixedness,
     prime_integral_check,
-    residual,
+    residual_valuation,
     solve,
 )
 from .errors import AlgebraInvariantError, DeltaLinError, ParameterError
@@ -194,7 +194,7 @@ def _cmd_verify(args):
     if sol_json is None:
         raise ParameterError("input is missing the solution matrix")
     u = matrix_from_json(ctx, sol_json)
-    rv = residual(spec, u).valuation()
+    rv = residual_valuation(spec, u)
     integrals_ok = all(d.is_zero() for _, _, d in prime_integral_check(spec, u))
     ok = rv == math.inf and integrals_ok
     out = {

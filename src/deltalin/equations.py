@@ -34,20 +34,26 @@ computed inside the matrix loop.
 
 Only the so loop carries a twist.  Each known_prec counts the digits a
 value shares with its value at the solution, so step k needs Lambda(u_k)
-to k + 2 digits, as many as its radicand is known to.  The solver carries
-Lambda's root from step to step instead of rebuilding it from 1: the
-previous root is known to k + 1 digits, a warm start is trusted to its own
-known_prec, and one Newton step gains one digit, since the previous root
-does not commute with the new radicand and the step's error E becomes
-O(pE) + O(E^2) instead of O(E^2) (see `matrix_sqrt_one_mod_p`).  Step 0
-starts from 1 known to one digit, which Lambda is congruent to mod p.  The
-final residual is computed with cold roots at full precision.
+to k + 2 digits, as many as its radicand M is known to.  The solver
+carries Lambda's root from step to step instead of rebuilding it from 1:
+the previous root Y is known to k + 1 digits, a warm start is trusted to
+its own known_prec, and one step Y <- Y - (Y^2 - M)/2 gains one digit
+(its error E becomes O(pE) + O(E^2), see `matrix_sqrt_one_mod_p`).  That
+step needs no solve: Y^2 is the square the previous step's check
+computed.  Step 0 starts from 1 known to one digit, which Lambda is
+congruent to mod p.
+
+The twists' roots are unique, so a candidate is checked rather than
+computed: for L and a root R, both = 1 mod p, v_p(L - R) is the valuation
+of L^2 - R^2 (p odd) or of L^n - R^n (p not dividing n).  That check
+certifies each warm step's claim, and it gives the residual valuation of
+a candidate u with no root at all (`residual_valuation`).
 """
 
 from dataclasses import dataclass, field
 
 from .errors import AlgebraInvariantError, DomainError, ParameterError, PrecisionError
-from .matrix import PMatrix, in_GLn, matrix_sqrt_one_mod_p
+from .matrix import PMatrix, _sqrt_step, in_GLn, matrix_sqrt_one_mod_p
 
 __all__ = [
     "KINDS",
@@ -61,6 +67,7 @@ __all__ = [
     "Delta_of",
     "solve",
     "residual",
+    "residual_valuation",
     "recover_alpha",
     "solve_scalar_closed_form",
     "solve_scalar_exp",
@@ -181,7 +188,7 @@ def _nth_root_one_mod_p(base, n):
         y = y - (y_n1 * y - base) * (ctx.element(n) * y_n1).invert()
     if not (y ** n).eq_at(base, K):
         raise AlgebraInvariantError("Newton n-th root failed to converge")
-    return y.with_prec(K)
+    return y.assume_prec(K)
 
 
 def lambda_sl(x, *, _xp=None):
@@ -190,32 +197,40 @@ def lambda_sl(x, *, _xp=None):
     Characterized by lambda(x)^n * det(x^{(p)}) = det(x)^p and = 1 mod p.
     `_xp`, when given, is x^{(p)}, already computed by the caller.
     """
-    ctx = x.ctx
-    n = x.n
-    if n % ctx.p == 0:
+    d = _sl_det(x)
+    xp = x.pow_p_entrywise() if _xp is None else _xp
+    # lambda^n = det(x)^p / det(x^{(p)}), with a single inversion
+    return _nth_root_one_mod_p(d ** x.ctx.p * xp.det().invert(), x.n)
+
+
+def _sl_det(x):
+    """det(x), once x passes the checks of the sl twist."""
+    if x.n % x.ctx.p == 0:
         raise DomainError("p must not divide n for kind 'sl'")
     d = x.det()
     if not d.is_unit():
         raise DomainError("x must be invertible")
-    xp = x.pow_p_entrywise() if _xp is None else _xp
-    # lambda^n = det(x)^p / det(x^{(p)}), with a single inversion
-    return _nth_root_one_mod_p(d ** ctx.p * xp.det().invert(), n)
+    return d
 
 
-def Lambda_so(x, q, start=None, *, _xp=None):
+def Lambda_so(x, q, *, _xp=None):
     """Lambda(x) = (((x^{(p)})^t q x^{(p)})^{-1} (x^t q x)^{(p)})^{1/2}.
 
-    The radicand is A^{-1} C with A = (x^{(p)})^t q x^{(p)} and
-    C = (x^t q x)^{(p)}: each form is one kernel product (`PMatrix.form`)
-    and A^{-1} C is one elimination (`PMatrix.solve`), with no inverse
-    built; Lambda(x) is known to one digit more than x.  `start`, trusted
-    to its own known_prec, warm-starts the root (`matrix_sqrt_one_mod_p`).
-    `_xp`, when given, is x^{(p)}, already computed by the caller.
+    Lambda(x) is known to one digit more than x, as its radicand is
+    (`_so_radicand`).  `_xp`, when given, is x^{(p)}, already computed by
+    the caller.
     """
     xp = x.pow_p_entrywise() if _xp is None else _xp
-    A = xp.form(q)
-    C = x.form(q).pow_p_entrywise()
-    return matrix_sqrt_one_mod_p(A.solve(C), start)
+    return matrix_sqrt_one_mod_p(_so_radicand(x, q, xp))
+
+
+def _so_radicand(x, q, xp):
+    """M = A^{-1} C, A = (x^{(p)})^t q x^{(p)} and C = (x^t q x)^{(p)}, for
+    xp = x^{(p)}: each form is one kernel product (`PMatrix.form`) and
+    A^{-1} C is one elimination (`PMatrix.solve`), with no inverse built.
+    M = 1 mod p, since A = C mod p, and it is known to one digit more
+    than x."""
+    return xp.form(q).solve(x.form(q).pow_p_entrywise())
 
 
 def _phi(kind, x, q):
@@ -247,6 +262,44 @@ def residual(spec, u):
     return u.frobenius_entrywise() - spec.epsilon() @ Phi(spec, u)
 
 
+def residual_valuation(spec, u):
+    """residual(spec, u).valuation(), with no root computed.
+
+    With X = u^{(p)} and L = (eps X)^{-1} phi(u), the residual is
+    eps X (L - Lambda(u)) for so and eps X (L - lambda(u)) for sl, and
+    eps X is invertible, so its valuation is that of the second factor.
+    phi(u) = u^{(p)} mod p for every u, so L = 1 mod p, as are the roots,
+    and each root is the unique one = 1 mod p: L is a candidate root that
+    can be checked where the root would be computed.
+
+      so:  v(L - Lambda) = v(L^2 - M) for the radicand M (the identity of
+           `matrix_sqrt_one_mod_p`).
+      sl:  with l = L_00, v(L - lambda) = min(v(L - l), v(l - lambda)).
+           l^n - lambda^n is (l - lambda) times a sum = n mod p, a unit as
+           p does not divide n, and lambda^n det X = det(u)^p, so
+           v(l - lambda) = v(l^n det X - det(u)^p).
+      gl:  the residual itself, which needs no root.
+
+    Every value is capped at the precision the residual carries, and a u
+    that is singular mod p raises the error `residual` raises.
+    """
+    if spec.kind == "gl":
+        return residual(spec, u).valuation()
+    X = u.pow_p_entrywise()
+    if spec.kind == "sl":
+        d = _sl_det(u)
+    else:
+        M = _so_radicand(u, spec.q_matrix(), X)
+    L = (spec.epsilon() @ X).solve(u.frobenius_entrywise())
+    if spec.kind == "so":
+        return (L @ L - M).valuation()
+    ell = L.entry(0, 0)
+    return min(
+        (L - PMatrix.scalar(spec.ctx, spec.n, ell)).valuation(),
+        (ell ** spec.n * X.det() - d ** spec.ctx.p).valuation(),
+    )
+
+
 def solve(spec, u0, keep_iterates=False):
     """Fixed-point iteration u <- phi^{-1}(eps * Phi(u)), run exactly N times.
 
@@ -255,13 +308,17 @@ def solve(spec, u0, keep_iterates=False):
     and Phi(u) is known to one digit more than u (the p-th power rule of
     `ring.py`), so iterate k carries known_prec k + 1 and the solution N.
     For so, Lambda's root starts from the previous step's root, trusted to
-    its own known_prec k + 1, and takes one Newton step to k + 2; step 0
-    starts from 1 known to one digit.  sl runs the gl loop to its solution
-    w, then N steps of c <- phi^{-1}(lambda(w) c^p) from c = 1 known to one
-    digit with one cold lambda(w), and returns c w: lambda is blind to
-    scalar factors, so c w solves the sl equation (see the module
-    docstring).  The iterates of sl are c times those of the gl loop.  The
-    residual is a cold, full-precision Phi.
+    its own known_prec k + 1, and takes one solve-free step
+    Y <- Y - (Y^2 - M)/2 to k + 2, where Y^2 is the square the previous
+    step's check computed; step 0 starts from 1 known to one digit.  So an
+    so step costs one elimination (the radicand M) and one product (the
+    check) for its twist.  sl runs the gl loop to its solution w, then N
+    steps of c <- phi^{-1}(lambda(w) c^p) from c = 1 known to one digit with
+    one cold lambda(w), and returns c w: lambda is blind to scalar factors,
+    so c w solves the sl equation (see the module docstring).  The iterates
+    of sl are c times those of the gl loop.  The residual valuation comes
+    from `residual_valuation`, which checks the solution against the twist's
+    defining identity instead of computing a root.
     """
     ctx = spec.ctx
     if not ctx.same(u0.ctx):
@@ -275,14 +332,17 @@ def solve(spec, u0, keep_iterates=False):
 
     eps = spec.epsilon()
     q = spec.q_matrix()
-    u = u0.with_prec(1)
-    # Lambda is 1 mod p, so 1 is a start known to one digit.
-    twist = PMatrix.identity(ctx, spec.n).with_prec(1) if spec.kind == "so" else None
+    # The solution is defined by u0's residue, so u0 is known to one digit.
+    u = u0.assume_prec(1)
+    if spec.kind == "so":
+        # Lambda is 1 mod p, so 1 is a start known to one digit; 1^2 = 1.
+        one = PMatrix.identity(ctx, spec.n)
+        twist, square = one.with_prec(1), one
     trail = [u] if keep_iterates else None
     for _ in range(ctx.N):
         P = u.pow_p_entrywise()
-        if twist is not None:
-            twist = Lambda_so(u, q, twist, _xp=P)
+        if spec.kind == "so":
+            twist, square = _sqrt_step(twist, square, _so_radicand(u, q, P))
             P = P @ twist
         u = (eps @ P).frobenius_inverse_entrywise()
         if keep_iterates:
@@ -299,7 +359,7 @@ def solve(spec, u0, keep_iterates=False):
     return SolveReport(
         solution=u,
         iterations=ctx.N,
-        residual_valuation=residual(spec, u).valuation(),
+        residual_valuation=residual_valuation(spec, u),
         integral_values=prime_integral_check(spec, u),
         fixedness=fixedness(u),
         iterates=tuple(trail) if keep_iterates else None,

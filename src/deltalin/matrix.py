@@ -137,6 +137,15 @@ class PMatrix:
         return self.ctx.kernel.eq_mod(self.flat, other.flat, k)
 
     def with_prec(self, k):
+        """The same matrix claimed to min(k, known_prec) digits: a claim only falls."""
+        return PMatrix(self.ctx, self.n, self.flat, min(k, self.known_prec))
+
+    def assume_prec(self, k):
+        """The same matrix claimed to min(k, N) digits, whatever it claimed before.
+
+        The one way to raise a claim: the caller vouches for the digits, by a
+        check it has just made or by a definition (a solve starts from its
+        u0's residue)."""
         return PMatrix(self.ctx, self.n, self.flat, min(k, self.ctx.N))
 
     # -- ring operations ---------------------------------------------------------
@@ -278,43 +287,58 @@ def delta_inverse(a):
 def matrix_sqrt_one_mod_p(M, start=None):
     """The unique square root S of M that is congruent to 1 mod p.
 
-    Requires M = 1 mod p and p odd.  Newton's step is Y <- (Y + Y^{-1} M)/2,
-    computed as (Y + Y.solve(M))/2 with one elimination; write E = Y - S for
-    the error of Y.
+    Requires M = 1 mod p and p odd.  Write E = Y - S for the error of an
+    iterate Y.
 
-    Cold (no start): from Y = 1 every iterate is a polynomial in M, so it
-    commutes with M and S, and the new error is E^2 Y^{-1}/2: each step
-    doubles the number of correct digits.  The step from 1 is (1 + M)/2 in
-    closed form, with no solve, and bitlen(K-1) - 1 Newton steps follow,
-    which take its 2 correct digits to 2^bitlen(K-1) >= K: the result is
-    exact at M's precision K, and it carries known_prec K.
+    Cold (no start): Newton's step Y <- (Y + Y^{-1} M)/2, computed as
+    (Y + Y.solve(M))/2 with one elimination.  From Y = 1 every iterate is a
+    polynomial in M, so it commutes with M and S, and the new error is
+    E^2 Y^{-1}/2: each step doubles the number of correct digits.  The step
+    from 1 is (1 + M)/2 in closed form, with no solve, and bitlen(K-1) - 1
+    Newton steps follow, which take its 2 correct digits to
+    2^bitlen(K-1) >= K: the result is exact at M's precision K.
 
-    Warm (a start trusted to its own known_prec c >= 1): exactly one step.
-    The start need not commute with M, and then the new error is
-    (E - S^{-1} E S)/2 + O(E^2) = S^{-1} [S, E]/2 + O(E^2).  As S = 1 mod p,
-    [S, E] = O(pE), so a warm step gains one digit where a cold one doubles;
-    the result carries known_prec min(K, c + 1).
+    Warm (a start trusted to its own known_prec c >= 1): exactly one step
+    Y <- Y - (Y^2 - M)/2, which needs no solve (`_sqrt_step`).  The start
+    need not commute with M; as S = 1 + pT, the new error is
+    E - (SE + ES + E^2)/2 = -p(TE + ET)/2 - E^2/2 = O(pE) + O(E^2), so a
+    warm step gains one digit where a cold one doubles; the result claims
+    min(K, c + 1).
 
-    Either way Y^2 = M is checked at the returned precision.
+    Either way Y^2 = M is checked at the claimed precision, and the check is
+    what certifies the claim: the root is unique, and for L, S = 1 mod p,
+    L^2 - S^2 = L(L - S) + (L - S)S = 2(L - S) + O(p(L - S)), so
+    v_p(L - S) = v_p(L^2 - M).
     """
     ctx = M.ctx
     one = PMatrix.identity(ctx, M.n)
     if not M.eq_at(one, 1):
         raise DomainError("matrix square root requires M = 1 mod p")
+    if start is not None:
+        return _sqrt_step(start, start @ start, M)[0]
     half = pow(2, -1, ctx.kernel.q)
     K = M.known_prec
-    if start is None:
-        Y = half * (one + M)
-        steps = (max(K, 2) - 1).bit_length() - 1
-    else:
-        if start.known_prec < 1:
-            raise ParameterError("a start value must be known to at least one digit")
-        Y, steps, K = start, 1, min(K, start.known_prec + 1)
-    for _ in range(steps):
+    Y = half * (one + M)
+    for _ in range((max(K, 2) - 1).bit_length() - 1):
         Y = half * (Y + Y.solve(M))
     if not (Y @ Y).eq_at(M, K):
         raise AlgebraInvariantError("Newton square root failed to converge")
-    return Y.with_prec(K)
+    return Y.assume_prec(K)
+
+
+def _sqrt_step(Y, Y2, M):
+    """One warm step toward the square root of M = 1 mod p from Y, given
+    Y2 = Y @ Y: the new root, claimed to min(K, c + 1) digits for Y known to
+    c >= 1 and M to K, and its square, which is the next step's Y2.  One
+    product and no solve (`matrix_sqrt_one_mod_p`)."""
+    if Y.known_prec < 1:
+        raise ParameterError("a start value must be known to at least one digit")
+    K = min(M.known_prec, Y.known_prec + 1)
+    Y = Y - pow(2, -1, M.ctx.kernel.q) * (Y2 - M)
+    Y2 = Y @ Y
+    if not Y2.eq_at(M, K):
+        raise AlgebraInvariantError("Newton square root failed to converge")
+    return Y.assume_prec(K), Y2
 
 
 def matrix_one_plus_pT_pow(M, a):

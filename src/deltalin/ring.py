@@ -228,6 +228,12 @@ class RingElement:
         return self.ctx.kernel.eq_mod(self.coeffs, peer.coeffs, k)
 
     def with_prec(self, k):
+        """The same element claimed to min(k, known_prec) digits: a claim only falls."""
+        return RingElement(self.ctx, self.coeffs, min(k, self.known_prec))
+
+    def assume_prec(self, k):
+        """The same element claimed to min(k, N) digits, whatever it claimed
+        before; the caller vouches for the digits (`PMatrix.assume_prec`)."""
         return RingElement(self.ctx, self.coeffs, min(k, self.ctx.N))
 
     # -- arithmetic ------------------------------------------------------------

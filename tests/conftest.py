@@ -1,5 +1,8 @@
+import tempfile
+
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from deltalin.ring import make_context
 
@@ -8,6 +11,11 @@ from deltalin.ring import make_context
 # exact arithmetic vary with the host).  Tests set only max_examples.
 settings.register_profile("deltalin", derandomize=True, database=None, deadline=None)
 settings.load_profile("deltalin")
+# Hypothesis still caches the literal constants it harvests from the code
+# under test; keep them in a directory removed when the run ends, not in
+# `.hypothesis/` under the working directory.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="deltalin-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,10 @@ import pytest
 from deltalin import cli
 from deltalin.cli import main
 from deltalin.errors import AlgebraInvariantError
+from deltalin.io import matrix_from_json, matrix_to_json, spec_from_json
+from deltalin.matrix import PMatrix
 from deltalin.ring import log_p
+from deltalin.sampling import Rng
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +217,55 @@ def test_verify_bad_matrix_dimension_is_usage_error(capsys, tmp_path, n):
     assert out == ""
     assert err.startswith("error: ") and "dimension" in err
     assert "Traceback" not in err
+
+
+# kind -> (solve arguments, what verify prints for a solution singular mod p,
+# fixedness and prime_integrals_vanish for one off by p^j); each pinned to
+# the output of verify when it computed the residual with cold roots
+_BROKEN_SOLUTIONS = {
+    "gl": (["--p", "5", "--n", "2", "--kind", "gl"],
+           (1, '{"command":"verify","fixedness":1,"pass":false,'
+               '"prime_integrals_vanish":true,"residual_valuation":1}\n', "verify: FAIL\n"),
+           1, True),
+    "sl": (["--p", "7", "--m", "2", "--n", "3", "--kind", "sl"],
+           (2, "", "error: x must be invertible\n"), 2, False),
+    "so": (["--p", "5", "--n", "2", "--kind", "so", "--variant", "sp"],
+           (2, "", "error: not in GL_n: no unit pivot\n"), 1, False),
+    "so_odd": (["--p", "3", "--n", "3", "--kind", "so", "--variant", "so_odd"],
+               (2, "", "error: not in GL_n: no unit pivot\n"), 1, False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BROKEN_SOLUTIONS))
+def test_verify_broken_solution_keeps_its_verdict(capsys, tmp_path, kind):
+    """A solution singular mod p, or off by p^j, gets the same exit code,
+    message and residual valuation from verify's root-free residual as from
+    the residual with cold roots: a singular one is refused by the error of
+    the kind's twist (gl has none and fails), one off by p^j X, X != 0 mod p,
+    reads j."""
+    args, singular_verdict, fixedness, integrals = _BROKEN_SOLUTIONS[kind]
+    path = tmp_path / "report.json"
+    run_cli(capsys, "solve", *args, "--prec", "6", "--seed", "3", "--output", str(path))
+    payload = json.loads(path.read_text())
+    spec = spec_from_json(payload["spec"])
+    u = matrix_from_json(spec.ctx, payload["report"]["solution"])
+    p = spec.ctx.p
+
+    def verify(v):
+        payload["report"]["solution"] = matrix_to_json(v)
+        path.write_text(json.dumps(payload))
+        return run_cli(capsys, "verify", "--input", str(path))
+
+    rows = u.rows()
+    assert verify(PMatrix.from_rows(spec.ctx, [[p * e for e in rows[0]]] + rows[1:])) == singular_verdict
+    rng = Rng(9)
+    for j in range(1, 6):
+        code, out, err = verify(u + p ** j * rng.gl(spec.ctx, u.n))
+        assert (code, err) == (1, "verify: FAIL\n")
+        assert json.loads(out) == {
+            "command": "verify", "fixedness": fixedness, "pass": False,
+            "prime_integrals_vanish": integrals, "residual_valuation": j,
+        }
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

@@ -16,6 +16,7 @@ from deltalin.equations import (
     prime_integral_check,
     recover_alpha,
     residual,
+    residual_valuation,
     solve,
     solve_scalar_closed_form,
     solve_scalar_exp,
@@ -285,6 +286,75 @@ def test_residual_nonzero_off_solution(c5):
     assert 1 <= r.valuation() < c5.N  # all residuals vanish mod p
 
 
+def _outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+_DIFFERENTIAL_CELLS = (
+    ("gl", None, 1), ("gl", None, 3),
+    ("sl", None, 1), ("sl", None, 2), ("sl", None, 3),
+    ("so", "sp", 2), ("so", "sp", 4), ("so", "so_even", 2), ("so", "so_odd", 3),
+)
+
+
+@pytest.mark.parametrize("p, m, N", [(5, 1, 7), (3, 2, 6), (7, 3, 4)])
+def test_residual_valuation_matches_the_residual(p, m, N):
+    """The root-free valuation equals the residual's on solutions, on
+    solutions off by p^j X for every j < N, on random GL_n, on a matrix
+    singular mod p (the same error for sl and so) and on inputs known to
+    fewer than N digits."""
+    ctx = make_context(p, m, N)
+    rng = Rng(400 * p + m)
+    for kind, variant, n in _DIFFERENTIAL_CELLS:
+        if kind == "sl" and n % p == 0:
+            continue
+        spec = EquationSpec(kind, n, rng.matrix(ctx, n), variant)
+        u = solve(spec, rng.gl(ctx, n)).solution
+        singular = PMatrix.from_rows(ctx, [[p * e for e in u.rows()[0]]] + u.rows()[1:])
+        inputs = [u, rng.gl(ctx, n), rng.gl(ctx, n), singular]
+        inputs += [u + p ** j * rng.matrix(ctx, n) for j in range(N)]
+        inputs += [x.with_prec(k) for x in inputs[:2] + inputs[-2:] for k in (0, 1, N // 2, N - 1)]
+        for x in inputs:
+            expected = _outcome(lambda y: residual(spec, y).valuation(), x)
+            assert _outcome(residual_valuation, spec, x) == expected, (kind, variant, n, x)
+        assert residual_valuation(spec, u) == math.inf
+        for j in range(1, N):
+            assert residual_valuation(spec, u + p ** j * rng.gl(ctx, n)) == j, (kind, variant, j)
+
+
+def test_so_solver_roots_take_no_solve(monkeypatch):
+    """A warm so root step is one product and no elimination: the public
+    warm root makes no m_solve call, and an so solve makes N + 3, one for
+    the radicand of each step, two for the residual's radicand and its L,
+    and one for u0's invertibility check (`m_inv` is an m_solve).  With a
+    Newton step per warm root and a cold residual root it was 38 at N = 16."""
+    ctx = make_context(7, 2, 16)  # its own kernel, patched below
+    rng = Rng(48)
+    calls = {"m_solve": 0, "m_mul": 0}
+    for name in calls:
+        op = getattr(ctx.kernel, name)
+        monkeypatch.setattr(ctx.kernel, name,
+                            lambda *a, op=op, name=name: calls.__setitem__(name, calls[name] + 1) or op(*a))
+    one = PMatrix.identity(ctx, 3)
+    M = one + 7 * rng.matrix(ctx, 3)
+    S = matrix_sqrt_one_mod_p(M)
+    calls.update(m_solve=0, m_mul=0)
+    Y = matrix_sqrt_one_mod_p(M, (S + 7 ** 5 * rng.matrix(ctx, 3)).with_prec(5))
+    assert calls == {"m_solve": 0, "m_mul": 2}  # the start's square and the check
+    assert Y.known_prec == 6 and Y.eq_at(S, 6)
+    for variant, n in (("sp", 2), ("so_odd", 3)):
+        spec = EquationSpec("so", n, rng.matrix(ctx, n), variant)
+        u0 = rng.gl(ctx, n)
+        calls.update(m_solve=0, m_mul=0)
+        rep = solve(spec, u0)
+        assert calls["m_solve"] == ctx.N + 3, variant
+        assert rep.residual_valuation == math.inf
+
+
 _SOLVER_CELLS = (
     ("gl", None, 1), ("gl", None, 2), ("gl", None, 3),
     ("sl", None, 1), ("sl", None, 2), ("sl", None, 3),
@@ -335,7 +405,7 @@ def _warm_nth_root(base, n, start, correct):
     y_n1 = start ** (n - 1)
     y = start - (y_n1 * start - base) * (base.ctx.element(n) * y_n1).invert()
     assert (y ** n).eq_at(base, K)
-    return y.with_prec(K)
+    return y.assume_prec(K)
 
 
 def _sl_fixed_point_loop(spec, u0):
@@ -348,7 +418,7 @@ def _sl_fixed_point_loop(spec, u0):
     for k in range(ctx.N):
         xp = u.pow_p_entrywise()
         lam = _warm_nth_root(u.det() ** ctx.p * xp.det().invert(), spec.n, lam, k + 1)
-        u = (eps @ (lam * xp)).frobenius_inverse_entrywise().with_prec(ctx.N)
+        u = (eps @ (lam * xp)).frobenius_inverse_entrywise().assume_prec(ctx.N)
     return u
 
 

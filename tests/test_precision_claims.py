@@ -13,10 +13,10 @@ claims:
   known to K + 1 digits, and Delta(x) = (Phi(x) - x^{(p)}) / p to K (at
   most N - 1, as Phi is capped at N);
 - the root congruent to 1 mod p of a radicand known to K digits is known to
-  K digits.  The matrix square root and Lambda_so also take warm starts:
-  the truth perturbed by p^c times a random matrix, known to c digits, so
-  the start need not commute with the radicand, and one warm step gains one
-  digit.  The n-th root and lambda_sl run cold only;
+  K digits.  The matrix square root also takes warm starts: the truth
+  perturbed by p^c times a random matrix, known to c digits, so the start
+  need not commute with the radicand, and one warm step gains one digit.
+  The n-th root, lambda_sl and Lambda_so run cold only;
 - an input known to K digits determines exp_p(pt), log_p(1 + pt) and
   (1 + pT)^a to K digits, and an exponent a known to k digits determines
   the power to k + 1 digits.
@@ -76,8 +76,8 @@ def _cases(ctx, rng):
                 same, None))
     for variant, n in (("sp", 2), ("so_even", 2), ("so_odd", 3)):
         out.append((f"Lambda_so/{variant}",
-                    lambda x, *warm, variant=variant: Lambda_so(x, build_q(x.ctx, variant, x.n), *warm),
-                    rng.gl(ctx, n), gains, lambda K, c: min(K + 1, c + 1, N)))
+                    lambda x, variant=variant: Lambda_so(x, build_q(x.ctx, variant, x.n)),
+                    rng.gl(ctx, n), gains, None))
     return out
 
 
@@ -105,6 +105,25 @@ def test_claimed_precision_holds_cold_and_warm(p, m, N):
                 got = root(x, _perturb(ctx, rng, truth, c))
                 assert got.known_prec == warm_claim(K, c), (name, K, c)
                 assert got.eq_at(truth, got.known_prec), (name, K, c)
+
+
+@pytest.mark.parametrize("p, m, N", CONTEXTS)
+def test_with_prec_never_raises_a_claim(p, m, N):
+    """with_prec(k) claims min(k, known_prec), so a claim can only fall;
+    assume_prec(k) is the one way up, to min(k, N).  Neither touches the
+    digits."""
+    ctx = make_context(p, m, N)
+    rng = Rng(4000 * p + 10 * m + N)
+    for x in (rng.matrix(ctx, 2), rng.element(ctx)):
+        digits = x.flat if isinstance(x, PMatrix) else x.coeffs
+        for c in range(N + 1):
+            y = x.with_prec(c)
+            for k in range(N + 3):
+                assert y.with_prec(k).known_prec == min(k, c), (c, k)
+                assert y.with_prec(k).with_prec(N + 2).known_prec == min(k, c), (c, k)
+                assert y.assume_prec(k).known_prec == min(k, N), (c, k)
+                for z in (y.with_prec(k), y.assume_prec(k)):
+                    assert (z.flat if isinstance(z, PMatrix) else z.coeffs) == digits
 
 
 _TWISTED = [("gl", None, 3), ("sl", None, 2), ("so", "sp", 2), ("so", "so_even", 2), ("so", "so_odd", 3)]
