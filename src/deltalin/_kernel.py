@@ -152,8 +152,8 @@ class PureKernel:
 
     # -- the one reduction ----------------------------------------------------
 
-    def _dot(self, xs, ys, base=None):
-        """sum_k xs[k] * ys[k] (plus `base`), reduced once into [0, q).
+    def _dot(self, xs, ys):
+        """sum_k xs[k] * ys[k], reduced once into [0, q).
 
         Entries are ints for m == 1 and m-tuples otherwise.  For m > 1 the
         products' convolutions are summed unreduced, then the coefficients
@@ -162,11 +162,9 @@ class PureKernel:
         """
         m, q = self.m, self.q
         if m == 1:
-            acc = sum(map(mul, xs, ys))
-            return (acc if base is None else acc + base) % q
+            return sum(map(mul, xs, ys)) % q
         if m == 2:
-            t0, t1 = (0, 0) if base is None else base
-            t2 = 0
+            t0 = t1 = t2 = 0
             for (x0, x1), (y0, y1) in zip(xs, ys):
                 t0 += x0 * y0
                 t1 += x0 * y1 + x1 * y0
@@ -174,7 +172,7 @@ class PureKernel:
             r0, r1 = self._red[0]
             return ((t0 + r0 * t2) % q, (t1 + r1 * t2) % q)
         coords = self._coords
-        t = [0] * (2 * m - 1) if base is None else [*base, *self.zero[1:]]
+        t = [0] * (2 * m - 1)
         for x, y in zip(xs, ys):
             for i in coords:
                 xi = x[i]

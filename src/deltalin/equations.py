@@ -12,12 +12,17 @@ The -1/n-th and 1/2 powers are the unique roots congruent to 1 mod p; they
 are computed here by Hensel-Newton iteration, which is exact mod p^N and
 agrees with the usual binomial series by uniqueness.
 
-The solver iterates u_{k+1} = phi^{-1}((1 + p*alpha) * Phi(u_k)), k = 0..N-1,
-from u_0 = u0 known to one digit.  Phi depends on u only through p-th powers
-(x^{(p)}, det(x)^p and (x^t q x)^{(p)}), and a p-th power is known to one
-digit more than its base (`ring.py`), so each step gains one digit: u_k
-carries known_prec k + 1, u_k = u mod p^{k+1} for the unique solution u
-congruent to u0 mod p, and the result is known to N digits.
+The solution is the fixed point of the contraction
+u_{k+1} = phi^{-1}((1 + p*alpha) * Phi(u_k)) from u_0 = u0 known to one
+digit.  Phi depends on u only through p-th powers (x^{(p)}, det(x)^p and
+(x^t q x)^{(p)}), and a p-th power is known to one digit more than its base
+(`ring.py`), so each step gains one digit: u_k carries known_prec k + 1,
+u_k = u mod p^{k+1} for the unique solution u congruent to u0 mod p, and N
+steps give u to N digits.  `solve` returns that solution and its
+diagnostics, not its iterates; acceptance criterion 3 runs the contraction
+as stated, through the public `Phi`, and checks `solve` against it.
+`solve` itself runs the contraction for gl and so, and solves sl as
+follows.
 
 sl is solved as gl times a scalar.  For a unit scalar c, (c x)^{(p)} =
 c^p x^{(p)} and det(c x) = c^n det x, so lambda(c x)^{-n} =
@@ -38,7 +43,7 @@ to k + 2 digits, as many as its radicand M is known to.  The solver
 carries Lambda's root from step to step instead of rebuilding it from 1:
 the previous root Y is known to k + 1 digits, a warm start is trusted to
 its own known_prec, and one step Y <- Y - (Y^2 - M)/2 gains one digit
-(its error E becomes O(pE) + O(E^2), see `matrix_sqrt_one_mod_p`).  That
+(its error E becomes O(pE) + O(E^2), see `_sqrt_step`).  That
 step needs no solve: Y^2 is the square the previous step's check
 computed.  Step 0 starts from 1 known to one digit, which Lambda is
 congruent to mod p.
@@ -50,7 +55,7 @@ certifies each warm step's claim, and it gives the residual valuation of
 a candidate u with no root at all (`residual_valuation`).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AlgebraInvariantError, DomainError, ParameterError, PrecisionError
 from .matrix import PMatrix, _sqrt_step, in_GLn, matrix_sqrt_one_mod_p
@@ -162,7 +167,6 @@ class SolveReport:
     residual_valuation: object  # int or math.inf
     integral_values: tuple
     fixedness: int
-    iterates: tuple = field(default=None, repr=False)
 
 
 # -- the twists ------------------------------------------------------------------
@@ -300,11 +304,12 @@ def residual_valuation(spec, u):
     )
 
 
-def solve(spec, u0, keep_iterates=False):
-    """Fixed-point iteration u <- phi^{-1}(eps * Phi(u)), run exactly N times.
+def solve(spec, u0):
+    """The unique solution congruent to u0 mod p, with residual and
+    prime-integral diagnostics.
 
-    Returns the unique solution congruent to u0 mod p, with residual and
-    prime-integral diagnostics.  The loop starts from u0 known to one digit,
+    gl and so run the fixed-point iteration u <- phi^{-1}(eps * Phi(u))
+    exactly N times.  The loop starts from u0 known to one digit,
     and Phi(u) is known to one digit more than u (the p-th power rule of
     `ring.py`), so iterate k carries known_prec k + 1 and the solution N.
     For so, Lambda's root starts from the previous step's root, trusted to
@@ -315,10 +320,9 @@ def solve(spec, u0, keep_iterates=False):
     check) for its twist.  sl runs the gl loop to its solution w, then N
     steps of c <- phi^{-1}(lambda(w) c^p) from c = 1 known to one digit with
     one cold lambda(w), and returns c w: lambda is blind to scalar factors,
-    so c w solves the sl equation (see the module docstring).  The iterates
-    of sl are c times those of the gl loop.  The residual valuation comes
-    from `residual_valuation`, which checks the solution against the twist's
-    defining identity instead of computing a root.
+    so c w solves the sl equation (see the module docstring).  The residual
+    valuation comes from `residual_valuation`, which checks the solution
+    against the twist's defining identity instead of computing a root.
     """
     ctx = spec.ctx
     if not ctx.same(u0.ctx):
@@ -338,23 +342,18 @@ def solve(spec, u0, keep_iterates=False):
         # Lambda is 1 mod p, so 1 is a start known to one digit; 1^2 = 1.
         one = PMatrix.identity(ctx, spec.n)
         twist, square = one.with_prec(1), one
-    trail = [u] if keep_iterates else None
     for _ in range(ctx.N):
         P = u.pow_p_entrywise()
         if spec.kind == "so":
             twist, square = _sqrt_step(twist, square, _so_radicand(u, q, P))
             P = P @ twist
         u = (eps @ P).frobenius_inverse_entrywise()
-        if keep_iterates:
-            trail.append(u)
     if spec.kind == "sl":
         lam = lambda_sl(u)
         c = ctx.one().with_prec(1)
         for _ in range(ctx.N):
             c = (lam * c ** ctx.p).frobenius_inverse()
         u = u * c
-        if keep_iterates:
-            trail = [w * c for w in trail]
 
     return SolveReport(
         solution=u,
@@ -362,7 +361,6 @@ def solve(spec, u0, keep_iterates=False):
         residual_valuation=residual_valuation(spec, u),
         integral_values=prime_integral_check(spec, u),
         fixedness=fixedness(u),
-        iterates=tuple(trail) if keep_iterates else None,
     )
 
 

@@ -284,29 +284,21 @@ def delta_inverse(a):
 # -- matrix square roots and binomial powers --------------------------------------
 
 
-def matrix_sqrt_one_mod_p(M, start=None):
+def matrix_sqrt_one_mod_p(M):
     """The unique square root S of M that is congruent to 1 mod p.
 
     Requires M = 1 mod p and p odd.  Write E = Y - S for the error of an
-    iterate Y.
-
-    Cold (no start): Newton's step Y <- (Y + Y^{-1} M)/2, computed as
+    iterate Y.  Newton's step Y <- (Y + Y^{-1} M)/2 is computed as
     (Y + Y.solve(M))/2 with one elimination.  From Y = 1 every iterate is a
     polynomial in M, so it commutes with M and S, and the new error is
     E^2 Y^{-1}/2: each step doubles the number of correct digits.  The step
     from 1 is (1 + M)/2 in closed form, with no solve, and bitlen(K-1) - 1
     Newton steps follow, which take its 2 correct digits to
-    2^bitlen(K-1) >= K: the result is exact at M's precision K.
+    2^bitlen(K-1) >= K: the result is exact at M's precision K.  A root
+    carried from a nearby radicand takes warm steps instead (`_sqrt_step`).
 
-    Warm (a start trusted to its own known_prec c >= 1): exactly one step
-    Y <- Y - (Y^2 - M)/2, which needs no solve (`_sqrt_step`).  The start
-    need not commute with M; as S = 1 + pT, the new error is
-    E - (SE + ES + E^2)/2 = -p(TE + ET)/2 - E^2/2 = O(pE) + O(E^2), so a
-    warm step gains one digit where a cold one doubles; the result claims
-    min(K, c + 1).
-
-    Either way Y^2 = M is checked at the claimed precision, and the check is
-    what certifies the claim: the root is unique, and for L, S = 1 mod p,
+    Y^2 = M is checked at the claimed precision, and the check is what
+    certifies the claim: the root is unique, and for L, S = 1 mod p,
     L^2 - S^2 = L(L - S) + (L - S)S = 2(L - S) + O(p(L - S)), so
     v_p(L - S) = v_p(L^2 - M).
     """
@@ -314,8 +306,6 @@ def matrix_sqrt_one_mod_p(M, start=None):
     one = PMatrix.identity(ctx, M.n)
     if not M.eq_at(one, 1):
         raise DomainError("matrix square root requires M = 1 mod p")
-    if start is not None:
-        return _sqrt_step(start, start @ start, M)[0]
     half = pow(2, -1, ctx.kernel.q)
     K = M.known_prec
     Y = half * (one + M)
@@ -327,10 +317,18 @@ def matrix_sqrt_one_mod_p(M, start=None):
 
 
 def _sqrt_step(Y, Y2, M):
-    """One warm step toward the square root of M = 1 mod p from Y, given
-    Y2 = Y @ Y: the new root, claimed to min(K, c + 1) digits for Y known to
-    c >= 1 and M to K, and its square, which is the next step's Y2.  One
-    product and no solve (`matrix_sqrt_one_mod_p`)."""
+    """One warm step toward the square root S = 1 mod p of M = 1 mod p.
+
+    Y is a start trusted to its own known_prec c >= 1 and Y2 = Y @ Y.  The
+    step is Y <- Y - (Y^2 - M)/2: one product (the new square) and no solve.
+    The start need not commute with M; as S = 1 + pT, the new error is
+    E - (SE + ES + E^2)/2 = -p(TE + ET)/2 - E^2/2 = O(pE) + O(E^2), so a
+    warm step gains one digit where a cold one (`matrix_sqrt_one_mod_p`)
+    doubles.  Returns the new root, claimed to min(K, c + 1) digits for M
+    known to K, and its square, which is the next step's Y2; the claim is
+    certified by checking the square against M, as in
+    `matrix_sqrt_one_mod_p`.
+    """
     if Y.known_prec < 1:
         raise ParameterError("a start value must be known to at least one digit")
     K = min(M.known_prec, Y.known_prec + 1)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -43,6 +44,28 @@ def test_solve_is_byte_deterministic(capsys):
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# SHA-256 of each command's stdout.  A refactor must leave these bytes
+# unchanged; a change that moves them on purpose updates the digests here
+# and says so in CHANGES.md.
+_PINNED_STDOUT = {
+    "solve --p 13 --m 2 --n 4 --kind so --variant sp --u0 random --seed 5":
+        "13c443c4009e6c3779abc9b88a79d7cc1aa27729e7b8687fffc5c8861f02d43f",
+    "solve --p 7 --n 3 --kind sl --prec 37 --u0 random --seed 5":
+        "50f14d9784b991344623015ba8e26a08de4ebb28246947b3fac22b5daa8da131",
+    "galois --p 5 --n 3 --kind sl --prec 10 --u0 random --seed 3":
+        "876d4756f50bb70253fe3e26e844a509c08163537accf701996e685971515ade",
+    "example-3-9 --p 7":
+        "0f3229005edd29b3e40f1102f188a234a6b5401388d01c2b9bb5d232313f4324",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_STDOUT))
+def test_stdout_bytes_are_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_STDOUT[command]
 
 
 def test_solve_to_file_then_verify(capsys, tmp_path):

@@ -1,9 +1,12 @@
+import dataclasses
 import inspect
 import math
 
 import pytest
 
 from deltalin import equations
+from deltalin._kernel import PureKernel
+from deltalin.acceptance import _Session, contraction
 from deltalin.equations import (
     Delta_of,
     EquationSpec,
@@ -23,7 +26,7 @@ from deltalin.equations import (
 )
 from deltalin.errors import DomainError, ParameterError, PrecisionError
 from deltalin.galois import GuChecker
-from deltalin.matrix import PMatrix, in_SLn, in_SOq, matrix_sqrt_one_mod_p
+from deltalin.matrix import PMatrix, _sqrt_step, in_SLn, in_SOq, matrix_sqrt_one_mod_p
 from deltalin.ring import make_context, one_plus_pt_pow, psi
 from deltalin.sampling import Rng
 
@@ -327,8 +330,8 @@ def test_residual_valuation_matches_the_residual(p, m, N):
 
 
 def test_so_solver_roots_take_no_solve(monkeypatch):
-    """A warm so root step is one product and no elimination: the public
-    warm root makes no m_solve call, and an so solve makes N + 3, one for
+    """A warm so root step is one product and no elimination: `_sqrt_step`
+    makes no m_solve call, and an so solve makes N + 3, one for
     the radicand of each step, two for the residual's radicand and its L,
     and one for u0's invertibility check (`m_inv` is an m_solve).  With a
     Newton step per warm root and a cold residual root it was 38 at N = 16."""
@@ -343,7 +346,8 @@ def test_so_solver_roots_take_no_solve(monkeypatch):
     M = one + 7 * rng.matrix(ctx, 3)
     S = matrix_sqrt_one_mod_p(M)
     calls.update(m_solve=0, m_mul=0)
-    Y = matrix_sqrt_one_mod_p(M, (S + 7 ** 5 * rng.matrix(ctx, 3)).with_prec(5))
+    start = (S + 7 ** 5 * rng.matrix(ctx, 3)).with_prec(5)
+    Y, _ = _sqrt_step(start, start @ start, M)
     assert calls == {"m_solve": 0, "m_mul": 2}  # the start's square and the check
     assert Y.known_prec == 6 and Y.eq_at(S, 6)
     for variant, n in (("sp", 2), ("so_odd", 3)):
@@ -364,17 +368,15 @@ _SOLVER_CELLS = (
 
 @pytest.mark.parametrize("p,m", [(5, 1), (7, 2)])
 def test_solve_matches_cold_reference_loop(p, m):
-    # The reference recomputes every twist from scratch at full precision
-    # through the public Phi; solve carries its roots from step to step.
+    # The reference is acceptance's contraction, which recomputes every
+    # twist from scratch through the public Phi; solve carries its roots
+    # from step to step and solves sl as gl times a scalar.
     ctx = make_context(p, m, 10)
     rng = Rng(100 * p + m)
     for kind, variant, n in _SOLVER_CELLS:
         spec = EquationSpec(kind, n, rng.matrix(ctx, n), variant)
         u0 = rng.gl(ctx, n)
-        eps = spec.epsilon()
-        u = u0
-        for _ in range(ctx.N):
-            u = (eps @ Phi(spec, u)).frobenius_inverse_entrywise()
+        *_, u = contraction(spec, u0)
         rep = solve(spec, u0)
         assert rep.solution.flat == u.flat, (kind, variant, n)
         assert rep.solution.known_prec == u.known_prec == ctx.N
@@ -491,25 +493,29 @@ def test_uniqueness_under_perturbation(c7):
 def test_convergence_one_digit_per_iteration(c7):
     rng = Rng(47)
     spec = EquationSpec("sl", 2, rng.sl_delta_alpha(c7, 2))
-    rep = solve(spec, rng.sl(c7, 2), keep_iterates=True)
-    for k in range(c7.N):
-        assert rep.iterates[k].eq_at(rep.solution, min(k + 1, c7.N))
+    u0 = rng.sl(c7, 2)
+    solution = solve(spec, u0).solution
+    for k, u in enumerate(contraction(spec, u0)):
+        assert u.eq_at(solution, min(k + 1, c7.N))
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_iterates_carry_their_digits_in_known_prec(m):
-    """Iterate k is known to min(k + 1, N) digits and agrees with the
-    solution on them, and the solution is known to N: the precision comes
-    from the p-th power rule alone, with no override in the solver."""
+    """Iterate k of the contraction is known to min(k + 1, N) digits and
+    agrees with solve's solution on them, and the solution is known to N:
+    the precision comes from the p-th power rule alone, with no override in
+    the contraction or the solver."""
     ctx = make_context(5, m, 9)
     rng = Rng(60 + m)
     cells = (("gl", None, 3), ("sl", None, 2), ("so", "sp", 4), ("so", "so_even", 2), ("so", "so_odd", 3))
     for kind, variant, n in cells:
         spec = EquationSpec(kind, n, rng.matrix(ctx, n), variant)
-        rep = solve(spec, rng.gl(ctx, n), keep_iterates=True)
-        assert rep.iterations == ctx.N and len(rep.iterates) == ctx.N + 1
+        u0 = rng.gl(ctx, n)
+        rep = solve(spec, u0)
+        iterates = list(contraction(spec, u0))
+        assert rep.iterations == ctx.N and len(iterates) == ctx.N + 1
         assert rep.solution.known_prec == ctx.N
-        for k, u in enumerate(rep.iterates):
+        for k, u in enumerate(iterates):
             assert u.known_prec == min(k + 1, ctx.N), (kind, variant, k)
             assert u.eq_at(rep.solution, u.known_prec), (kind, variant, k)
 
@@ -520,6 +526,23 @@ def test_no_precision_side_arguments_remain():
     for f in (solve, Phi, Delta_of, lambda_sl, Lambda_so, matrix_sqrt_one_mod_p, GuChecker.__call__):
         assert not {"correct", "prec"} & set(inspect.signature(f).parameters), f.__name__
     assert not hasattr(equations, "_phi_kind")
+
+
+def test_solver_contract_has_no_options():
+    """solve, the square root, the kernel's dot product and the acceptance
+    suite's context cache take no options, and the report carries the
+    solution and its diagnostics, not the solver's iterates."""
+    signatures = {
+        solve: "(spec, u0)",
+        matrix_sqrt_one_mod_p: "(M)",
+        PureKernel._dot: "(self, xs, ys)",
+        _Session.ctx: "(self, p, m)",
+    }
+    for f, expected in signatures.items():
+        assert str(inspect.signature(f)) == expected, f.__name__
+    assert [f.name for f in dataclasses.fields(equations.SolveReport)] == [
+        "solution", "iterations", "residual_valuation", "integral_values", "fixedness",
+    ]
 
 
 def test_sl_preservation(c7):

@@ -8,6 +8,7 @@ from deltalin.errors import (
 )
 from deltalin.matrix import (
     PMatrix,
+    _sqrt_step,
     delta_add,
     delta_inverse,
     in_GLn,
@@ -238,14 +239,16 @@ def test_matrix_sqrt_warm_step_gains_one_digit(c5):
         for _ in range(10):
             M = one + 5 * rng.matrix(c5, 2)
             S = matrix_sqrt_one_mod_p(M)
-            Y = matrix_sqrt_one_mod_p(M, start=(S + 5 ** c * rng.matrix(c5, 2)).with_prec(c))
+            start = (S + 5 ** c * rng.matrix(c5, 2)).with_prec(c)
+            Y, _ = _sqrt_step(start, start @ start, M)
             assert Y.known_prec == min(c + 1, c5.N)
             assert Y.eq_at(S, c + 1)
             short_by_one += not Y.eq_at(S, c + 2)
         if c + 2 <= c5.N:
             assert short_by_one > 0
+    start = one.with_prec(0)
     with pytest.raises(ParameterError):
-        matrix_sqrt_one_mod_p(one, start=one.with_prec(0))
+        _sqrt_step(start, start @ start, one)
 
 
 def test_matrix_pow_domain(c5):

@@ -13,10 +13,11 @@ claims:
   known to K + 1 digits, and Delta(x) = (Phi(x) - x^{(p)}) / p to K (at
   most N - 1, as Phi is capped at N);
 - the root congruent to 1 mod p of a radicand known to K digits is known to
-  K digits.  The matrix square root also takes warm starts: the truth
-  perturbed by p^c times a random matrix, known to c digits, so the start
-  need not commute with the radicand, and one warm step gains one digit.
-  The n-th root, lambda_sl and Lambda_so run cold only;
+  K digits.  The matrix square root also has a warm step (`_sqrt_step`)
+  from a start: the truth perturbed by p^c times a random matrix, known to
+  c digits, so the start need not commute with the radicand, and one warm
+  step gains one digit.  The n-th root, lambda_sl and Lambda_so run cold
+  only;
 - an input known to K digits determines exp_p(pt), log_p(1 + pt) and
   (1 + pT)^a to K digits, and an exponent a known to k digits determines
   the power to k + 1 digits.
@@ -26,7 +27,7 @@ import pytest
 
 from deltalin._intmath import vp
 from deltalin.equations import Delta_of, EquationSpec, Lambda_so, _nth_root_one_mod_p, build_q, lambda_sl
-from deltalin.matrix import PMatrix, matrix_one_plus_pT_pow, matrix_sqrt_one_mod_p
+from deltalin.matrix import PMatrix, _sqrt_step, matrix_one_plus_pT_pow, matrix_sqrt_one_mod_p
 from deltalin.ring import exp_p, log_p, make_context
 from deltalin.sampling import Rng
 
@@ -57,19 +58,24 @@ def _down(ctx, x):
     return ctx.element(x.coeffs)
 
 
+def _warm_sqrt(M, start):
+    """One warm square-root step from start."""
+    return _sqrt_step(start, start @ start, M)[0]
+
+
 def _cases(ctx, rng):
-    """(name, root, x, claim, warm_claim): the cold root(x) must be known to
-    claim(K) digits for x known to K; a root with a warm start also runs as
-    root(x, start) for a start known to c digits, whose result must be known
-    to warm_claim(K, c) digits.  warm_claim is None for the roots that run
-    cold only."""
+    """(name, root, x, claim, warm): the cold root(x) must be known to
+    claim(K) digits for x known to K; a root with a warm step has
+    warm = (step, warm_claim), and step(x, start) for a start known to c
+    digits must be known to warm_claim(K, c) digits.  warm is None for the
+    roots that run cold only."""
     p, N = ctx.p, ctx.N
     same = lambda K: K
     gains = lambda K: min(K + 1, N)
     out = []
     for n in (2, 3):
         out.append(("sqrt", matrix_sqrt_one_mod_p, PMatrix.identity(ctx, n) + p * rng.matrix(ctx, n),
-                    same, lambda K, c: min(K, c + 1)))
+                    same, (_warm_sqrt, lambda K, c: min(K, c + 1))))
         if n % p:
             out.append(("lambda_sl", lambda_sl, rng.gl(ctx, n), gains, None))
     out.append(("nth_root", lambda b: _nth_root_one_mod_p(b, 4), ctx.one() + p * rng.element(ctx),
@@ -92,17 +98,18 @@ def test_claimed_precision_holds_cold_and_warm(p, m, N):
     g = ctx.guarded(GUARD)
     rng = Rng(1000 * p + 10 * m + N)
     for _ in range(DRAWS):
-        for name, root, x, claim, warm_claim in _cases(ctx, rng):
+        for name, root, x, claim, warm in _cases(ctx, rng):
             K = 1 + rng.below(N)  # the input's precision, 1..N
             x = x.with_prec(K)
             truth = _down(ctx, root(_beyond(g, rng, x)))
             got = root(x)
             assert got.known_prec == claim(K), (name, K)
             assert got.eq_at(truth, got.known_prec), (name, K)
-            if warm_claim is None:
+            if warm is None:
                 continue
+            step, warm_claim = warm
             for c in (1, 1 + rng.below(N)):
-                got = root(x, _perturb(ctx, rng, truth, c))
+                got = step(x, _perturb(ctx, rng, truth, c))
                 assert got.known_prec == warm_claim(K, c), (name, K, c)
                 assert got.eq_at(truth, got.known_prec), (name, K, c)
 
