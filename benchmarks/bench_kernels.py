@@ -25,13 +25,7 @@ from deltalin.sampling import Rng
 
 def bench_solver(ctx, kind, variant, n, repeat):
     rng = Rng(1)
-    if kind == "gl":
-        alpha = rng.matrix(ctx, n)
-    elif kind == "sl":
-        alpha = rng.sl_delta_alpha(ctx, n)
-    else:
-        alpha = rng.so_delta_alpha(ctx, n, variant)
-    spec = EquationSpec(kind, n, alpha, variant)
+    spec = EquationSpec(kind, n, rng.delta_lie_alpha(ctx, kind, n, variant), variant)
     u0 = rng.gl(ctx, n)
     best = None
     for _ in range(repeat):

@@ -108,8 +108,6 @@ def _parser():
 
 def _make_spec(args, rng):
     ctx = make_context(args.p, args.m, args.prec)
-    if args.kind == "so" and args.variant is None:
-        raise ParameterError("kind 'so' requires --variant")
     if args.alpha == "random":
         alpha = rng.delta_lie_alpha(ctx, args.kind, args.n, args.variant)
     else:

@@ -8,9 +8,9 @@ Three equation types are supported, distinguished by the twist Phi:
   so:  Phi(x) = x^{(p)} * Lambda(x),
        Lambda(x) = (((x^{(p)})^t q x^{(p)})^{-1} (x^t q x)^{(p)})^{1/2}
 
-The -1/n-th and 1/2 powers are the unique roots congruent to 1 mod p; they
-are computed here by Hensel-Newton iteration, which is exact mod p^N and
-agrees with the usual binomial series by uniqueness.
+The -1/n-th and 1/2 powers are the unique roots congruent to 1 mod p; both
+are computed by one Hensel-Newton routine, `ring._hensel_root`, which is
+exact mod p^N and agrees with the usual binomial series by uniqueness.
 
 The solution is the fixed point of the contraction
 u_{k+1} = phi^{-1}((1 + p*alpha) * Phi(u_k)) from u_0 = u0 known to one
@@ -49,16 +49,18 @@ computed.  Step 0 starts from 1 known to one digit, which Lambda is
 congruent to mod p.
 
 The twists' roots are unique, so a candidate is checked rather than
-computed: for L and a root R, both = 1 mod p, v_p(L - R) is the valuation
-of L^2 - R^2 (p odd) or of L^n - R^n (p not dividing n).  That check
-certifies each warm step's claim, and it gives the residual valuation of
-a candidate u with no root at all (`residual_valuation`).
+computed, by the identity of `ring._hensel_root`: for L and a root R, both
+= 1 mod p, v_p(L - R) = v_p(L^k - R^k) for k = 2 or k = n.  That check
+certifies each cold root and each warm step's claim, and it gives the
+residual valuation of a candidate u with no root at all
+(`residual_valuation`).
 """
 
 from dataclasses import dataclass
 
-from .errors import AlgebraInvariantError, DomainError, ParameterError, PrecisionError
+from .errors import DomainError, ParameterError, PrecisionError
 from .matrix import PMatrix, _sqrt_step, in_GLn, matrix_sqrt_one_mod_p
+from .ring import RingElement, _hensel_root
 
 __all__ = [
     "KINDS",
@@ -172,39 +174,18 @@ class SolveReport:
 # -- the twists ------------------------------------------------------------------
 
 
-def _nth_root_one_mod_p(base, n):
-    """The unique y = 1 mod p with y^n = base, for base = 1 mod p and p not | n.
-
-    Hensel-Newton from 1 to base's precision K: the step from 1 is
-    1 + (base - 1)/n in closed form, with an integer inverse of n and no ring
-    inversion, and bitlen(K-1) - 1 steps y <- y - (y^n - base) / (n y^{n-1})
-    follow.  Each doubles the number of correct digits, which takes the 2
-    correct digits of the first step to 2^bitlen(K-1) >= K.
-    """
-    ctx = base.ctx
-    one = ctx.one()
-    if (base - one).valuation() < 1:
-        raise DomainError("n-th root requires base = 1 mod p")
-    K = base.known_prec
-    y = one + (base - one) * pow(n, -1, ctx.kernel.q)
-    for _ in range((max(K, 2) - 1).bit_length() - 1):
-        y_n1 = y ** (n - 1)
-        y = y - (y_n1 * y - base) * (ctx.element(n) * y_n1).invert()
-    if not (y ** n).eq_at(base, K):
-        raise AlgebraInvariantError("Newton n-th root failed to converge")
-    return y.assume_prec(K)
-
-
 def lambda_sl(x, *, _xp=None):
     """lambda(x) = (det(x^{(p)}) / det(x)^p)^{-1/n}, the sl-type scalar twist.
 
-    Characterized by lambda(x)^n * det(x^{(p)}) = det(x)^p and = 1 mod p.
+    Characterized by lambda(x)^n * det(x^{(p)}) = det(x)^p and = 1 mod p: the
+    root of `ring._hensel_root` with k = n.
     `_xp`, when given, is x^{(p)}, already computed by the caller.
     """
     d = _sl_det(x)
     xp = x.pow_p_entrywise() if _xp is None else _xp
     # lambda^n = det(x)^p / det(x^{(p)}), with a single inversion
-    return _nth_root_one_mod_p(d ** x.ctx.p * xp.det().invert(), x.n)
+    b = d ** x.ctx.p * xp.det().invert()
+    return RingElement(x.ctx, *_hensel_root(x.ctx, b.coeffs, 1, x.n, b.known_prec))
 
 
 def _sl_det(x):
@@ -276,11 +257,10 @@ def residual_valuation(spec, u):
     and each root is the unique one = 1 mod p: L is a candidate root that
     can be checked where the root would be computed.
 
-      so:  v(L - Lambda) = v(L^2 - M) for the radicand M (the identity of
-           `matrix_sqrt_one_mod_p`).
+      so:  v(L - Lambda) = v(L^2 - M) for the radicand M, by the identity
+           v(L - S) = v(L^k - S^k) of `ring._hensel_root` at k = 2.
       sl:  with l = L_00, v(L - lambda) = min(v(L - l), v(l - lambda)).
-           l^n - lambda^n is (l - lambda) times a sum = n mod p, a unit as
-           p does not divide n, and lambda^n det X = det(u)^p, so
+           By the same identity at k = n, and as lambda^n det X = det(u)^p,
            v(l - lambda) = v(l^n det X - det(u)^p).
       gl:  the residual itself, which needs no root.
 

@@ -4,10 +4,11 @@ PMatrix is a value type: the flat canonical coefficient tuple the kernel
 works on, one trusted precision for the whole matrix (the minimum over the
 entries it was built from).
 Entrywise Frobenius / Fermat-quotient / p-power maps, the group law
-a +_d b = a + b + p*a*b on gl_n, Newton square roots of matrices congruent
-to 1 mod p, and membership predicates for the classical groups and their
-delta-Lie algebras.  The binomial powers (1 + pT)^a run the series of
-`ring.py`, the one that serves exp_p, log_p and (1 + pt)^a on elements.
+a +_d b = a + b + p*a*b on gl_n, square roots of matrices congruent to 1
+mod p (the Hensel root of `ring.py`, and a warm step), and membership
+predicates for the classical groups and their delta-Lie algebras.  The
+binomial powers (1 + pT)^a run the series of `ring.py`, the one that
+serves exp_p, log_p and (1 + pt)^a on elements.
 """
 
 import math
@@ -20,7 +21,7 @@ from .errors import (
     PrecisionError,
     SingularMatrixError,
 )
-from .ring import MAX_DIM, RingElement, _binomial_power, _power_prec
+from .ring import MAX_DIM, RingElement, _binomial_power, _hensel_root, _power_prec
 
 __all__ = [
     "PMatrix",
@@ -287,33 +288,13 @@ def delta_inverse(a):
 def matrix_sqrt_one_mod_p(M):
     """The unique square root S of M that is congruent to 1 mod p.
 
-    Requires M = 1 mod p and p odd.  Write E = Y - S for the error of an
-    iterate Y.  Newton's step Y <- (Y + Y^{-1} M)/2 is computed as
-    (Y + Y.solve(M))/2 with one elimination.  From Y = 1 every iterate is a
-    polynomial in M, so it commutes with M and S, and the new error is
-    E^2 Y^{-1}/2: each step doubles the number of correct digits.  The step
-    from 1 is (1 + M)/2 in closed form, with no solve, and bitlen(K-1) - 1
-    Newton steps follow, which take its 2 correct digits to
-    2^bitlen(K-1) >= K: the result is exact at M's precision K.  A root
+    Requires M = 1 mod p and p odd.  The cold root of `ring._hensel_root`
+    with k = 2: the closed-form step (1 + M)/2, then bitlen(K-1) - 1 Newton
+    steps Y <- (Y + Y^{-1} M)/2 of one elimination each, and a check of
+    Y^2 = M that certifies the result exact at M's precision K.  A root
     carried from a nearby radicand takes warm steps instead (`_sqrt_step`).
-
-    Y^2 = M is checked at the claimed precision, and the check is what
-    certifies the claim: the root is unique, and for L, S = 1 mod p,
-    L^2 - S^2 = L(L - S) + (L - S)S = 2(L - S) + O(p(L - S)), so
-    v_p(L - S) = v_p(L^2 - M).
     """
-    ctx = M.ctx
-    one = PMatrix.identity(ctx, M.n)
-    if not M.eq_at(one, 1):
-        raise DomainError("matrix square root requires M = 1 mod p")
-    half = pow(2, -1, ctx.kernel.q)
-    K = M.known_prec
-    Y = half * (one + M)
-    for _ in range((max(K, 2) - 1).bit_length() - 1):
-        Y = half * (Y + Y.solve(M))
-    if not (Y @ Y).eq_at(M, K):
-        raise AlgebraInvariantError("Newton square root failed to converge")
-    return Y.assume_prec(K)
+    return PMatrix(M.ctx, M.n, *_hensel_root(M.ctx, M.flat, M.n, 2, M.known_prec))
 
 
 def _sqrt_step(Y, Y2, M):
@@ -326,8 +307,8 @@ def _sqrt_step(Y, Y2, M):
     warm step gains one digit where a cold one (`matrix_sqrt_one_mod_p`)
     doubles.  Returns the new root, claimed to min(K, c + 1) digits for M
     known to K, and its square, which is the next step's Y2; the claim is
-    certified by checking the square against M, as in
-    `matrix_sqrt_one_mod_p`.
+    certified by checking the square against M, by the identity
+    v_p(L - S) = v_p(L^2 - S^2) of `ring._hensel_root`.
     """
     if Y.known_prec < 1:
         raise ParameterError("a start value must be known to at least one digit")

@@ -20,6 +20,8 @@ max v_k guard digits, divides each exactly by p^{v_k} and reduces the sum.
 exp_p supplies 1/k!, log_p (-1)^{k+1}/k, and the binomial series of
 (1 + pT)^a binom(a, k); that one series serves `one_plus_pt_pow` on
 elements and `matrix.matrix_one_plus_pT_pow` on matrices.  psi is a log_p.
+The roots y = 1 mod p of y^k = b, of elements and matrices alike, are one
+Hensel-Newton routine, `_hensel_root`.
 Every other operation (inverse, Frobenius, delta, valuation, Teichmueller
 lift) is a method of RingElement or RingContext.
 
@@ -137,20 +139,19 @@ class RingContext:
     def torsion_units(self, d):
         """Teichmueller lifts of the d-torsion subgroup of F_{p^m}^*, d | p^m - 1.
 
-        Ordered as consecutive powers of a fixed subgroup generator.
+        Ordered as consecutive powers of a fixed subgroup generator.  The
+        lift is multiplicative, so the units are the powers of one lift,
+        teichmueller(g)^((p^m - 1)/d) for the residue generator g.
         """
         order = self.p ** self.m - 1
         if d <= 0 or order % d:
             raise ParameterError(f"d={d} does not divide p^m - 1 = {order}")
         key = ("torsion", d)
         if key not in self._cache:
-            g = self.residue_generator()
-            h = _residue.poly_powmod(g, order // d, self.residue_poly, self.p)
-            units = []
-            cur = (1,)
-            for _ in range(d):
-                units.append(self.teichmueller(cur))
-                cur = _residue.poly_mulmod(cur, h, self.residue_poly, self.p)
+            h = self.teichmueller(self.residue_generator()) ** (order // d)
+            units = [self.one()]
+            for _ in range(d - 1):
+                units.append(units[-1] * h)
             self._cache[key] = tuple(units)
         return self._cache[key]
 
@@ -596,6 +597,45 @@ def _binomial_power(ctx, flat, n, a, K):
         w = w * (a - k + 1) * pow(k // p ** vk, -1, q) % q
         terms.append((k, w, v))
     return _series(ctx, kernel.sub(flat, one), n, terms), K
+
+
+def _hensel_root(ctx, b, n, k, K):
+    """(flat of the root y = 1 mod p of y^k = b, K): b = 1 mod p is the flat
+    of an n x n matrix (n = 1: an element) known to K digits, p does not
+    divide k.
+
+    Hensel-Newton from 1: the closed-form step 1 + (b - 1)/k, then
+    bitlen(K-1) - 1 steps y <- ((k-1) y + y^{1-k} b)/k of one s_inv (n = 1)
+    or one m_solve (n > 1) each.  Every iterate is a polynomial in b, so it
+    commutes with b and the root, and each step doubles the correct digits:
+    2 after the closed-form step, 2^bitlen(K-1) >= K at the end.
+
+    The check y^k = b at K certifies the result: the root is unique, and for
+    L, S = 1 mod p, L^k - S^k = sum_{i<k} L^i (L - S) S^{k-1-i}
+    = k(L - S) + O(p(L - S)), with k a unit, so v_p(L - S) = v_p(L^k - S^k).
+    """
+    kernel = ctx.kernel
+    one = kernel.m_identity(n)
+    if not kernel.eq_mod(b, one, 1):
+        raise DomainError("a root y = 1 mod p of y^k = b requires b congruent to 1 mod p")
+
+    def power(y, e):
+        if n == 1:
+            return kernel.s_pow(y, e)
+        out = one if e == 0 else y
+        for _ in range(e - 1):
+            out = kernel.m_mul(out, y, n)
+        return out
+
+    inv_k = pow(k, -1, kernel.q)
+    y = kernel.add(one, kernel.scal_int(inv_k, kernel.sub(b, one)))
+    for _ in range((max(K, 2) - 1).bit_length() - 1):
+        yk1 = power(y, k - 1)
+        t = kernel.s_mul(kernel.s_inv(yk1), b) if n == 1 else kernel.m_solve(yk1, b, n)
+        y = kernel.scal_int(inv_k, kernel.add(kernel.scal_int(k - 1, y), t))
+    if not kernel.eq_mod(power(y, k), b, K):
+        raise AlgebraInvariantError("Newton root failed to converge")
+    return y, K
 
 
 def psi(u):

@@ -108,10 +108,18 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert "odd prime" in err
 
-    code, _, err = run_cli(
-        capsys, "solve", "--p", "5", "--n", "2", "--kind", "so", "--seed", "1"
-    )
-    assert code == 2  # missing variant
+    # a missing variant: one message, from the spec's own check, whether
+    # alpha is drawn or read from a file
+    alpha_path = tmp_path / "alpha.json"
+    alpha_path.write_text(json.dumps({"n": 2, "entries": [1, 2, 0, 3]}))
+    for command in ("solve", "galois"):
+        for alpha in ("random", str(alpha_path)):
+            code, out, err = run_cli(
+                capsys, command, "--p", "5", "--n", "2", "--kind", "so", "--seed", "1",
+                "--alpha", alpha,
+            )
+            assert code == 2, (command, alpha)
+            assert out == "" and err.startswith("error: ") and "needs a variant" in err, (command, alpha)
 
     code, _, err = run_cli(
         capsys, "solve", "--p", "5", "--n", "5", "--kind", "sl", "--seed", "1"

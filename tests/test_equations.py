@@ -27,7 +27,7 @@ from deltalin.equations import (
 from deltalin.errors import DomainError, ParameterError, PrecisionError
 from deltalin.galois import GuChecker
 from deltalin.matrix import PMatrix, _sqrt_step, in_SLn, in_SOq, matrix_sqrt_one_mod_p
-from deltalin.ring import make_context, one_plus_pt_pow, psi
+from deltalin.ring import RingElement, _hensel_root, make_context, one_plus_pt_pow, psi
 from deltalin.sampling import Rng
 
 
@@ -186,7 +186,7 @@ def test_lambda_sl_inverts_once(monkeypatch):
     calls = []
     s_inv = ctx.kernel.s_inv
     monkeypatch.setattr(ctx.kernel, "s_inv", lambda a: calls.append(a) or s_inv(a))
-    monkeypatch.setattr(equations, "_nth_root_one_mod_p", lambda base, *args: base)
+    monkeypatch.setattr(equations, "_hensel_root", lambda ctx, b, n, k, K: (b, K))
     radicand = lambda_sl(x)
     assert len(calls) == 1
     assert radicand * x.pow_p_entrywise().det() == x.det() ** 7
@@ -218,7 +218,7 @@ def test_cold_roots_take_a_closed_form_step(monkeypatch, K):
     S = matrix_sqrt_one_mod_p(M)
     assert len(solves) == (K - 1).bit_length() - 1
     inversions.clear()
-    r = equations._nth_root_one_mod_p(base, 3)
+    r = RingElement(ctx, *_hensel_root(ctx, base.coeffs, 1, 3, base.known_prec))
     assert len(inversions) == (K - 1).bit_length() - 1
     assert S.known_prec == r.known_prec == K
     assert S == Y and r == y

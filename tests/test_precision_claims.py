@@ -26,9 +26,9 @@ claims:
 import pytest
 
 from deltalin._intmath import vp
-from deltalin.equations import Delta_of, EquationSpec, Lambda_so, _nth_root_one_mod_p, build_q, lambda_sl
+from deltalin.equations import Delta_of, EquationSpec, Lambda_so, build_q, lambda_sl
 from deltalin.matrix import PMatrix, _sqrt_step, matrix_one_plus_pT_pow, matrix_sqrt_one_mod_p
-from deltalin.ring import exp_p, log_p, make_context
+from deltalin.ring import RingElement, _hensel_root, exp_p, log_p, make_context
 from deltalin.sampling import Rng
 
 GUARD = 4
@@ -63,6 +63,11 @@ def _warm_sqrt(M, start):
     return _sqrt_step(start, start @ start, M)[0]
 
 
+def _nth_root(b, k):
+    """The cold root y = 1 mod p of y^k = b, for an element b."""
+    return RingElement(b.ctx, *_hensel_root(b.ctx, b.coeffs, 1, k, b.known_prec))
+
+
 def _cases(ctx, rng):
     """(name, root, x, claim, warm): the cold root(x) must be known to
     claim(K) digits for x known to K; a root with a warm step has
@@ -78,7 +83,7 @@ def _cases(ctx, rng):
                     same, (_warm_sqrt, lambda K, c: min(K, c + 1))))
         if n % p:
             out.append(("lambda_sl", lambda_sl, rng.gl(ctx, n), gains, None))
-    out.append(("nth_root", lambda b: _nth_root_one_mod_p(b, 4), ctx.one() + p * rng.element(ctx),
+    out.append(("nth_root", lambda b: _nth_root(b, 4), ctx.one() + p * rng.element(ctx),
                 same, None))
     for variant, n in (("sp", 2), ("so_even", 2), ("so_odd", 3)):
         out.append((f"Lambda_so/{variant}",

@@ -14,6 +14,7 @@ from deltalin.errors import (
 )
 from deltalin.matrix import PMatrix, matrix_one_plus_pT_pow
 from deltalin.ring import (
+    _hensel_root,
     exp_p,
     log_p,
     make_context,
@@ -282,6 +283,21 @@ def test_teichmueller_image_is_fixed_set_of_qth_power(c5x2):
     assert a ** pm != a
 
 
+@pytest.mark.parametrize(
+    "p, m, N, d", [(7, 1, 6, 6), (13, 1, 5, 4), (5, 2, 8, 24), (5, 2, 8, 8), (3, 3, 5, 26)]
+)
+def test_torsion_units_are_powers_of_one_teichmueller_lift(p, m, N, d):
+    ctx = make_context(p, m, N)
+    units = ctx.torsion_units(d)
+    assert len(units) == d and units[0] == ctx.one()
+    assert len({u.residue() for u in units}) == d
+    for i, u in enumerate(units):
+        assert u.known_prec == N
+        assert u.coeffs == ctx.teichmueller(u.residue()).coeffs
+        assert u.coeffs == (units[1] ** i).coeffs
+        assert (u ** d).coeffs == ctx.one().coeffs
+
+
 # ---------------------------------------------------------------- constants
 
 
@@ -418,6 +434,26 @@ def test_one_plus_pt_pow_domain(c5):
 
 
 # ---------------------------------------------------------------- psi
+
+
+# ---------------------------------------------------------------- Hensel root
+
+
+def test_hensel_root_needs_b_one_mod_p(c5, c5x2):
+    """b = 2 or b = p (times 1) is refused, for elements (n = 1) and for
+    matrices; b = 1 + p t is served."""
+    rng = Rng(12)
+    for ctx in (c5, c5x2):
+        k = ctx.kernel
+        for n in (1, 3):
+            one = k.m_identity(n)
+            for c in (2, 5):
+                with pytest.raises(DomainError, match="congruent to 1 mod p"):
+                    _hensel_root(ctx, k.scal_int(c, one), n, 3, ctx.N)
+            b = PMatrix.identity(ctx, n) + 5 * rng.matrix(ctx, n)
+            y, K = _hensel_root(ctx, b.flat, n, 3, ctx.N)
+            Y = PMatrix(ctx, n, y, K)
+            assert K == ctx.N and Y @ Y @ Y == b
 
 
 def test_psi_trivialities(c5, c5x2):
