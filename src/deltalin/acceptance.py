@@ -264,7 +264,7 @@ def criterion_8(session):
         eps = ctx.one() + ctx.p * alpha
         # beta = (1/p) log(eps), so that eps = exp_p(p*beta)
         lg = log_p(eps)
-        beta = RingElement(ctx, ctx.kernel.s_divp(lg.coeffs), ctx.N - 1)
+        beta = RingElement(ctx, ctx.kernel.s_divp(lg.flat), ctx.N - 1)
 
         u_solver = solve(
             EquationSpec("gl", 1, PMatrix.from_rows(ctx, [[alpha]])),

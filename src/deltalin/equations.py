@@ -185,7 +185,7 @@ def lambda_sl(x, *, _xp=None):
     xp = x.pow_p_entrywise() if _xp is None else _xp
     # lambda^n = det(x)^p / det(x^{(p)}), with a single inversion
     b = d ** x.ctx.p * xp.det().invert()
-    return RingElement(x.ctx, *_hensel_root(x.ctx, b.coeffs, 1, x.n, b.known_prec))
+    return RingElement(x.ctx, *_hensel_root(x.ctx, b.flat, 1, x.n, b.known_prec))
 
 
 def _sl_det(x):

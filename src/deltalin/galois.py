@@ -81,21 +81,26 @@ def is_monomial(v):
     return True
 
 
-# A cap on the N^delta list, like the context caps: the list is built whole,
-# and `galois` reports every candidate.
-MAX_N_DELTA = 10 ** 6
+# A cap on the N^delta list in digits, like the context caps: the list is
+# built whole, and `galois` reports every candidate, n^2 m N digits each.
+MAX_N_DELTA = 10 ** 7
 
 
 def enumerate_N_delta(ctx, n, d):
     """All monomial matrices with entries Teichmueller units of order dividing d.
 
     Products (permutation matrix) * diag(torsion units); requires d | p^m - 1
-    and n! d^n <= MAX_N_DELTA, or ParameterError.  Deterministic order:
-    permutations lexicographically, then exponent vectors lexicographically.
+    and n! d^n candidates of n^2 m N digits each, at most MAX_N_DELTA digits
+    in all, or ParameterError.  Deterministic order: permutations
+    lexicographically, then exponent vectors lexicographically.
     """
     total = math.factorial(n) * d ** n
-    if total > MAX_N_DELTA:
-        raise ParameterError(f"enumeration size {total} exceeds the cap {MAX_N_DELTA}")
+    digits = total * n * n * ctx.m * ctx.N
+    if digits > MAX_N_DELTA:
+        raise ParameterError(
+            f"N^delta list of {total} candidates, {digits} digits, exceeds the cap"
+            f" of {MAX_N_DELTA} digits"
+        )
     units = ctx.torsion_units(d)
     zero, out = ctx.zero(), []
     for perm in itertools.permutations(range(n)):

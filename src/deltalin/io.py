@@ -44,7 +44,7 @@ def valuation_to_json(v):
 
 def element_to_json(e):
     p, N = e.ctx.p, e.ctx.N
-    return [int_to_digits(c, p, N) for c in e.coeffs]
+    return [int_to_digits(c, p, N) for c in e.flat]
 
 
 def element_from_json(ctx, obj):

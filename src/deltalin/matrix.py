@@ -1,8 +1,11 @@
 """n x n matrix algebra over the truncated p-adic ring.
 
-PMatrix is a value type: the flat canonical coefficient tuple the kernel
-works on, one trusted precision for the whole matrix (the minimum over the
-entries it was built from).
+PMatrix is a value type on the value base of `ring.py`, shared with
+RingElement: the flat row-major coefficient tuple the kernel works on and
+one trusted precision for the whole matrix (the minimum over the entries it
+was built from).  The base holds the precision-claim rules, the peer check
+and the coefficient-wise ops; PMatrix adds the products, the fused solve
+and form, and the entrywise maps.
 Entrywise Frobenius / Fermat-quotient / p-power maps, the group law
 a +_d b = a + b + p*a*b on gl_n, square roots of matrices congruent to 1
 mod p (the Hensel root of `ring.py`, and a warm step), and membership
@@ -11,9 +14,6 @@ binomial powers (1 + pT)^a run the series of `ring.py`, the one that
 serves exp_p, log_p and (1 + pt)^a on elements.
 """
 
-import math
-
-from ._intmath import vp_min
 from .errors import (
     AlgebraInvariantError,
     DomainError,
@@ -21,7 +21,7 @@ from .errors import (
     PrecisionError,
     SingularMatrixError,
 )
-from .ring import MAX_DIM, RingElement, _binomial_power, _hensel_root, _power_prec
+from .ring import MAX_DIM, RingElement, _binomial_power, _hensel_root, _power_prec, _Truncated
 
 __all__ = [
     "PMatrix",
@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 
-class PMatrix:
-    __slots__ = ("ctx", "n", "known_prec", "flat")
+class PMatrix(_Truncated):
+    __slots__ = ("n",)
 
     def __init__(self, ctx, n, flat, known_prec):
         self.ctx = ctx
@@ -64,7 +64,7 @@ class PMatrix:
                     if not ctx.same(v.ctx):
                         raise DomainError("entry from a different ring")
                     known = min(known, v.known_prec)
-                flat.extend(e.coeffs)
+                flat.extend(e.flat)
         return PMatrix(ctx, n, _canonical(ctx, flat, n), known)
 
     @staticmethod
@@ -88,17 +88,15 @@ class PMatrix:
         _check_dim(n)
         e = value if isinstance(value, RingElement) else ctx.element(value)
         k = ctx.kernel
-        return PMatrix(ctx, n, k.m_scal(e.coeffs, k.m_identity(n)), min(ctx.N, e.known_prec))
+        return PMatrix(ctx, n, k.m_scal(e.flat, k.m_identity(n)), min(ctx.N, e.known_prec))
 
     # -- plumbing ---------------------------------------------------------------
 
     def _wrap(self, flat, prec=None):
         return PMatrix(self.ctx, self.n, flat, self.known_prec if prec is None else prec)
 
-    def _peer(self, other, strict=False):
+    def _peer(self, other):
         if not isinstance(other, PMatrix):
-            if strict:  # a method with no reflected form to defer to
-                raise DomainError(f"expected a PMatrix, got {type(other).__name__}")
             return None
         if not self.ctx.same(other.ctx):
             raise DomainError("matrices over different rings")
@@ -119,56 +117,12 @@ class PMatrix:
             body = [[self.flat[(i * self.n + j)] for j in range(self.n)] for i in range(self.n)]
         else:
             body = [
-                [list(self.entry(i, j).coeffs) for j in range(self.n)]
+                [list(self.entry(i, j).flat) for j in range(self.n)]
                 for i in range(self.n)
             ]
         return f"PMatrix({body}, prec={self.known_prec})"
 
-    def __eq__(self, other):
-        other = self._peer(other)
-        if other is None:
-            return NotImplemented
-        k = min(self.known_prec, other.known_prec)
-        return self.ctx.kernel.eq_mod(self.flat, other.flat, k)
-
-    __hash__ = None
-
-    def eq_at(self, other, k):
-        other = self._peer(other, strict=True)
-        return self.ctx.kernel.eq_mod(self.flat, other.flat, k)
-
-    def with_prec(self, k):
-        """The same matrix claimed to min(k, known_prec) digits: a claim only falls."""
-        return PMatrix(self.ctx, self.n, self.flat, min(k, self.known_prec))
-
-    def assume_prec(self, k):
-        """The same matrix claimed to min(k, N) digits, whatever it claimed before.
-
-        The one way to raise a claim: the caller vouches for the digits, by a
-        check it has just made or by a definition (a solve starts from its
-        u0's residue)."""
-        return PMatrix(self.ctx, self.n, self.flat, min(k, self.ctx.N))
-
     # -- ring operations ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._peer(other)
-        if other is None:
-            return NotImplemented
-        return self._wrap(
-            self.ctx.kernel.add(self.flat, other.flat), min(self.known_prec, other.known_prec)
-        )
-
-    def __sub__(self, other):
-        other = self._peer(other)
-        if other is None:
-            return NotImplemented
-        return self._wrap(
-            self.ctx.kernel.sub(self.flat, other.flat), min(self.known_prec, other.known_prec)
-        )
-
-    def __neg__(self):
-        return self._wrap(self.ctx.kernel.neg(self.flat))
 
     def __matmul__(self, other):
         other = self._peer(other)
@@ -186,7 +140,7 @@ class PMatrix:
             if not self.ctx.same(other.ctx):
                 raise DomainError("scalar from a different ring")
             return self._wrap(
-                self.ctx.kernel.m_scal(other.coeffs, self.flat),
+                self.ctx.kernel.m_scal(other.flat, self.flat),
                 min(self.known_prec, other.known_prec),
             )
         return NotImplemented
@@ -204,7 +158,7 @@ class PMatrix:
 
     def solve(self, other):
         """self^{-1} other, by one elimination."""
-        other = self._peer(other, strict=True)
+        other = self._require(other)
         return self._wrap(
             self.ctx.kernel.m_solve(self.flat, other.flat, self.n),
             min(self.known_prec, other.known_prec),
@@ -212,7 +166,7 @@ class PMatrix:
 
     def form(self, q):
         """self^t q self, the bilinear form q pulled back along self."""
-        q = self._peer(q, strict=True)
+        q = self._require(q)
         return self._wrap(
             self.ctx.kernel.m_form(self.flat, q.flat, self.n), min(self.known_prec, q.known_prec)
         )
@@ -242,13 +196,6 @@ class PMatrix:
         if self.known_prec < 1:
             raise PrecisionError("no digits left to divide")
         return self._wrap(self.ctx.kernel.m_divp(self.flat), self.known_prec - 1)
-
-    def valuation(self):
-        """min v_p over the entries, capped by known_prec; math.inf if 0."""
-        return vp_min(self.flat, self.ctx.p, self.known_prec)
-
-    def is_zero(self):
-        return self.valuation() == math.inf
 
 
 def _canonical(ctx, flat, n):

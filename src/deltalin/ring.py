@@ -6,29 +6,34 @@ give the same ring; the Frobenius lift is the unique ring endomorphism
 sending the generator to the root of f congruent to generator^p mod p,
 computed once by Newton iteration.
 
-Elements carry a per-element trusted precision `known_prec`: every ring
-operation propagates the minimum of its inputs, and the Fermat quotient
-delta(a) = (phi(a) - a^p) / p costs exactly one digit, and a p-th power
-gains one: a = b mod p^j, j >= 1, gives a^p = b^p mod p^{j+1}, so a^e is
-known to v_p(e) digits more than a (capped at N; 0 stays 0, a^0 is exact).
-Coefficients are always stored canonically reduced to [0, p^N).
+An element (RingElement) and a matrix (matrix.PMatrix) are values of one
+base, `_Truncated`: the flat tuple `flat` of canonical coefficients in
+[0, p^N) that the kernel works on (an element's is also `coeffs`) and one
+trusted precision `known_prec`, with the precision-claim rules written once
+there.  Every operation propagates the minimum of its inputs' claims, the
+Fermat quotient delta(a) = (phi(a) - a^p) / p costs exactly one digit, and
+a p-th power gains one: a = b mod p^j, j >= 1, gives a^p = b^p mod p^{j+1},
+so a^e is known to v_p(e) digits more than a (capped at N; 0 stays 0, a^0
+is exact).
 
 The analytic maps are power series, all evaluated by one helper, `_series`:
 a map supplies the terms c_k x^k, c_k = w_k / p^{v_k}, that can matter mod
-p^known_prec, and the helper forms the powers of x in a context with
-max v_k guard digits, divides each exactly by p^{v_k} and reduces the sum.
+p^known_prec, and the helper divides x by p once and sums the terms
+w_k p^{k - v_k} (x/p)^k in the context itself, with no guard digits.
 exp_p supplies 1/k!, log_p (-1)^{k+1}/k, and the binomial series of
 (1 + pT)^a binom(a, k); that one series serves `one_plus_pt_pow` on
 elements and `matrix.matrix_one_plus_pT_pow` on matrices.  psi is a log_p.
 The roots y = 1 mod p of y^k = b, of elements and matrices alike, are one
 Hensel-Newton routine, `_hensel_root`.
 Every other operation (inverse, Frobenius, delta, valuation, Teichmueller
-lift) is a method of RingElement or RingContext.
+lift) is a method of RingElement, of its value base or of RingContext.
 
 Sizes are capped by fixed constants, not settings: `make_context` refuses
 p >= MAX_P, m > MAX_M and N > MAX_N, and matrices over any context are
 n x n with n <= MAX_DIM.
 """
+
+import math
 
 from . import _residue
 from ._intmath import int_to_digits, is_prime, vp, vp_min
@@ -101,7 +106,7 @@ class RingContext:
         if isinstance(value, RingElement):
             if not self.same(value.ctx):
                 raise DomainError("element belongs to a different ring")
-            return RingElement(self, value.coeffs, value.known_prec)
+            return RingElement(self, value.flat, value.known_prec)
         if isinstance(value, int):
             coeffs = (value % q,) + (0,) * (m - 1)
         else:
@@ -159,7 +164,7 @@ class RingContext:
         """The multiplicative (Teichmueller) lift of a residue-field element."""
         p, m = self.p, self.m
         if isinstance(residue, RingElement):
-            rtuple = tuple(c % p for c in residue.coeffs)
+            rtuple = tuple(c % p for c in residue.flat)
         elif isinstance(residue, int):
             rtuple = (residue % p,) + (0,) * (m - 1)
         else:
@@ -189,17 +194,107 @@ class RingContext:
         return self._cache[key]
 
 
-class RingElement:
-    """One element of O_N: coefficient tuple plus trusted precision."""
+class _Truncated:
+    """A value of O_N or of M_n(O_N): the flat canonical coefficient tuple the
+    kernel works on, and one trusted precision `known_prec` for all of it.
 
-    __slots__ = ("ctx", "coeffs", "known_prec")
+    The precision-claim rules and the coefficient-wise ops live here once,
+    for RingElement and matrix.PMatrix alike: an op claims the minimum of its
+    inputs' claims, `with_prec` only lowers a claim, `assume_prec` is the one
+    way to raise it, and `==` compares at the smaller claim.  A subclass
+    supplies `_wrap(flat, prec)`, a value of its own kind, and
+    `_peer(other)`, other as an operand of its own kind, or None for an
+    operand it does not take.
+    """
 
-    def __init__(self, ctx, coeffs, known_prec):
+    __slots__ = ("ctx", "flat", "known_prec")
+
+    def _require(self, other):
+        """`_peer(other)` for a method with no reflected form to defer to."""
+        peer = self._peer(other)
+        if peer is None:
+            raise DomainError(f"expected a {type(self).__name__}, got {type(other).__name__}")
+        return peer
+
+    def __eq__(self, other):
+        other = self._peer(other)
+        if other is None:
+            return NotImplemented
+        k = min(self.known_prec, other.known_prec)
+        return self.ctx.kernel.eq_mod(self.flat, other.flat, k)
+
+    __hash__ = None
+
+    def eq_at(self, other, k):
+        """Whether self and other agree mod p^k, whatever either claims."""
+        return self.ctx.kernel.eq_mod(self.flat, self._require(other).flat, k)
+
+    def with_prec(self, k):
+        """The same value claimed to min(k, known_prec) digits: a claim only falls."""
+        return self._wrap(self.flat, min(k, self.known_prec))
+
+    def assume_prec(self, k):
+        """The same value claimed to min(k, N) digits, whatever it claimed before.
+
+        The one way to raise a claim: the caller vouches for the digits, by a
+        check it has just made or by a definition (a solve starts from its
+        u0's residue)."""
+        return self._wrap(self.flat, min(k, self.ctx.N))
+
+    def __add__(self, other):
+        other = self._peer(other)
+        if other is None:
+            return NotImplemented
+        return self._wrap(
+            self.ctx.kernel.add(self.flat, other.flat), min(self.known_prec, other.known_prec)
+        )
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._peer(other)
+        if other is None:
+            return NotImplemented
+        return self._wrap(
+            self.ctx.kernel.sub(self.flat, other.flat), min(self.known_prec, other.known_prec)
+        )
+
+    def __rsub__(self, other):
+        other = self._peer(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __neg__(self):
+        return self._wrap(self.ctx.kernel.neg(self.flat), self.known_prec)
+
+    def valuation(self):
+        """min v_p over the coefficients, capped by known_prec; math.inf if 0."""
+        return vp_min(self.flat, self.ctx.p, self.known_prec)
+
+    def is_zero(self):
+        return self.valuation() == math.inf
+
+
+class RingElement(_Truncated):
+    """One element of O_N: its m coefficients and their trusted precision."""
+
+    __slots__ = ()
+
+    def __init__(self, ctx, flat, known_prec):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.flat = flat
         self.known_prec = known_prec
 
+    @property
+    def coeffs(self):
+        """The coefficient tuple, `flat` by its public name."""
+        return self.flat
+
     # -- plumbing ---------------------------------------------------------
+
+    def _wrap(self, flat, prec):
+        return RingElement(self.ctx, flat, prec)
 
     def _peer(self, other):
         if isinstance(other, int):
@@ -211,79 +306,18 @@ class RingElement:
         return None
 
     def __repr__(self):
-        return f"RingElement({list(self.coeffs)}, prec={self.known_prec})"
-
-    def __eq__(self, other):
-        other = self._peer(other)
-        if other is None:
-            return NotImplemented
-        k = min(self.known_prec, other.known_prec)
-        return self.ctx.kernel.eq_mod(self.coeffs, other.coeffs, k)
-
-    __hash__ = None
-
-    def eq_at(self, other, k):
-        peer = self._peer(other)
-        if peer is None:
-            raise DomainError(f"expected a RingElement or an int, got {type(other).__name__}")
-        return self.ctx.kernel.eq_mod(self.coeffs, peer.coeffs, k)
-
-    def with_prec(self, k):
-        """The same element claimed to min(k, known_prec) digits: a claim only falls."""
-        return RingElement(self.ctx, self.coeffs, min(k, self.known_prec))
-
-    def assume_prec(self, k):
-        """The same element claimed to min(k, N) digits, whatever it claimed
-        before; the caller vouches for the digits (`PMatrix.assume_prec`)."""
-        return RingElement(self.ctx, self.coeffs, min(k, self.ctx.N))
+        return f"RingElement({list(self.flat)}, prec={self.known_prec})"
 
     # -- arithmetic ------------------------------------------------------------
 
-    def __add__(self, other):
-        other = self._peer(other)
-        if other is None:
-            return NotImplemented
-        return RingElement(
-            self.ctx,
-            self.ctx.kernel.add(self.coeffs, other.coeffs),
-            min(self.known_prec, other.known_prec),
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._peer(other)
-        if other is None:
-            return NotImplemented
-        return RingElement(
-            self.ctx,
-            self.ctx.kernel.sub(self.coeffs, other.coeffs),
-            min(self.known_prec, other.known_prec),
-        )
-
-    def __rsub__(self, other):
-        other = self._peer(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return RingElement(self.ctx, self.ctx.kernel.neg(self.coeffs), self.known_prec)
-
     def __mul__(self, other):
         if isinstance(other, int):
-            return RingElement(
-                self.ctx,
-                self.ctx.kernel.scal_int(other, self.coeffs),
-                self.known_prec,
-            )
+            return self._wrap(self.ctx.kernel.scal_int(other, self.flat), self.known_prec)
         other = self._peer(other)
         if other is None:
             return NotImplemented
-        return RingElement(
-            self.ctx,
-            self.ctx.kernel.s_mul(self.coeffs, other.coeffs),
-            min(self.known_prec, other.known_prec),
+        return self._wrap(
+            self.ctx.kernel.s_mul(self.flat, other.flat), min(self.known_prec, other.known_prec)
         )
 
     __rmul__ = __mul__
@@ -292,22 +326,19 @@ class RingElement:
         if not isinstance(e, int):
             return NotImplemented
         k = self.ctx.kernel
-        base = self.coeffs if e >= 0 else k.s_inv(self.coeffs)
-        return RingElement(self.ctx, k.s_pow(base, abs(e)), _power_prec(self.ctx, self.known_prec, e))
+        base = self.flat if e >= 0 else k.s_inv(self.flat)
+        return self._wrap(k.s_pow(base, abs(e)), _power_prec(self.ctx, self.known_prec, e))
 
     # -- named operations ----------------------------------------------------
 
     def is_unit(self):
-        return self.ctx.kernel.s_is_unit(self.coeffs)
-
-    def is_zero(self):
-        return self.ctx.kernel.eq_mod(self.coeffs, self.ctx.kernel.zero, self.known_prec)
+        return self.ctx.kernel.s_is_unit(self.flat)
 
     def invert(self):
-        return RingElement(self.ctx, self.ctx.kernel.s_inv(self.coeffs), self.known_prec)
+        return self._wrap(self.ctx.kernel.s_inv(self.flat), self.known_prec)
 
     def frobenius(self, k=1):
-        return RingElement(self.ctx, self.ctx.kernel.s_frob(self.coeffs, k), self.known_prec)
+        return self._wrap(self.ctx.kernel.s_frob(self.flat, k), self.known_prec)
 
     def frobenius_inverse(self):
         m = self.ctx.m
@@ -318,21 +349,16 @@ class RingElement:
         if self.known_prec < 2:
             raise PrecisionError("delta needs known_prec >= 2")
         k = self.ctx.kernel
-        num = k.sub(k.s_frob(self.coeffs, 1), k.s_pow(self.coeffs, self.ctx.p))
-        return RingElement(self.ctx, k.s_divp(num), self.known_prec - 1)
+        num = k.sub(k.s_frob(self.flat, 1), k.s_pow(self.flat, self.ctx.p))
+        return self._wrap(k.s_divp(num), self.known_prec - 1)
 
     def is_constant(self):
-        d = self.delta()
-        return d.ctx.kernel.eq_mod(d.coeffs, d.ctx.kernel.zero, d.known_prec)
-
-    def valuation(self):
-        """min_i v_p(coeff_i), capped by known_prec; math.inf if 0 at precision."""
-        return vp_min(self.coeffs, self.ctx.p, self.known_prec)
+        return self.delta().is_zero()
 
     def residue(self):
         """Image in F_{p^m} as a coefficient tuple mod p."""
         p = self.ctx.p
-        return tuple(c % p for c in self.coeffs)
+        return tuple(c % p for c in self.flat)
 
 
 def _power_prec(ctx, known, e):
@@ -477,7 +503,7 @@ def _check_frobenius_order(kernel, m):
 def _require_val_ge_one(a, what):
     if a.known_prec < 1:
         raise PrecisionError(f"{what} needs at least one known digit")
-    if any(c % a.ctx.p for c in a.coeffs):
+    if any(c % a.ctx.p for c in a.flat):
         raise DomainError(f"{what} requires valuation >= 1")
 
 
@@ -485,27 +511,25 @@ def _series(ctx, x, n, terms):
     """sum_k w_k x^k / p^{v_k} mod p^N, over the (k, w_k, v_k) of `terms`.
 
     x is the flat tuple of an n x n matrix (n = 1: an element) of valuation
-    >= 1, and the terms come in increasing k.  The powers of x are formed in
-    ctx.guarded(max v_k), where x^k / p^{v_k} is exact mod p^N; each w_k is
-    an integer taken mod p^N, so every term, and the sum, is exact mod p^N.
+    >= 1, and the terms come in increasing k with v_k <= k.  With t = x / p,
+    exact on the representatives, x^k / p^{v_k} = p^{k - v_k} t^k in
+    Z[x]/(f), so the powers of t are formed mod p^N with no guard digits:
+    each w_k is an integer taken mod p^N, and every term, and the sum, is
+    exact mod p^N.  Every map here has k - v_k >= 1 for k >= 1 at odd p,
+    as v_p(k!) <= (k - 1)/(p - 1).
     """
-    p = ctx.p
-    gk = ctx.guarded(max((v for _, _, v in terms), default=0)).kernel
-    pw = gk.m_identity(n)
+    kernel = ctx.kernel
+    p, q = ctx.p, kernel.q
+    t = kernel.s_divp(x) if n == 1 else kernel.m_divp(x)
+    pw = kernel.m_identity(n)
     acc = [0] * len(pw)  # unreduced; taken mod p^N once, at the end
     j = 0
     for k, w, v in terms:
         while j < k:
-            pw = gk.s_mul(pw, x) if n == 1 else gk.m_mul(pw, x, n)
+            pw = kernel.s_mul(pw, t) if n == 1 else kernel.m_mul(pw, t, n)
             j += 1
-        num = pw
-        if v:
-            pv = p ** v
-            if any(c % pv for c in pw):
-                raise AlgebraInvariantError("exact division by p^v failed in series")
-            num = [c // pv for c in pw]
-        acc = [s + w * c for s, c in zip(acc, num)]
-    q = ctx.kernel.q
+        c = w * pow(p, k - v, q) % q
+        acc = [s + c * e for s, e in zip(acc, pw)]
     return tuple(s % q for s in acc)
 
 
@@ -527,7 +551,7 @@ def exp_p(a):
         unit = unit * (k // p ** vk) % q
         if k - v < K:
             terms.append((k, pow(unit, -1, q), v))
-    return RingElement(ctx, _series(ctx, a.coeffs, 1, terms), K)
+    return RingElement(ctx, _series(ctx, a.flat, 1, terms), K)
 
 
 def log_p(u):
@@ -548,7 +572,7 @@ def log_p(u):
         if k - v < K:
             w = pow(k // p ** v, -1, q)
             terms.append((k, w if k % 2 else q - w, v))
-    x = ctx.kernel.sub(u.coeffs, ctx.kernel.one)
+    x = ctx.kernel.sub(u.flat, ctx.kernel.one)
     return RingElement(ctx, _series(ctx, x, 1, terms), K)
 
 
@@ -558,7 +582,7 @@ def one_plus_pt_pow(u, a):
     The exponent a is a p-adic integer, given either as a plain int (its
     class mod p^N) or as a RingElement of the prime subring.
     """
-    coeffs, K = _binomial_power(u.ctx, u.coeffs, 1, a, u.known_prec)
+    coeffs, K = _binomial_power(u.ctx, u.flat, 1, a, u.known_prec)
     return RingElement(u.ctx, coeffs, K)
 
 
@@ -582,9 +606,9 @@ def _binomial_power(ctx, flat, n, a, K):
         if not ctx.same(a.ctx):
             raise DomainError("exponent belongs to a different ring")
         pk = ctx.p ** a.known_prec
-        if any(c % pk for c in a.coeffs[1:]):
+        if any(c % pk for c in a.flat[1:]):
             raise DomainError("exponent must lie in the prime subring Z_p")
-        a, K = a.coeffs[0], min(K, a.known_prec + 1)
+        a, K = a.flat[0], min(K, a.known_prec + 1)
     elif not isinstance(a, int):
         raise DomainError("exponent must be an int or a RingElement")
     p, q = ctx.p, kernel.q
@@ -647,11 +671,11 @@ def psi(u):
     k = u.ctx.kernel
     w = RingElement(
         u.ctx,
-        k.s_mul(k.s_frob(u.coeffs, 1), k.s_inv(k.s_pow(u.coeffs, u.ctx.p))),
+        k.s_mul(k.s_frob(u.flat, 1), k.s_inv(k.s_pow(u.flat, u.ctx.p))),
         u.known_prec,
     )
     lg = log_p(w)
-    return RingElement(u.ctx, k.s_divp(lg.coeffs), u.known_prec - 1)
+    return RingElement(u.ctx, k.s_divp(lg.flat), u.known_prec - 1)
 
 
 def digit_string(a):
@@ -661,7 +685,7 @@ def digit_string(a):
     """
     p, N = a.ctx.p, a.ctx.N
     parts = []
-    for c in a.coeffs:
+    for c in a.flat:
         digits = int_to_digits(c, p, min(a.known_prec, N))
         terms = [str(digits[0])] if digits else ["0"]
         for i, d in enumerate(digits[1:], start=1):

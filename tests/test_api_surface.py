@@ -126,3 +126,39 @@ def test_benchmark_traced_names_exist():
         for attr in rest.split(".")[1:]:
             assert hasattr(obj, attr), name
             obj = getattr(obj, attr)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "deltalin"
+
+# The methods of the one value base under RingElement and PMatrix: the
+# precision-claim rules, the peer check and the coefficient-wise ops.
+VALUE_BASE = (
+    "__eq__", "__hash__", "eq_at", "with_prec", "assume_prec", "_require",
+    "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "valuation", "is_zero",
+)
+
+
+def _class_members(path):
+    """The names each class body in `path` defines, by def or by assignment."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                yield node.name
+            elif isinstance(node, ast.Assign):
+                yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
+def test_value_base_is_written_once():
+    """Each method of the value base is defined once across ring.py and
+    matrix.py, and the library reads an element's coefficients as `.flat`
+    only (`coeffs` is the public alias)."""
+    members = [name for f in ("ring.py", "matrix.py") for name in _class_members(SRC / f)]
+    assert {name: members.count(name) for name in VALUE_BASE} == dict.fromkeys(VALUE_BASE, 1)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "coeffs"]
+        assert reads == [], path.name

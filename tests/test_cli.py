@@ -103,6 +103,16 @@ def _no_solve(*args, **kwargs):
     raise AssertionError("solve called")
 
 
+def test_galois_cap_counts_the_digits_of_the_report(capsys, monkeypatch):
+    # the default torsion 168 gives 56,448 candidates of 2^2 * 2 * 64 digits
+    monkeypatch.setattr(cli, "solve", _no_solve)
+    code, out, err = run_cli(
+        capsys, "galois", "--p", "13", "--m", "2", "--n", "2", "--kind", "gl", "--prec", "64",
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "exceeds the cap" in err
+
+
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "solve", "--p", "4", "--n", "2", "--kind", "gl")
     assert code == 2

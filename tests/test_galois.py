@@ -107,6 +107,13 @@ def test_enumerate_cap(c5):
         enumerate_N_delta(c5, 8, 4)  # 8! * 4^8 > MAX_N_DELTA
 
 
+def test_enumerate_cap_counts_the_digits_of_the_list():
+    # 2! * 168^2 candidates of 2^2 * 2 * N digits: 7.2M at N = 16, 28.9M at N = 64
+    assert len(enumerate_N_delta(make_context(13, 2, 16), 2, 168)) == 56448
+    with pytest.raises(ParameterError, match="28901376 digits, exceeds the cap"):
+        enumerate_N_delta(make_context(13, 2, 64), 2, 168)
+
+
 def test_n_delta_inside_Gu_for_all_kinds(c5):
     rng = Rng(74)
     for kind, variant, n in (

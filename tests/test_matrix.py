@@ -70,18 +70,27 @@ def test_solve_and_form_contract(c5x2):
 @pytest.mark.parametrize("bad", [None, 3, "x", 1.5])
 def test_operand_that_is_not_a_matrix_raises_domain_error(c5x2, bad):
     """eq_at, solve and form have no reflected form to defer to, so an
-    operand of the wrong type is refused with DomainError, as is a scalar
-    method given a matrix or a non-element."""
-    a = PMatrix.identity(c5x2, 2)
-    for call in (lambda: a.eq_at(bad, 1), lambda: a.solve(bad), lambda: a.form(bad),
-                 lambda: a.eq_at(c5x2.one(), 1), lambda: c5x2.one().eq_at(a, 1)):
-        with pytest.raises(DomainError):
+    operand of the wrong type is refused by the one peer check, with a
+    DomainError naming the type expected, as is a scalar method given a
+    matrix or a non-element; == against a foreign type reads False."""
+    a, one = PMatrix.identity(c5x2, 2), c5x2.one()
+    got = type(bad).__name__
+    for call, expected, given in (
+        (lambda: a.eq_at(bad, 1), "PMatrix", got),
+        (lambda: a.solve(bad), "PMatrix", got),
+        (lambda: a.form(bad), "PMatrix", got),
+        (lambda: a.eq_at(one, 1), "PMatrix", "RingElement"),
+        (lambda: one.eq_at(a, 1), "RingElement", "PMatrix"),
+    ):
+        with pytest.raises(DomainError, match=f"expected a {expected}, got {given}"):
             call()
+    assert (a == bad) is False and (a == one) is False and (one == a) is False
     if not isinstance(bad, int):
-        with pytest.raises(DomainError):
-            c5x2.one().eq_at(bad, 1)
+        with pytest.raises(DomainError, match=f"expected a RingElement, got {got}"):
+            one.eq_at(bad, 1)
+        assert (one == bad) is False
     else:
-        assert c5x2.one().eq_at(bad, 1) == (bad % 5 == 1)
+        assert one.eq_at(bad, 1) == (bad % 5 == 1)
 
 
 def test_large_dimension_elimination_paths():

@@ -127,7 +127,7 @@ def test_with_prec_never_raises_a_claim(p, m, N):
     ctx = make_context(p, m, N)
     rng = Rng(4000 * p + 10 * m + N)
     for x in (rng.matrix(ctx, 2), rng.element(ctx)):
-        digits = x.flat if isinstance(x, PMatrix) else x.coeffs
+        digits = x.flat
         for c in range(N + 1):
             y = x.with_prec(c)
             for k in range(N + 3):
@@ -135,7 +135,7 @@ def test_with_prec_never_raises_a_claim(p, m, N):
                 assert y.with_prec(k).with_prec(N + 2).known_prec == min(k, c), (c, k)
                 assert y.assume_prec(k).known_prec == min(k, N), (c, k)
                 for z in (y.with_prec(k), y.assume_prec(k)):
-                    assert (z.flat if isinstance(z, PMatrix) else z.coeffs) == digits
+                    assert z.flat == digits
 
 
 _TWISTED = [("gl", None, 3), ("sl", None, 2), ("so", "sp", 2), ("so", "so_even", 2), ("so", "so_odd", 3)]

@@ -1,4 +1,4 @@
-"""The one guarded series behind exp_p, log_p and (1 + pT)^a, against oracles.
+"""The one series behind exp_p, log_p and (1 + pT)^a, against oracles.
 
 (1 + pt)^a is the binomial series for elements and matrices alike; the
 oracles are exp_p(a log_p(u)) for an element, the element power for a 1 x 1
@@ -8,7 +8,15 @@ matrix, and square-and-multiply for an integer exponent.
 import pytest
 
 from deltalin.matrix import PMatrix, matrix_one_plus_pT_pow
-from deltalin.ring import RingElement, exp_p, log_p, make_context, one_plus_pt_pow
+from deltalin.ring import (
+    RingContext,
+    RingElement,
+    exp_p,
+    log_p,
+    make_context,
+    one_plus_pt_pow,
+    psi,
+)
 from deltalin.sampling import Rng
 
 CONTEXTS = [(3, 1, 40), (13, 2, 16), (5, 3, 12)]
@@ -78,7 +86,7 @@ def _square_and_multiply(M, e):
 
 
 def test_matrix_power_of_an_int_is_square_and_multiply():
-    # p = 3, N = 40 has the largest guard of these tests: v_3(39!) = 18
+    # p = 3, N = 40 has the largest v_k of these tests: v_3(39!) = 18
     ctx = make_context(3, 1, 40)
     rng = Rng(41)
     for n in (2, 3):
@@ -90,3 +98,29 @@ def test_matrix_power_of_an_int_is_square_and_multiply():
                     got = matrix_one_plus_pT_pow(base, e)
                     assert got.known_prec == base.known_prec, (n, e)
                     assert got.eq_at(_square_and_multiply(M, e), got.known_prec), (n, e)
+
+
+@pytest.mark.parametrize("p, m, N", CONTEXTS)
+def test_series_need_no_guard_context(p, m, N, monkeypatch):
+    """The series form the powers of x / p in the context itself: with
+    `RingContext.guarded` refused, every map returns what it returned before."""
+    ctx = make_context(p, m, N)
+    rng = Rng(5000 * p + 10 * m + N)
+    x = p * rng.element(ctx)
+    w = rng.unit(ctx)
+    a = rng.below(p ** N)
+    Ms = [PMatrix.identity(ctx, n) + p * rng.matrix(ctx, n) for n in (2, 3)]
+
+    def values():
+        u = ctx.one() + x
+        out = [exp_p(x), log_p(u), psi(w), one_plus_pt_pow(u, a), one_plus_pt_pow(u, -a)]
+        out += [matrix_one_plus_pT_pow(M, e) for M in Ms for e in (a, -a)]
+        return [(v.flat, v.known_prec) for v in out]
+
+    before = values()
+
+    def refuse(self, extra):
+        raise AssertionError("a series asked for a guarded context")
+
+    monkeypatch.setattr(RingContext, "guarded", refuse)
+    assert values() == before
