@@ -42,7 +42,7 @@ from .io import (
     spec_to_json,
     valuation_to_json,
 )
-from .matrix import PMatrix
+from .matrix import PMatrix, in_sl_delta, in_so_delta
 from .ring import digit_string, make_context
 from .sampling import Rng
 
@@ -194,7 +194,7 @@ def _cmd_verify(args):
     u = matrix_from_json(ctx, sol_json)
     rv = residual_valuation(spec, u)
     integrals_ok = all(d.is_zero() for _, _, d in prime_integral_check(spec, u))
-    ok = rv == math.inf and integrals_ok
+    ok = rv == math.inf and (integrals_ok or not _integrals_are_prime(spec))
     out = {
         "command": "verify",
         "residual_valuation": valuation_to_json(rv),
@@ -205,6 +205,19 @@ def _cmd_verify(args):
     _emit(out, None)
     print("verify: " + ("PASS" if ok else "FAIL"), file=sys.stderr)
     return EXIT_PASS if ok else EXIT_FAIL
+
+
+def _integrals_are_prime(spec):
+    """Whether delta vanishes on the kind's integrals at every solution of spec.
+
+    phi(det u) = det(1 + p*alpha) det(u)^p and phi(u^t q u) =
+    Phi(u)^t (1 + p*alpha)^t q (1 + p*alpha) Phi(u), so det u (sl) and
+    u^t q u (so) are prime integrals when 1 + p*alpha lies in SL_n or
+    SO(q), and verify asks them to vanish only then.
+    """
+    if spec.kind == "sl":
+        return in_sl_delta(spec.alpha)
+    return in_so_delta(spec.alpha, spec.q_matrix())
 
 
 def _cmd_galois(args):

@@ -347,7 +347,10 @@ def solve(spec, u0):
 def prime_integral_check(spec, u):
     """Each prime integral at u with its delta, as (name, value, delta value):
     (('det', det u, delta(det u)),) for sl, (('xtqx', u^t q u, delta(u^t q u)),)
-    for so, () for gl.  The delta values vanish when u solves spec."""
+    for so, () for gl.  The delta values vanish when u solves spec and
+    1 + p*alpha lies in SL_n (sl) or SO(q) (so), since
+    phi(det u) = det(1 + p*alpha) det(u)^p; for any other alpha they need
+    not vanish on a solution."""
     if spec.kind == "sl":
         d = u.det()
         return (("det", d, d.delta()),)

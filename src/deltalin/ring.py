@@ -3,8 +3,9 @@
 The ring is realized as (Z/p^N)[x] / (f) for a monic degree-m lift f of an
 irreducible residue polynomial.  All lifts of the same residue polynomial
 give the same ring; the Frobenius lift is the unique ring endomorphism
-sending the generator to the root of f congruent to generator^p mod p,
-computed once by Newton iteration.
+sending the generator to the root of f congruent to generator^p mod p.
+That root and the Teichmueller lifts, the roots of y^(p^m) = y, are simple
+roots, each lifted by one certified Newton routine, `_newton_lift`.
 
 An element (RingElement) and a matrix (matrix.PMatrix) are values of one
 base, `_Truncated`: the flat tuple `flat` of canonical coefficients in
@@ -161,25 +162,18 @@ class RingContext:
         return self._cache[key]
 
     def teichmueller(self, residue):
-        """The multiplicative (Teichmueller) lift of a residue-field element."""
-        p, m = self.p, self.m
-        if isinstance(residue, RingElement):
-            rtuple = tuple(c % p for c in residue.flat)
-        elif isinstance(residue, int):
-            rtuple = (residue % p,) + (0,) * (m - 1)
-        else:
-            vals = [v % p for v in residue]
-            vals += [0] * (m - len(vals))
-            rtuple = tuple(vals[:m])
+        """The multiplicative (Teichmueller) lift of a residue-field element r:
+        the simple root y = r mod p of y^Q - y, Q = p^m, by `_newton_lift`."""
+        rtuple = self.element(residue).residue()
         key = ("teich", rtuple)
         if key not in self._cache:
-            k = self.kernel
-            x = rtuple
-            pm = p ** m
-            # one digit gained per step: x <- x^{p^m}
-            for _ in range(self.N):
-                x = k.s_pow(x, pm)
-            self._cache[key] = x
+            k, Q = self.kernel, self.p ** self.m
+
+            def g(y):
+                y1 = k.s_pow(y, Q - 1)
+                return k.sub(k.s_mul(y1, y), y), k.sub(k.scal_int(Q, y1), k.one)
+
+            self._cache[key] = _newton_lift(k, rtuple, g, self.N)
         return RingElement(self, self._cache[key], self.N)
 
     def guarded(self, extra):
@@ -430,7 +424,7 @@ def make_context(p, m=1, N=2, residue_poly=None, *, _modulus_lift=None):
         raise ParameterError("residue polynomial must be irreducible over F_p")
 
     kernel = PureKernel(p, m, N, tail)
-    frob_image = _newton_frob_image(kernel, p, m, N)
+    frob_image = _newton_frob_image(kernel)
     kernel.set_frob(_frob_matrix(kernel, frob_image, m))
     _check_frobenius_order(kernel, m)
 
@@ -438,45 +432,44 @@ def make_context(p, m=1, N=2, residue_poly=None, *, _modulus_lift=None):
     return RingContext(p, m, N, modulus, res_poly, frob_image, kernel)
 
 
-def _newton_frob_image(kernel, p, m, N):
-    """Root of the modulus congruent to generator^p, by Newton iteration."""
-    if m == 1:
-        return (0,)
-    gen = tuple(1 if i == 1 else 0 for i in range(m))
-    y0 = kernel.s_pow(gen, p)
+def _newton_lift(kernel, y0, g, N):
+    """The root y = y0 mod p of g, mod p^N, for y0 a simple root mod p;
+    g(y) returns the flats (g(y), g'(y)).  Each step y <- y - g(y)/g'(y),
+    one s_inv and one s_mul, doubles the correct digits, so bitlen(N-1)
+    steps reach N; the check g(y) = 0 mod p^N certifies y, as a simple root
+    is unique mod p^N."""
     y = y0
-    coeffs = kernel.modulus_tail
-    steps = max(1, (N - 1).bit_length()) + 1
-    for _ in range(steps):
-        fy = _eval_monic(kernel, coeffs, y, m)
-        if not any(fy):
+    gy, dgy = g(y)
+    if any(c % kernel.p for c in gy):
+        raise AlgebraInvariantError("Newton lift: the start is not a root mod p")
+    for _ in range((N - 1).bit_length()):
+        if not any(gy):
             break
-        fpy = _eval_monic_deriv(kernel, coeffs, y, m)
-        y = kernel.sub(y, kernel.s_mul(fy, kernel.s_inv(fpy)))
-    if any(_eval_monic(kernel, coeffs, y, m)):
-        raise AlgebraInvariantError("Newton iteration for the Frobenius image did not converge")
-    if not kernel.eq_mod(y, y0, 1):
-        raise AlgebraInvariantError("Frobenius image does not reduce to generator^p")
+        y = kernel.sub(y, kernel.s_mul(gy, kernel.s_inv(dgy)))
+        gy, dgy = g(y)
+    if any(gy):
+        raise AlgebraInvariantError("Newton lift did not converge")
     return y
 
 
-def _eval_monic(kernel, tail, y, m):
-    acc = kernel.one
-    for i in range(m - 1, -1, -1):
-        acc = kernel.s_mul(acc, y)
-        if tail[i]:
-            acc = kernel.add(acc, kernel.scal_int(tail[i], kernel.one))
-    return acc
+def _newton_frob_image(kernel):
+    """The root of the modulus f congruent to generator^p, by `_newton_lift`."""
+    m, tail, one = kernel.m, kernel.modulus_tail, kernel.one
+    if m == 1:
+        return (0,)
 
+    def f(y):  # (f(y), f'(y)) by one Horner pass; zero coefficients add nothing
+        fy, dfy = y, one
+        for i in range(m - 1, -1, -1):
+            if tail[i]:
+                fy = kernel.add(fy, kernel.scal_int(tail[i], one))
+            if i:
+                dfy = kernel.add(kernel.s_mul(dfy, y), fy)
+                fy = kernel.s_mul(fy, y)
+        return fy, dfy
 
-def _eval_monic_deriv(kernel, tail, y, m):
-    acc = kernel.scal_int(m, kernel.one)
-    for i in range(m - 1, 0, -1):
-        acc = kernel.s_mul(acc, y)
-        c = i * tail[i]
-        if c:
-            acc = kernel.add(acc, kernel.scal_int(c, kernel.one))
-    return acc
+    gen = tuple(1 if i == 1 else 0 for i in range(m))
+    return _newton_lift(kernel, kernel.s_pow(gen, kernel.p), f, kernel.N)
 
 
 def _frob_matrix(kernel, frob_image, m):

@@ -8,8 +8,8 @@ from deltalin import cli
 from deltalin.cli import main
 from deltalin.errors import AlgebraInvariantError
 from deltalin.io import matrix_from_json, matrix_to_json, spec_from_json
-from deltalin.matrix import PMatrix
-from deltalin.ring import log_p
+from deltalin.matrix import PMatrix, in_sl_delta
+from deltalin.ring import log_p, make_context
 from deltalin.sampling import Rng
 
 
@@ -307,6 +307,29 @@ def test_verify_broken_solution_keeps_its_verdict(capsys, tmp_path, kind):
             "command": "verify", "fixedness": fixedness, "pass": False,
             "prime_integrals_vanish": integrals, "residual_valuation": j,
         }
+
+
+@pytest.mark.parametrize("kind", [["sl"], ["so", "--variant", "sp"]], ids=["sl", "sp"])
+def test_verify_passes_a_solution_for_alpha_outside_the_delta_lie_algebra(capsys, tmp_path, kind):
+    """det u and u^t q u are prime integrals only when 1 + p*alpha lies in
+    SL_n or SO(q); for an unstructured alpha they need not vanish, and
+    verify passes a solution whose residual valuation is inf."""
+    ctx = make_context(7, 1, 16)
+    alpha = Rng(5).matrix(ctx, 2)
+    assert not in_sl_delta(alpha)
+    alpha_path, report_path = tmp_path / "alpha.json", tmp_path / "rep.json"
+    alpha_path.write_text(json.dumps(matrix_to_json(alpha)))
+    code, _, _ = run_cli(
+        capsys, "solve", "--p", "7", "--prec", "16", "--n", "2", "--kind", *kind,
+        "--alpha", str(alpha_path), "--output", str(report_path),
+    )
+    assert code == 0
+    code, out, err = run_cli(capsys, "verify", "--input", str(report_path))
+    assert (code, err) == (0, "verify: PASS\n")
+    assert json.loads(out) == {
+        "command": "verify", "fixedness": 1, "pass": True,
+        "prime_integrals_vanish": False, "residual_valuation": "inf",
+    }
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

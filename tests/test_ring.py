@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from deltalin import _residue
 from deltalin._intmath import vp
 from deltalin.errors import (
+    AlgebraInvariantError,
     DomainError,
     NotUnitError,
     ParameterError,
@@ -15,6 +17,7 @@ from deltalin.errors import (
 from deltalin.matrix import PMatrix, matrix_one_plus_pT_pow
 from deltalin.ring import (
     _hensel_root,
+    _newton_lift,
     exp_p,
     log_p,
     make_context,
@@ -281,6 +284,53 @@ def test_teichmueller_image_is_fixed_set_of_qth_power(c5x2):
     # 1 + p is not fixed
     a = c5x2.element(6)
     assert a ** pm != a
+
+
+@pytest.mark.parametrize("N", [2, 3, 16, 64])
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 2), (7, 3)])
+def test_teichmueller_equals_the_qth_power_loop(p, m, N):
+    """The Newton lift of every residue, 0 included, equals the reference
+    loop x <- x^Q, Q = p^m, which gains one digit per step."""
+    ctx = make_context(p, m, N)
+    k, Q = ctx.kernel, p ** m
+    for r in itertools.product(range(p), repeat=m):
+        x = r
+        for _ in range(N):
+            x = k.s_pow(x, Q)
+        assert ctx.teichmueller(r).coeffs == x, r
+
+
+def test_teichmueller_lift_takes_logarithmically_many_steps():
+    """One s_pow per Newton step and one for the start: 11 at N = 1024,
+    where the loop x <- x^Q takes 1024."""
+    ctx = make_context(13, 2, 1024)
+    calls = []
+    s_pow = ctx.kernel.s_pow
+    ctx.kernel.s_pow = lambda a, e: calls.append(e) or s_pow(a, e)
+    t = ctx.teichmueller((2, 7))
+    assert len(calls) <= 11
+    assert t.residue() == (2, 7) and (t ** 169).coeffs == t.coeffs
+
+
+def test_newton_lift_refuses_a_start_that_is_not_a_root(c5):
+    k = c5.kernel
+    with pytest.raises(AlgebraInvariantError, match="not a root mod p"):
+        _newton_lift(k, (1,), lambda y: (k.sub(k.s_mul(y, y), (2,)), k.scal_int(2, y)), c5.N)
+    # g = p never vanishes: the steps run out
+    with pytest.raises(AlgebraInvariantError, match="did not converge"):
+        _newton_lift(k, (1,), lambda y: ((5,), (1,)), c5.N)
+
+
+def test_teichmueller_refuses_what_element_refuses(c5x2):
+    """Surplus coordinates, and an element of another ring (here one with
+    another modulus), are refused, not truncated or read in this basis."""
+    ctx = make_context(5, 2, 8)
+    with pytest.raises(DomainError, match="at most 2 coordinates expected"):
+        ctx.teichmueller((1, 2, 3))
+    with pytest.raises(DomainError, match="different ring"):
+        ctx.teichmueller(c5x2.teichmueller((1, 2)))
+    assert ctx.teichmueller((3,)) == ctx.teichmueller(3) == ctx.teichmueller((3, 0))
+    assert ctx.teichmueller(ctx.element((6, 7))) == ctx.teichmueller((1, 2))
 
 
 @pytest.mark.parametrize(
