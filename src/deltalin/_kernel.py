@@ -29,6 +29,19 @@ The kernel works on Python ints with these rules:
   - `_dot` sums t0 = sum x0 y0, t1 = sum (x0 y1 + x1 y0), t2 = sum x1 y1
     unreduced and returns (t0 + r0 t2, t1 + r1 t2), each reduced once;
     entries may be negated.  `_pow` squares and multiplies on pairs.
+  - `m_mul`, `m_powp` and `m_form` are straight-line code: one Python
+    function per shape, generated on first use and cached for the process
+    (`_mul_fn`, `_powp_fn`, `_form_fn`).  It unpacks the flat tuples into
+    locals and writes each output coefficient as one expression, reduced
+    once mod q as `_dot` does: an entry of A B sums its n products, with
+    the x^2 sum in one local t, as (t0 + r0 t, t1 + r1 t).  q, r0 and r1
+    are arguments, so one function serves every context of its shape:
+    products are keyed by n, powers by the length of the flat tuple (the
+    loop over the bits of p squares and multiplies every entry in each
+    step, so p is an argument too), forms by n and Q's entry pattern.
+    The source is built from integers and fixed text only, so no input
+    text reaches `exec`.  At m == 1 these ops keep their loops, and at
+    m >= 3 they run on `_dot`.
   - The inverse uses the norm.  x -> r1 - x is a ring automorphism of
     (Z/q)[x]/(f), since f(r1 - x) = f(x); so conj(a) = (a0 + r1 a1) - a1 x
     and a * conj(a) = N(a) = a0^2 + r1 a0 a1 - r0 a1^2, an integer mod q,
@@ -71,6 +84,10 @@ The kernel works on Python ints with these rules:
   multiplication (every form `build_q` makes is a signed permutation);
   any other row is a `_dot` per entry.  Each entry of X^t (QX) is then one
   `_dot` of a column of X with a column of QX; the transpose is not built.
+  The generated form at m == 2 reads Q's pattern of entries 0, 1, -1 and
+  other: zeros drop out, a row of 1 and -1 entries is a signed sum of
+  rows of X written into each product, with no multiplication and no
+  reduction, and any other row is a local per entry, reduced once.
 - `m_det` is the Laplace expansion along the rows at every n <= MAX_DIM,
   memoized: the minor on the rows below the ones expanded is fixed by the
   mask of columns those left free, so it is built once, bottom-up, with one
@@ -437,6 +454,8 @@ class PureKernel:
 
     def m_mul(self, A, B, n):
         q = self.q
+        if self.m == 2:
+            return _mul_fn(n)(A, B, q, *self._red[0])
         a, b = self._ents(A), self._ents(B)
         rows = [a[i * n : (i + 1) * n] for i in range(n)]
         cols = [b[j::n] for j in range(n)]
@@ -453,6 +472,8 @@ class PureKernel:
         p, q = self.p, self.q
         if self.m == 1:
             return tuple(pow(x, p, q) for x in A)
+        if self.m == 2:
+            return _powp_fn(len(A))(A, p, q, *self._red[0])
         return self._flat(self._pow(e, p) for e in self._ents(A))
 
     def m_det(self, A, n):
@@ -511,6 +532,8 @@ class PureKernel:
         """X^t Q X: QX row by row from Q's nonzero entries, then X^t (QX)
         from the columns of X (module docstring)."""
         m, q = self.m, self.q
+        if m == 2:
+            return _form_fn_of(n, q, Q)(X, Q, q, *self._red[0])
         x = self._ents(X)
         xrows = [x[k * n : (k + 1) * n] for k in range(n)]
         qe = self._ents(Q)
@@ -531,3 +554,138 @@ class PureKernel:
         if m == 1:
             return tuple(sum(map(mul, a, b)) % q for a in xcols for b in qxcols)
         return self._flat(dot(a, b) for a in xcols for b in qxcols)
+
+
+# -- straight-line kernels for m == 2 (module docstring) ----------------------------
+#
+# In the generated source, coefficient k of a flat tuple is the local a<k>
+# (b<k>, x<k>, ...), so entry e is the pair a<2e>, a<2e + 1>.
+
+
+def _compile(name, params, body, shape):
+    """The function `name(params)` whose body is the given lines; `shape`
+    names it in tracebacks and profiles."""
+    source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = {}
+    exec(compile(source, f"<deltalin._kernel {name} {shape}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _entries(v, size):
+    """The names of the coefficient pairs of a flat tuple of `size`."""
+    return [(f"{v}{s}", f"{v}{s + 1}") for s in range(0, size, 2)]
+
+
+def _unpack(entries, arg):
+    return ", ".join(c for e in entries for c in e) + ", = " + arg
+
+
+def _return(coeffs):
+    return "return (" + ", ".join(coeffs) + ",)"
+
+
+def _sum(terms):
+    """The text of sum sign * term over (sign, term) pairs; "0" when empty."""
+    text = "".join(f" {'-' if sign < 0 else '+'} {t}" for sign, t in terms)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _dot_source(terms, t):
+    """(lines, coefficient pair) of sum sign * x * y over the terms
+    (sign, x, y), x and y entries' names, x None standing for 1: the local
+    t sums the x^2 coefficients, folded through x^2 = r0 + r1 x as in
+    `PureKernel._dot`, and each coefficient is one expression reduced once
+    mod q."""
+    products = [(s, x, y) for s, x, y in terms if x is not None]
+    t0 = [(s, y[0] if x is None else f"{x[0]}*{y[0]}") for s, x, y in terms]
+    t1 = [(s, y[1] if x is None else f"{x[0]}*{y[1]}") for s, x, y in terms]
+    t1 += [(s, f"{x[1]}*{y[0]}") for s, x, y in products]
+    t2 = [(s, f"{x[1]}*{y[1]}") for s, x, y in products]
+    return [f"{t} = {_sum(t2)}"], [f"({_sum(t0)} + r0*{t}) % q", f"({_sum(t1)} + r1*{t}) % q"]
+
+
+@lru_cache(maxsize=None)
+def _mul_fn(n):
+    """A B for flat n x n matrices: each entry one dot product of a row and a column."""
+    a, b = _entries("a", 2 * n * n), _entries("b", 2 * n * n)
+    lines, out = [_unpack(a, "A"), _unpack(b, "B")], []
+    for i in range(n):
+        for j in range(n):
+            terms = [(1, a[i * n + k], b[k * n + j]) for k in range(n)]
+            pre, coeffs = _dot_source(terms, f"t{i * n + j}")
+            lines += pre
+            out += coeffs
+    return _compile("m_mul", "A, B, q, r0, r1", lines + [_return(out)], f"n={n}")
+
+
+@lru_cache(maxsize=None)
+def _powp_fn(size):
+    """The entrywise p-th power of a flat tuple of `size` coefficients:
+    square and multiply on the pairs, every entry in each step, over the
+    bits of p below its leading one, so one function serves every p."""
+    a, b = _entries("a", size), _entries("b", size)
+    square, times_a = [], []
+    for (a0, a1), (b0, b1) in zip(a, b):
+        square += [
+            f"t = {b1}*{b1}",
+            f"{b0}, {b1} = ({b0}*{b0} + r0*t) % q, (2*{b0}*{b1} + r1*t) % q",
+        ]
+        times_a += [
+            f"t = {b1}*{a1}",
+            f"{b0}, {b1} = ({b0}*{a0} + r0*t) % q, ({b0}*{a1} + {b1}*{a0} + r1*t) % q",
+        ]
+    lines = [_unpack(a, "A"), _unpack(b, "A"), "for bit in bin(p)[3:]:"]
+    lines += ["    " + line for line in square] + ["    if bit == '1':"]
+    lines += ["        " + line for line in times_a]
+    lines.append(_return(c for e in b for c in e))
+    return _compile("m_powp", "A, p, q, r0, r1", lines, f"size={size}")
+
+
+@lru_cache(maxsize=256)
+def _form_fn_of(n, q, Q):
+    """The form function of Q's pattern: each entry 0, 1, -1 or another value (2)."""
+    pattern = []
+    for e in zip(Q[::2], Q[1::2]):
+        pattern.append(0 if e == (0, 0) else 1 if e == (1, 0) else -1 if e == (q - 1, 0) else 2)
+    return _form_fn(n, tuple(pattern))
+
+
+@lru_cache(maxsize=256)
+def _form_fn(n, pattern):
+    """X^t Q X for Q of the given entry pattern.
+
+    Entry (i, j) of QX is the sum over Q's nonzero entries c_ik of c_ik x_kj:
+    a signed sum of entries of X when row i of Q has only 1 and -1 entries,
+    else a local pair reduced once.  Entry (i, j) of X^t (QX) is then one
+    dot product of column i of X with column j of QX.
+    """
+    x, c = _entries("x", 2 * n * n), _entries("c", 2 * n * n)
+    lines = [_unpack(x, "X")]
+    if 2 in pattern:
+        lines.append(_unpack(c, "Q"))
+    qx = []  # qx[k][j]: entry (k, j) of QX as (sign, names) terms
+    for i in range(n):
+        row = [(k, pattern[i * n + k]) for k in range(n) if pattern[i * n + k]]
+        if all(code != 2 for _, code in row):
+            qx.append([[(code, x[k * n + j]) for k, code in row] for j in range(n)])
+            continue
+        qx.append([])
+        for j in range(n):
+            terms = [
+                (1, c[i * n + k], x[k * n + j]) if code == 2 else (code, None, x[k * n + j])
+                for k, code in row
+            ]
+            pre, coeffs = _dot_source(terms, "t")
+            y = (f"y{2 * (i * n + j)}", f"y{2 * (i * n + j) + 1}")
+            lines += pre + [f"{name} = {expr}" for name, expr in zip(y, coeffs)]
+            qx[i].append([(1, y)])
+    out = []
+    for i in range(n):
+        for j in range(n):
+            terms = [(s, x[k * n + i], y) for k in range(n) for s, y in qx[k][j]]
+            pre, coeffs = _dot_source(terms, f"t{i * n + j}")
+            lines += pre
+            out += coeffs
+    return _compile("m_form", "X, Q, q, r0, r1", lines + [_return(out)], f"n={n} Q={pattern}")

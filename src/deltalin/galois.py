@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .equations import EquationSpec, Phi, recover_alpha, residual
 from .errors import ParameterError
-from .matrix import PMatrix
+from .matrix import PMatrix, in_GLn
 from .ring import make_context
 
 __all__ = [
@@ -62,8 +62,10 @@ class GuChecker:
         return self._phi_u_inv @ Phi(self.spec, self.u @ x)
 
     def __call__(self, v):
-        """Whether phi(v) = Phi(u)^{-1} Phi(uv) mod p^{v.known_prec}."""
-        return v.frobenius_entrywise() == self.phi_u(v)
+        """Whether v is in GL_n and phi(v) = Phi(u)^{-1} Phi(uv) mod
+        p^{v.known_prec}.  G_u lies in GL_n, so a v singular mod p is no
+        member, whatever the kind; its twist need not even be defined."""
+        return in_GLn(v) and v.frobenius_entrywise() == self.phi_u(v)
 
 
 def is_monomial(v):

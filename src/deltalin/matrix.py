@@ -19,7 +19,6 @@ from .errors import (
     DomainError,
     ParameterError,
     PrecisionError,
-    SingularMatrixError,
 )
 from .ring import MAX_DIM, RingElement, _binomial_power, _hensel_root, _power_prec, _Truncated
 
@@ -281,12 +280,9 @@ def matrix_one_plus_pT_pow(M, a):
 
 
 def in_GLn(A):
-    """Invertibility over the ring, i.e. invertibility of the reduction mod p."""
-    try:
-        A.ctx.kernel.m_inv(A.flat, A.n)
-        return True
-    except SingularMatrixError:
-        return False
+    """Invertibility over the ring: a matrix over a local ring is invertible
+    exactly when its determinant is a unit, i.e. when its reduction mod p is."""
+    return A.det().is_unit()
 
 
 def in_SLn(A):

@@ -331,10 +331,11 @@ def test_residual_valuation_matches_the_residual(p, m, N):
 
 def test_so_solver_roots_take_no_solve(monkeypatch):
     """A warm so root step is one product and no elimination: `_sqrt_step`
-    makes no m_solve call, and an so solve makes N + 3, one for
-    the radicand of each step, two for the residual's radicand and its L,
-    and one for u0's invertibility check (`m_inv` is an m_solve).  With a
-    Newton step per warm root and a cold residual root it was 38 at N = 16."""
+    makes no m_solve call, and an so solve makes N + 2, one for
+    the radicand of each step and two for the residual's radicand and its
+    L; u0's invertibility check is a determinant (`in_GLn`), no solve.
+    With a Newton step per warm root and a cold residual root it was 38
+    at N = 16."""
     ctx = make_context(7, 2, 16)  # its own kernel, patched below
     rng = Rng(48)
     calls = {"m_solve": 0, "m_mul": 0}
@@ -355,7 +356,7 @@ def test_so_solver_roots_take_no_solve(monkeypatch):
         u0 = rng.gl(ctx, n)
         calls.update(m_solve=0, m_mul=0)
         rep = solve(spec, u0)
-        assert calls["m_solve"] == ctx.N + 3, variant
+        assert calls["m_solve"] == ctx.N + 2, variant
         assert rep.residual_valuation == math.inf
 
 

@@ -56,6 +56,17 @@ def test_identity_always_in_Gu(c5):
         assert GuChecker(spec, u)(PMatrix.identity(c5, n))
 
 
+@pytest.mark.parametrize("kind, variant", [("gl", None), ("sl", None), ("so", "sp")])
+def test_singular_candidates_are_not_members(kind, variant):
+    """G_u lies in GL_n, so a v singular mod p is no member for any kind:
+    neither accepted (gl) nor met with an error of the twist (sl, so)."""
+    ctx = make_context(7, 1, 8)
+    spec, u = _solved(ctx, Rng(1), kind, variant, 2)
+    checker = GuChecker(spec, u)
+    for v in (PMatrix.zeros(ctx, 2), PMatrix.from_rows(ctx, [[1, 0], [0, 7]])):
+        assert checker(v) is False
+
+
 def test_membership_transports_solutions(c5):
     # v in G_u means u @ v solves the same equation
     rng = Rng(73)

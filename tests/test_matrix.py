@@ -19,7 +19,7 @@ from deltalin.matrix import (
     matrix_one_plus_pT_pow,
     matrix_sqrt_one_mod_p,
 )
-from deltalin.ring import make_context, one_plus_pt_pow
+from deltalin.ring import MAX_DIM, make_context, one_plus_pt_pow
 from deltalin.sampling import Rng
 
 
@@ -41,6 +41,32 @@ def test_inverse_of_singular_raises(c5):
     with pytest.raises(SingularMatrixError, match="GL_n"):
         a.inverse()
     assert not in_GLn(a)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_in_GLn_agrees_with_inversion(m):
+    """in_GLn, a unit determinant, holds exactly when the inverse exists: on
+    random matrices and on ones singular mod p (a last column divisible by
+    p, a last row that repeats or sums earlier rows), n = 1..MAX_DIM."""
+    ctx = make_context(3, m, 6)
+    rng = Rng(30 + m)
+    seen = set()
+    for n in range(1, MAX_DIM + 1):
+        cases = [rng.matrix(ctx, n) for _ in range(4)]
+        rows = rng.matrix(ctx, n).rows()
+        cases.append(PMatrix.from_rows(ctx, [r[:-1] + [3 * r[-1]] for r in rows]))
+        if n > 1:
+            last = rows[0] if n == 2 else [x + y for x, y in zip(rows[0], rows[1])]
+            cases.append(PMatrix.from_rows(ctx, rows[:-1] + [last]))
+        for a in cases:
+            try:
+                a.inverse()
+                invertible = True
+            except SingularMatrixError:
+                invertible = False
+            assert in_GLn(a) is invertible, (n, a)
+            seen.add(invertible)
+    assert seen == {True, False}
 
 
 def test_inverse_contract(c5x2):

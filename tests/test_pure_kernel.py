@@ -22,7 +22,9 @@ product, square, norm and row update are exercised.  Matrices are
 n = 1..5, and singular ones include columns of valuation 1..3.  The
 determinant is also checked against the Leibniz sum at n = 6, and by
 det(AB) = det(A) det(B) at n = 7 and n = 8 = MAX_DIM, where the Leibniz sum
-is too slow.
+is too slow.  Products, p-th powers and forms are also checked at
+n = 6..8 for m <= 2; at m == 2 they are generated straight-line code, one
+function per shape, shown to be shared by every context of its shape.
 """
 
 import itertools
@@ -30,10 +32,11 @@ import random
 
 import pytest
 
+from deltalin import _kernel
 from deltalin.equations import SO_VARIANTS, build_q
 from deltalin.errors import NotUnitError, ParameterError, SingularMatrixError
 from deltalin.matrix import PMatrix
-from deltalin.ring import make_context
+from deltalin.ring import MAX_DIM, make_context
 
 # (p, m, N, residue polynomial or None for the default one)
 CONTEXTS = [
@@ -341,6 +344,66 @@ def test_form_matches_reference(p, m, N, f, n):
             assert _canonical(got, ref.q), label
             assert _entries(got, m) == ref.matmul(ref.matmul(Xt, Q, n), X, n), label
     assert labels >= {"dense", "monomial", "mixed"} and (n < 2 or len(labels) > 3)
+
+
+STRAIGHT_LINE = [c for c in CONTEXTS if c[1] <= 2]
+
+
+@pytest.mark.parametrize("n", range(6, MAX_DIM + 1))
+@pytest.mark.parametrize("p, m, N, f", STRAIGHT_LINE, ids=[IDS[CONTEXTS.index(c)] for c in STRAIGHT_LINE])
+def test_straight_line_ops_match_reference_up_to_max_dim(p, m, N, f, n):
+    """m_mul, m_powp and m_form at n = 6..MAX_DIM for m <= 2 (generated code
+    at m == 2): canonical and equal to the reference, for every `build_q`
+    form and a dense, a monomial and a mixed Q."""
+    ctx = make_context(p, m, N, f)
+    k, ref = ctx.kernel, Ref(ctx)
+    rnd = random.Random(p * 1000 + m * 100 + N * 10 + n + 4)
+    A = [_element(rnd, ref) for _ in range(n * n)]
+    B = [_element(rnd, ref) for _ in range(n * n)]
+    product, power = k.m_mul(_flat(A), _flat(B), n), k.m_powp(_flat(A))
+    assert _canonical(product, ref.q) and _canonical(power, ref.q)
+    assert _entries(product, m) == ref.matmul(A, B, n)
+    assert _entries(power, m) == [ref.pow(x, p) for x in A]
+    labels = set()
+    for label, Q in _forms(ctx, rnd, ref, n):
+        labels.add(label)
+        Xt = [A[j * n + i] for i in range(n) for j in range(n)]
+        got = k.m_form(_flat(A), _flat(Q), n)
+        assert _canonical(got, ref.q), label
+        assert _entries(got, m) == ref.matmul(ref.matmul(Xt, Q, n), A, n), label
+    assert labels >= {"dense", "monomial", "mixed"}
+
+
+def test_generated_kernels_are_keyed_by_shape(monkeypatch):
+    """Fifty contexts of one (m, n) with different p, N and modulus share
+    one generated m_mul, one m_powp and one m_form of the sp form: each is
+    compiled once, and serves every context with its own constants."""
+    compiled = []
+    compile_source = _kernel._compile
+
+    def counting(name, params, body, shape):
+        compiled.append(name)
+        return compile_source(name, params, body, shape)
+
+    monkeypatch.setattr(_kernel, "_compile", counting)
+    for generated in (_kernel._mul_fn, _kernel._powp_fn, _kernel._form_fn_of, _kernel._form_fn):
+        generated.cache_clear()
+    primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101]
+    rnd = random.Random(5)
+    n = 2
+    for p in primes:
+        for N in (4, 9):
+            ctx = make_context(p, 2, N)
+            k, ref = ctx.kernel, Ref(ctx)
+            A = [_element(rnd, ref) for _ in range(n * n)]
+            B = [_element(rnd, ref) for _ in range(n * n)]
+            Q = _entries(build_q(ctx, "sp", n).flat, 2)
+            Xt = [A[j * n + i] for i in range(n) for j in range(n)]
+            assert _entries(k.m_mul(_flat(A), _flat(B), n), 2) == ref.matmul(A, B, n)
+            assert _entries(k.m_powp(_flat(A)), 2) == [ref.pow(x, p) for x in A]
+            form = k.m_form(_flat(A), _flat(Q), n)
+            assert _entries(form, 2) == ref.matmul(ref.matmul(Xt, Q, n), A, n)
+    assert sorted(compiled) == ["m_form", "m_mul", "m_powp"]
 
 
 def _scale_column(ref, A, n, j, c):
