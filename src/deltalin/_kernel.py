@@ -19,26 +19,38 @@ The kernel works on Python ints with these rules:
   it sums the length-(2m-1) convolutions of the pairs, folds the
   coefficients of x^m .. x^{2m-2} through the rows x^{m+i} mod f (`_red`)
   and reduces each coefficient once.  At m >= 3 every product of two
-  elements goes through `_dot`.
+  elements goes through `_dot`.  `_red` is the first m - 1 columns of
+  M_{x^m}, the matrix of multiplication by x^m, built by `_mul_rows` (see
+  the inverses below), so multiplying by x mod f is written once.
+- One power: `s_pow(a, e)` and `m_powp(A)` are one body, `_pow_entries`,
+  which raises every entry of a flat tuple to the power e; `m_powp` is it
+  at e = p.  e = 0 gives `one` per entry and e = 1 the canonical copy, as
+  the square-and-multiply loops reduce nothing when e has no bits below its
+  leading one.  Otherwise: pow(x, e, q) at m == 1, the generated function
+  of the tuple's length at m == 2 (below), and `_pow`, square and multiply
+  on `_dot`, per entry at m >= 3.
+- The Frobenius lift is installed from phi(x) alone (`set_frob`): the table
+  of phi^k, k < m, has the columns (phi^k(x))^j, j < m, and phi^k(x) =
+  phi(phi^{k-1}(x)), by the table of phi just built.
 - m == 1: a matrix entry is a plain int, not a 1-tuple.  `m_mul` sums the
-  products of row and column slices of the flat tuple, and `m_powp` is
-  pow(x, p, q).
+  products of row and column slices of the flat tuple.
 - m == 2: entries are pairs (a0, a1) and the arithmetic is written out.
   With f = x^2 + c1 x + c0 and `_red[0]` = (r0, r1) = (-c0, -c1), so
   x^2 = r0 + r1 x:
   - `_dot` sums t0 = sum x0 y0, t1 = sum (x0 y1 + x1 y0), t2 = sum x1 y1
     unreduced and returns (t0 + r0 t2, t1 + r1 t2), each reduced once;
-    entries may be negated.  `_pow` squares and multiplies on pairs.
-  - `m_mul`, `m_powp` and `m_form` are straight-line code: one Python
+    entries may be negated.
+  - `m_mul`, the power and `m_form` are straight-line code: one Python
     function per shape, generated on first use and cached for the process
     (`_mul_fn`, `_powp_fn`, `_form_fn`).  It unpacks the flat tuples into
     locals and writes each output coefficient as one expression, reduced
     once mod q as `_dot` does: an entry of A B sums its n products, with
     the x^2 sum in one local t, as (t0 + r0 t, t1 + r1 t).  q, r0 and r1
     are arguments, so one function serves every context of its shape:
-    products are keyed by n, powers by the length of the flat tuple (the
-    loop over the bits of p squares and multiplies every entry in each
-    step, so p is an argument too), forms by n and Q's entry pattern.
+    products are keyed by n, powers by the length of the flat tuple, 2 for
+    an element (the loop over the bits of e squares and multiplies every
+    entry in each step, so e is an argument too), forms by n and Q's entry
+    pattern.
     The source is built from integers and fixed text only, so no input
     text reaches `exec`.  At m == 1 these ops keep their loops, and at
     m >= 3 they run on `_dot`.
@@ -64,7 +76,8 @@ The kernel works on Python ints with these rules:
   element a is a Z/q-linear map of the ring.  Its m x m matrix M_a has the
   columns a, a*x, ..., a*x^{m-1}, each x times the one before with the top
   coefficient folded through the row x^m mod f of `_red`, and a^{-1} is
-  the solution z of M_a z = e_0.  For n x n matrices at m >= 3, R(A) is
+  the solution z of M_a z = e_0: at m >= 3, `s_inv(a)` is `m_solve(a, 1)`
+  at n = 1, after its unit check.  For n x n matrices at m >= 3, R(A) is
   the nm x nm integer matrix with the blocks M_{a_ij}, and
   R(A^{-1} B) = R(A)^{-1} R(B).  The first column of M_b is b itself, so
   column j of A^{-1} B, its entries' coefficients stacked, solves
@@ -124,48 +137,29 @@ class PureKernel:
         self.modulus_tail = tuple(c % self.q for c in modulus_tail)
         if len(self.modulus_tail) != m:
             raise ValueError("modulus tail must have m coefficients")
-        self._red = self._reduction_rows()
-        self._frob = None  # phi^0 .. phi^{m-1}, each as a tuple of its m rows
         self._coords = range(m)
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
+        # _red[i] = x^{m+i} mod f, i < m - 1: the first m - 1 columns of M_{x^m}
+        xm = tuple([-c % self.q for c in self.modulus_tail])
+        self._red = [xm]  # the fold `_mul_rows` reads
+        self._red = list(zip(*self._mul_rows(xm)))[: m - 1]
+        self._frob = None  # phi^0 .. phi^{m-1}, each as a tuple of its m rows
 
     # -- setup ------------------------------------------------------------
 
-    def _reduction_rows(self):
-        """rows[i][j] = coefficient of x^j in (x^{m+i} mod f), i = 0..m-2."""
-        m, q = self.m, self.q
-        rows = []
-        cur = [(-c) % q for c in self.modulus_tail]  # x^m mod f
-        for _ in range(m - 1):
-            rows.append(tuple(cur))
-            top = cur[m - 1]
-            cur = [0] + cur[: m - 1]
-            if top:
-                base = rows[0]
-                for j in range(m):
-                    cur[j] = (cur[j] + top * base[j]) % q
-        return rows
-
-    def set_frob(self, frob_flat):
-        """Install the matrix of the Frobenius lift (row-major, m*m ints)."""
-        m, q = self.m, self.q
-        mats = [tuple(1 if i == j else 0 for i in range(m) for j in range(m))]
-        F = tuple(c % q for c in frob_flat)
-        for _ in range(1, m):
-            mats.append(self._matmul_small(mats[-1], F))
-        self._frob = [tuple(A[i * m : (i + 1) * m] for i in range(m)) for A in mats]
-
-    def _matmul_small(self, A, B):
-        m, q = self.m, self.q
-        out = [0] * (m * m)
-        for i in range(m):
-            for j in range(m):
-                acc = 0
-                for k in range(m):
-                    acc += A[i * m + k] * B[k * m + j]
-                out[i * m + j] = acc % q
-        return tuple(out)
+    def set_frob(self, frob_image):
+        """Install the Frobenius lift from phi(x): the table of phi^k has the
+        columns (phi^k(x))^j, j < m, and phi^k(x) = phi(phi^{k-1}(x))."""
+        m = self.m
+        self._frob = []
+        image = tuple([int(i == 1) for i in range(m)])  # phi^0(x) = x
+        for k in range(m):
+            cols = [self.one]
+            for _ in range(1, m):
+                cols.append(self.s_mul(cols[-1], image))
+            self._frob.append(tuple(zip(*cols)))
+            image = self.s_frob(image) if k else frob_image
 
     # -- the one reduction ----------------------------------------------------
 
@@ -203,26 +197,21 @@ class PureKernel:
                     out[j] += c * row[j]
         return tuple([c % q for c in out])
 
+    def _pow_entries(self, A, e):
+        """Every entry of the flat tuple A to the power e >= 0, in [0, q):
+        the one body of `s_pow` and `m_powp`."""
+        m, q = self.m, self.q
+        if e < 2:  # e has no bits below its leading one: the loops reduce nothing
+            return tuple([c % q for c in A]) if e else self.one * (len(A) // m)
+        if m == 1:
+            return tuple([pow(x, e, q) for x in A])
+        if m == 2:
+            return _powp_fn(len(A))(A, e, q, *self._red[0])
+        return self._flat(self._pow(a, e) for a in self._ents(A))
+
     def _pow(self, a, e):
-        """a^e for m > 1 by square and multiply."""
-        if not e:
-            return self.one
-        if self.m == 2:
-            q = self.q
-            r0, r1 = self._red[0]
-            a0, a1 = a[0] % q, a[1] % q
-            b0, b1 = 1, 0
-            while True:
-                if e & 1:
-                    t2 = b1 * a1
-                    b0, b1 = (b0 * a0 + r0 * t2) % q, (b0 * a1 + b1 * a0 + r1 * t2) % q
-                e >>= 1
-                if not e:
-                    return (b0, b1)
-                t2 = a1 * a1
-                a0, a1 = (a0 * a0 + r0 * t2) % q, (2 * a0 * a1 + r1 * t2) % q
+        """a^e at m >= 3 and e >= 2, by square and multiply on `_dot`."""
         dot = self._dot
-        a = tuple([c % self.q for c in a])  # canonical: a itself is a^1
         result = None
         while True:
             if e & 1:
@@ -280,10 +269,11 @@ class PureKernel:
         return tuple(c for row in rows for e in row for c in e)
 
     def _mul_rows(self, a):
-        """The rows of M_a (m >= 3), the matrix of y -> a*y: column k is a*x^k.
+        """The rows of M_a, the matrix of y -> a*y: column k is a*x^k.
 
         Each column is x times the one before, with its top coefficient
-        folded through the row of x^m mod f.
+        folded through the row of x^m mod f.  The solves at m >= 3 use it,
+        and so does `__init__`, for `_red`, the first columns of M_{x^m}.
         """
         q, xm = self.q, self._red[0]
         col = a
@@ -396,9 +386,7 @@ class PureKernel:
     def s_pow(self, a, e):
         if e < 0:
             raise ValueError("negative exponent; invert first")
-        if self.m == 1:
-            return (pow(a[0], e, self.q),)
-        return self._pow(a, e)
+        return self._pow_entries(a, e)
 
     def s_is_unit(self, a):
         p = self.p
@@ -412,9 +400,7 @@ class PureKernel:
             return (pow(a[0], -1, self.q),)
         if self.m == 2:
             return self._inv2(*a)
-        rows = [[*row, 0] for row in self._mul_rows(a)]
-        rows[0][-1] = 1
-        return tuple([z for (z,) in self._gauss_jordan(rows)])
+        return self.m_solve(a, self.one, 1)
 
     def s_frob(self, a, k=1):
         """phi^k on every entry of a flat tuple: one element, or a matrix."""
@@ -469,12 +455,7 @@ class PureKernel:
         return self._flat(self._scale(c, self._ents(A)))
 
     def m_powp(self, A):
-        p, q = self.p, self.q
-        if self.m == 1:
-            return tuple(pow(x, p, q) for x in A)
-        if self.m == 2:
-            return _powp_fn(len(A))(A, p, q, *self._red[0])
-        return self._flat(self._pow(e, p) for e in self._ents(A))
+        return self._pow_entries(A, self.p)
 
     def m_det(self, A, n):
         """Laplace expansion along the rows, memoized by column mask.
@@ -622,9 +603,10 @@ def _mul_fn(n):
 
 @lru_cache(maxsize=None)
 def _powp_fn(size):
-    """The entrywise p-th power of a flat tuple of `size` coefficients:
+    """The entrywise e-th power of a flat tuple of `size` coefficients:
     square and multiply on the pairs, every entry in each step, over the
-    bits of p below its leading one, so one function serves every p."""
+    bits of e below its leading one, so one function serves every e; at
+    e = 1 there are none, and A comes back unreduced."""
     a, b = _entries("a", size), _entries("b", size)
     square, times_a = [], []
     for (a0, a1), (b0, b1) in zip(a, b):
@@ -636,11 +618,11 @@ def _powp_fn(size):
             f"t = {b1}*{a1}",
             f"{b0}, {b1} = ({b0}*{a0} + r0*t) % q, ({b0}*{a1} + {b1}*{a0} + r1*t) % q",
         ]
-    lines = [_unpack(a, "A"), _unpack(b, "A"), "for bit in bin(p)[3:]:"]
+    lines = [_unpack(a, "A"), _unpack(b, "A"), "for bit in bin(e)[3:]:"]
     lines += ["    " + line for line in square] + ["    if bit == '1':"]
     lines += ["        " + line for line in times_a]
     lines.append(_return(c for e in b for c in e))
-    return _compile("m_powp", "A, p, q, r0, r1", lines, f"size={size}")
+    return _compile("m_powp", "A, e, q, r0, r1", lines, f"size={size}")
 
 
 @lru_cache(maxsize=256)

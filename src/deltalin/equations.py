@@ -136,6 +136,8 @@ class EquationSpec:
         if self.kind not in KINDS:
             raise ParameterError(f"kind must be one of {KINDS}")
         ctx = self.alpha.ctx
+        if type(self.n) is not int:
+            raise ParameterError(f"n must be an integer, not {self.n!r}")
         if self.alpha.n != self.n:
             raise ParameterError("alpha dimension does not match n")
         if self.kind == "sl" and self.n % ctx.p == 0:

@@ -49,7 +49,7 @@ def element_to_json(e):
 
 def element_from_json(ctx, obj):
     """Decode an element: at most m coordinates of at most N digits in [0, p)."""
-    if isinstance(obj, int):
+    if type(obj) is int:
         return ctx.element(obj)
     if not isinstance(obj, list):
         raise ParameterError("element must be an int or an array of digit arrays")

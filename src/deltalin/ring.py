@@ -127,8 +127,6 @@ class RingContext:
     def generator(self):
         """The class of x, a lift of a generator of F_{p^m} over F_p."""
         coeffs = tuple(1 if i == 1 else 0 for i in range(self.m))
-        if self.m == 1:
-            coeffs = (0,)
         return RingElement(self, coeffs, self.N)
 
     # -- derived data -----------------------------------------------------------
@@ -425,7 +423,7 @@ def make_context(p, m=1, N=2, residue_poly=None, *, _modulus_lift=None):
 
     kernel = PureKernel(p, m, N, tail)
     frob_image = _newton_frob_image(kernel)
-    kernel.set_frob(_frob_matrix(kernel, frob_image, m))
+    kernel.set_frob(frob_image)
     _check_frobenius_order(kernel, m)
 
     modulus = tuple(c % kernel.q for c in tail) + (1,)
@@ -470,16 +468,6 @@ def _newton_frob_image(kernel):
 
     gen = tuple(1 if i == 1 else 0 for i in range(m))
     return _newton_lift(kernel, kernel.s_pow(gen, kernel.p), f, kernel.N)
-
-
-def _frob_matrix(kernel, frob_image, m):
-    flat = [0] * (m * m)
-    pw = kernel.one
-    for j in range(m):
-        for i in range(m):
-            flat[i * m + j] = pw[i]
-        pw = kernel.s_mul(pw, frob_image)
-    return tuple(flat)
 
 
 def _check_frobenius_order(kernel, m):

@@ -19,7 +19,7 @@ Samplers for the matrix groups used in tests:
   delta_lie_alpha   the kind's alpha: matrix (gl), sl_delta_alpha, so_delta_alpha
 """
 
-from .errors import ParameterError, SingularMatrixError
+from .errors import ParameterError
 from .matrix import PMatrix, in_GLn
 
 _MASK = (1 << 64) - 1
@@ -115,24 +115,20 @@ class Rng:
     def so(self, ctx, n, variant):
         from .equations import build_q
 
-        q = build_q(ctx, variant, n)
+        q, one = build_q(ctx, variant, n), PMatrix.identity(ctx, n)
         while True:
             c = self._so_lie_element(ctx, n, q, congruence=False)
-            try:
-                one = PMatrix.identity(ctx, n)
-                return (one + c) @ (one - c).inverse()
-            except SingularMatrixError:
-                continue
+            if in_GLn(one - c):
+                return _cayley(one, c)
 
     def so_delta_alpha(self, ctx, n, variant):
         from .equations import build_q
 
         g = ctx.guarded(1)
         q = build_q(g, variant, n)
-        c = self._so_lie_element(g, n, q, congruence=True)
+        c = self._so_lie_element(g, n, q, congruence=True)  # 1 - c = 1 mod p
         one = PMatrix.identity(g, n)
-        eps = (one + c) @ (one - c).inverse()
-        alpha = (eps - one).exact_div_p()
+        alpha = (_cayley(one, c) - one).exact_div_p()
         return _project_matrix(ctx, alpha)
 
     def _so_lie_element(self, ctx, n, q, congruence):
@@ -172,6 +168,11 @@ class Rng:
             r = tuple(self.below(ctx.p) for _ in range(ctx.m))
             if any(r):
                 return r
+
+
+def _cayley(one, c):
+    """The Cayley transform (1 + c)(1 - c)^{-1}, for 1 - c in GL_n."""
+    return (one + c) @ (one - c).inverse()
 
 
 def _rescale_first_column(a, s):

@@ -157,6 +157,33 @@ def test_verify_bool_ring_parameter_exits_2(capsys, tmp_path, key, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("n, solved_n", [(2.0, 2), (True, 1)])
+def test_verify_spec_n_not_an_int_exits_2(capsys, tmp_path, n, solved_n):
+    """A float n equal to alpha's, or a boolean equal to 1, is a usage error."""
+    path = tmp_path / "report.json"
+    argv = ["solve", "--p", "5", "--prec", "6", "--n", str(solved_n), "--kind", "gl",
+            "--seed", "1", "--output", str(path)]
+    assert cli_main(argv) == 0
+    payload = json.loads(path.read_text())
+    payload["spec"]["n"] = n
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = cli_main(["verify", "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "n must be an integer" in err
+    assert "Traceback" not in err
+
+
+def test_element_bool_rejected(c5x2):
+    for bad in (True, False):
+        with pytest.raises(ParameterError, match="element must be"):
+            element_from_json(c5x2, bad)
+    with pytest.raises(ParameterError, match="element must be"):
+        matrix_from_json(c5x2, {"n": 2, "entries": [1, 0, False, 1]})
+
+
 def test_element_digit_out_of_range_rejected(c5x2):
     with pytest.raises(ParameterError, match="outside"):
         element_from_json(c5x2, [[1, 5], [0]])  # 5 >= p

@@ -25,6 +25,9 @@ det(AB) = det(A) det(B) at n = 7 and n = 8 = MAX_DIM, where the Leibniz sum
 is too slow.  Products, p-th powers and forms are also checked at
 n = 6..8 for m <= 2; at m == 2 they are generated straight-line code, one
 function per shape, shown to be shared by every context of its shape.
+`s_pow` and `m_powp` are one body: it is checked on non-canonical inputs
+at e = 0 and 1, by a^(e1 + e2) = a^e1 a^e2 at 60-bit exponents, and
+`m_powp` against `s_pow` entry by entry.
 """
 
 import itertools
@@ -165,6 +168,44 @@ def test_scalar_ops_match_reference(p, m, N, f):
         else:
             with pytest.raises(NotUnitError):
                 k.s_inv(a)
+
+
+@pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
+def test_power_reduces_a_non_canonical_input(p, m, N, f):
+    """s_pow(a, 1) and s_pow(a, 0) for a with negated coefficients or
+    coefficients >= q: the square-and-multiply loops reduce nothing when e
+    has no bits below its leading one, so these are the canonical a and 1."""
+    k, ref = _setup(p, m, N, f)
+    rnd = random.Random(p * 1000 + m * 100 + N + 1)
+    for _ in range(10):
+        a = _element(rnd, ref)
+        for raw in (tuple(-c for c in a), tuple(c + ref.q * rnd.randrange(1, 4) for c in a)):
+            assert k.s_pow(raw, 1) == tuple(c % ref.q for c in raw)
+            assert k.s_pow(raw, 0) == ref.one
+
+
+@pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
+def test_power_adds_wide_exponents(p, m, N, f):
+    """a^(e1 + e2) = a^e1 a^e2 for 60-bit exponents."""
+    k, ref = _setup(p, m, N, f)
+    rnd = random.Random(p * 1000 + m * 100 + N + 2)
+    for _ in range(5):
+        a = _element(rnd, ref)
+        e1, e2 = (rnd.getrandbits(59) | 1 << 59 for _ in range(2))
+        power = k.s_pow(a, e1 + e2)
+        assert _canonical(power, ref.q)
+        assert power == k.s_mul(k.s_pow(a, e1), k.s_pow(a, e2))
+
+
+@pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
+def test_powp_is_the_entrywise_power(p, m, N, f):
+    """m_powp(A) is s_pow(., p) on every entry, non-canonical ones included."""
+    k, ref = _setup(p, m, N, f)
+    rnd = random.Random(p * 1000 + m * 100 + N + 3)
+    for n in (1, 2, 3):
+        A = [_element(rnd, ref) for _ in range(n * n)]
+        A[0] = tuple(-c for c in A[0])
+        assert _entries(k.m_powp(_flat(A)), m) == [k.s_pow(x, p) for x in A]
 
 
 @pytest.mark.parametrize("n", [None, 1, 3])
@@ -376,13 +417,16 @@ def test_straight_line_ops_match_reference_up_to_max_dim(p, m, N, f, n):
 
 def test_generated_kernels_are_keyed_by_shape(monkeypatch):
     """Fifty contexts of one (m, n) with different p, N and modulus share
-    one generated m_mul, one m_powp and one m_form of the sp form: each is
-    compiled once, and serves every context with its own constants."""
+    one generated m_mul, one m_form of the sp form and one power per
+    length: the matrices' (size 8) and the elements' (size 2, which
+    make_context's lift of phi(x) raises to the p-th power).  Each is
+    compiled once per (op, shape), and serves every context with its own
+    constants."""
     compiled = []
     compile_source = _kernel._compile
 
     def counting(name, params, body, shape):
-        compiled.append(name)
+        compiled.append((name, shape))
         return compile_source(name, params, body, shape)
 
     monkeypatch.setattr(_kernel, "_compile", counting)
@@ -403,7 +447,12 @@ def test_generated_kernels_are_keyed_by_shape(monkeypatch):
             assert _entries(k.m_powp(_flat(A)), 2) == [ref.pow(x, p) for x in A]
             form = k.m_form(_flat(A), _flat(Q), n)
             assert _entries(form, 2) == ref.matmul(ref.matmul(Xt, Q, n), A, n)
-    assert sorted(compiled) == ["m_form", "m_mul", "m_powp"]
+    assert sorted(compiled) == [
+        ("m_form", "n=2 Q=(0, 1, -1, 0)"),
+        ("m_mul", "n=2"),
+        ("m_powp", "size=2"),
+        ("m_powp", "size=8"),
+    ]
 
 
 def _scale_column(ref, A, n, j, c):
