@@ -52,8 +52,9 @@ The kernel works on Python ints with these rules:
     entry in each step, so e is an argument too), forms by n and Q's entry
     pattern.
     The source is built from integers and fixed text only, so no input
-    text reaches `exec`.  At m == 1 these ops keep their loops, and at
-    m >= 3 they run on `_dot`.
+    text reaches `exec`.  At m == 1 these three ops keep their loops, and
+    at m >= 3 they run on `_dot`.  The determinant is generated at m == 1
+    too (below).
   - The inverse uses the norm.  x -> r1 - x is a ring automorphism of
     (Z/q)[x]/(f), since f(r1 - x) = f(x); so conj(a) = (a0 + r1 a1) - a1 x
     and a * conj(a) = N(a) = a0^2 + r1 a0 a1 - r0 a1^2, an integer mod q,
@@ -101,10 +102,16 @@ The kernel works on Python ints with these rules:
   other: zeros drop out, a row of 1 and -1 entries is a signed sum of
   rows of X written into each product, with no multiplication and no
   reduction, and any other row is a local per entry, reduced once.
-- `m_det` is the Laplace expansion along the rows at every n <= MAX_DIM,
-  memoized: the minor on the rows below the ones expanded is fixed by the
-  mask of columns those left free, so it is built once, bottom-up, with one
-  `_dot` per mask, 2^n - n - 1 of them (11 at n = 4, 247 at n = 8).
+- `m_det` is the Laplace expansion along the rows, memoized: the minor on
+  the rows below the ones expanded is fixed by the mask of columns those
+  left free, so it is built once, bottom-up, one dot product per mask,
+  2^n - n - 1 of them (11 at n = 4, 247 at n = 8).  At n == 1 it is the
+  canonical entry.  At m <= 2 and n >= 2 it is generated straight-line
+  code, one function per (m, n) (`_det_fn`), shared by every context of
+  that shape as the products are: each minor is one local, a sum of
+  signed products of an entry of its row and a minor of the rows below,
+  reduced once mod q (through the x^2 fold of `_dot` at m == 2).  At
+  m >= 3 it is the loop over the masks, one `_dot` per minor.
 """
 
 from functools import lru_cache
@@ -458,13 +465,22 @@ class PureKernel:
         return self._pow_entries(A, self.p)
 
     def m_det(self, A, n):
-        """Laplace expansion along the rows, memoized by column mask.
+        """det A: the canonical entry at n == 1, the generated function of
+        (m, n) at m <= 2, else the Laplace expansion along the rows,
+        memoized by column mask.
 
         The minor on rows row..n-1 is fixed by the mask of the n - row
         columns that rows 0..row-1 left free, so the minors are built
         bottom-up, one `_dot` per mask: 2^n - n - 1 of them (11 at n = 4,
         247 at n = 8).  A minor on the last row alone is its one entry.
         """
+        m, q = self.m, self.q
+        if n == 1:
+            return tuple([c % q for c in A])
+        if m == 1:
+            return _det_fn(1, n)(A, q)
+        if m == 2:
+            return _det_fn(2, n)(A, q, *self._red[0])
         e = self._ents(A)
         dot, neg, nonzero = self._dot, self._neg, self._nonzero
         last = e[(n - 1) * n :]
@@ -483,8 +499,7 @@ class PureKernel:
                             ys.append(above[mask ^ (1 << j)])
                         odd = not odd
                 minors[mask] = dot(xs, ys)
-        det = minors[(1 << n) - 1]
-        return (det,) if self.m == 1 else det
+        return minors[(1 << n) - 1]
 
     def m_inv(self, A, n):
         return self.m_solve(A, self.m_identity(n), n)
@@ -537,10 +552,10 @@ class PureKernel:
         return self._flat(dot(a, b) for a in xcols for b in qxcols)
 
 
-# -- straight-line kernels for m == 2 (module docstring) ----------------------------
+# -- straight-line kernels for m == 2, and the determinant at m == 1 (module docstring)
 #
 # In the generated source, coefficient k of a flat tuple is the local a<k>
-# (b<k>, x<k>, ...), so entry e is the pair a<2e>, a<2e + 1>.
+# (b<k>, x<k>, ...), so at m == 2 entry e is the pair a<2e>, a<2e + 1>.
 
 
 def _compile(name, params, body, shape):
@@ -623,6 +638,37 @@ def _powp_fn(size):
     lines += ["        " + line for line in times_a]
     lines.append(_return(c for e in b for c in e))
     return _compile("m_powp", "A, e, q, r0, r1", lines, f"size={size}")
+
+
+@lru_cache(maxsize=None)
+def _det_fn(m, n):
+    """det A for a flat n x n matrix, n >= 2, at m = 1 or 2: the memoized
+    Laplace expansion of `PureKernel.m_det` written out, one local per
+    minor, reduced once mod q (through x^2 = r0 + r1 x at m == 2)."""
+    if m == 1:
+        a = [(f"a{k}",) for k in range(n * n)]
+    else:
+        a = _entries("a", 2 * n * n)
+    lines = [_unpack(a, "A")]
+    minors = {1 << j: a[(n - 1) * n + j] for j in range(n)}
+    for row, masks in _free_masks(n):
+        for mask in masks:
+            terms, sign = [], 1
+            for j in range(n):
+                if mask >> j & 1:
+                    terms.append((sign, a[row * n + j], minors[mask ^ (1 << j)]))
+                    sign = -sign
+            if m == 1:
+                minors[mask] = (f"d{mask}",)
+                products = [(s, f"{x[0]}*{y[0]}") for s, x, y in terms]
+                lines.append(f"d{mask} = ({_sum(products)}) % q")
+            else:
+                minors[mask] = (f"d{mask}", f"e{mask}")
+                pre, coeffs = _dot_source(terms, "t")
+                lines += pre + [f"d{mask}, e{mask} = " + ", ".join(coeffs)]
+    params = "A, q" if m == 1 else "A, q, r0, r1"
+    lines.append(_return(minors[(1 << n) - 1]))
+    return _compile("m_det", params, lines, f"m={m} n={n}")
 
 
 @lru_cache(maxsize=256)

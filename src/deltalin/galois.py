@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .equations import EquationSpec, Phi, recover_alpha, residual
 from .errors import ParameterError
 from .matrix import PMatrix, in_GLn
-from .ring import make_context
+from .ring import MAX_DIM, make_context
 
 __all__ = [
     "GaloisReport",
@@ -94,8 +94,13 @@ def enumerate_N_delta(ctx, n, d):
     Products (permutation matrix) * diag(torsion units); requires d | p^m - 1
     and n! d^n candidates of n^2 m N digits each, at most MAX_N_DELTA digits
     in all, or ParameterError.  Deterministic order: permutations
-    lexicographically, then exponent vectors lexicographically.
+    lexicographically, then exponent vectors lexicographically.  n is an
+    int in [1, MAX_DIM] and d an int >= 1, or ParameterError.
     """
+    if type(n) is not int or not 1 <= n <= MAX_DIM:
+        raise ParameterError(f"n must be an integer in [1, {MAX_DIM}], got {n!r}")
+    if type(d) is not int or d < 1:
+        raise ParameterError(f"d must be a positive integer, got {d!r}")
     total = math.factorial(n) * d ** n
     digits = total * n * n * ctx.m * ctx.N
     if digits > MAX_N_DELTA:

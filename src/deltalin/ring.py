@@ -217,13 +217,20 @@ class _Truncated:
 
     __hash__ = None
 
+    @staticmethod
+    def _digits(k):
+        """k, a precision argument: an int >= 0, else ParameterError."""
+        if type(k) is not int or k < 0:
+            raise ParameterError(f"precision must be an integer >= 0, got {k!r}")
+        return k
+
     def eq_at(self, other, k):
         """Whether self and other agree mod p^k, whatever either claims."""
-        return self.ctx.kernel.eq_mod(self.flat, self._require(other).flat, k)
+        return self.ctx.kernel.eq_mod(self.flat, self._require(other).flat, self._digits(k))
 
     def with_prec(self, k):
         """The same value claimed to min(k, known_prec) digits: a claim only falls."""
-        return self._wrap(self.flat, min(k, self.known_prec))
+        return self._wrap(self.flat, min(self._digits(k), self.known_prec))
 
     def assume_prec(self, k):
         """The same value claimed to min(k, N) digits, whatever it claimed before.
@@ -231,7 +238,7 @@ class _Truncated:
         The one way to raise a claim: the caller vouches for the digits, by a
         check it has just made or by a definition (a solve starts from its
         u0's residue)."""
-        return self._wrap(self.flat, min(k, self.ctx.N))
+        return self._wrap(self.flat, min(self._digits(k), self.ctx.N))
 
     def __add__(self, other):
         other = self._peer(other)

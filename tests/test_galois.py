@@ -113,6 +113,14 @@ def test_enumerate_requires_divisor(c5):
         enumerate_N_delta(c5, 2, 3)  # 3 does not divide 4
 
 
+@pytest.mark.parametrize("n, d", [(-1, 1), (0, 1), (9, 1), (2.0, 1), (True, 1), (2, 0), (2, -4), (2, 2.0), (2, True), (2, "4")])
+def test_enumerate_checks_its_arguments(c5, n, d):
+    """n an int in [1, MAX_DIM] and d an int >= 1, booleans refused, before
+    any candidate is counted."""
+    with pytest.raises(ParameterError):
+        enumerate_N_delta(c5, n, d)
+
+
 def test_enumerate_cap(c5):
     with pytest.raises(ParameterError, match="cap"):
         enumerate_N_delta(c5, 8, 4)  # 8! * 4^8 > MAX_N_DELTA

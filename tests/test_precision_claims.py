@@ -21,11 +21,17 @@ claims:
 - an input known to K digits determines exp_p(pt), log_p(1 + pt) and
   (1 + pT)^a to K digits, and an exponent a known to k digits determines
   the power to k + 1 digits.
+
+A precision argument of `with_prec`, `assume_prec` or `eq_at` is an int >= 0;
+anything else is a ParameterError.
 """
+
+import math
 
 import pytest
 
 from deltalin._intmath import vp
+from deltalin.errors import ParameterError
 from deltalin.equations import Delta_of, EquationSpec, Lambda_so, build_q, lambda_sl
 from deltalin.matrix import PMatrix, _sqrt_step, matrix_one_plus_pT_pow, matrix_sqrt_one_mod_p
 from deltalin.ring import RingElement, _hensel_root, exp_p, log_p, make_context
@@ -136,6 +142,18 @@ def test_with_prec_never_raises_a_claim(p, m, N):
                 assert y.assume_prec(k).known_prec == min(k, N), (c, k)
                 for z in (y.with_prec(k), y.assume_prec(k)):
                     assert z.flat == digits
+
+
+@pytest.mark.parametrize("k", [-3, -1, 2.0, 1.5, math.inf, True, False, None, "2"])
+def test_precision_arguments_are_ints_at_least_zero(k):
+    """with_prec, assume_prec and eq_at refuse a precision k that is not an
+    int >= 0, for an element and a matrix alike."""
+    ctx = make_context(5, 2, 8)
+    rng = Rng(17)
+    for x in (rng.matrix(ctx, 2), rng.element(ctx)):
+        for call in (lambda: x.with_prec(k), lambda: x.assume_prec(k), lambda: x.eq_at(x, k)):
+            with pytest.raises(ParameterError):
+                call()
 
 
 _TWISTED = [("gl", None, 3), ("sl", None, 2), ("so", "sp", 2), ("so", "so_even", 2), ("so", "so_odd", 3)]

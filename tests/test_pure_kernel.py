@@ -24,7 +24,10 @@ determinant is also checked against the Leibniz sum at n = 6, and by
 det(AB) = det(A) det(B) at n = 7 and n = 8 = MAX_DIM, where the Leibniz sum
 is too slow.  Products, p-th powers and forms are also checked at
 n = 6..8 for m <= 2; at m == 2 they are generated straight-line code, one
-function per shape, shown to be shared by every context of its shape.
+function per shape, shown to be shared by every context of its shape.  So
+is the determinant at m <= 2 and n >= 2, checked at n = 6..8 against a
+cofactor expansion along the columns, on random, monomial and singular
+matrices, and on entries that are not canonical (at n = 1 too).
 `s_pow` and `m_powp` are one body: it is checked on non-canonical inputs
 at e = 0 and 1, by a^(e1 + e2) = a^e1 a^e2 at 60-bit exponents, and
 `m_powp` against `s_pow` entry by entry.
@@ -124,6 +127,24 @@ class Ref:
             inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
             acc = self.add(acc, term if inversions % 2 == 0 else self.mul((-1,), term))
         return acc
+
+    def det_by_columns(self, A, n):
+        """The cofactor expansion along the first column, each minor on the
+        rows left computed once: for n where the Leibniz sum is too slow."""
+        minors = {}
+
+        def minor(rows, col):
+            if col == n:
+                return self.one
+            if rows not in minors:
+                acc = self.zero
+                for pos, i in enumerate(rows):
+                    term = self.mul(A[i * n + col], minor(rows[:pos] + rows[pos + 1 :], col + 1))
+                    acc = self.add(acc, term if pos % 2 == 0 else self.mul((-1,), term))
+                minors[rows] = acc
+            return minors[rows]
+
+        return minor(tuple(range(n)), 0)
 
 
 def _setup(p, m, N, f):
@@ -393,9 +414,11 @@ STRAIGHT_LINE = [c for c in CONTEXTS if c[1] <= 2]
 @pytest.mark.parametrize("n", range(6, MAX_DIM + 1))
 @pytest.mark.parametrize("p, m, N, f", STRAIGHT_LINE, ids=[IDS[CONTEXTS.index(c)] for c in STRAIGHT_LINE])
 def test_straight_line_ops_match_reference_up_to_max_dim(p, m, N, f, n):
-    """m_mul, m_powp and m_form at n = 6..MAX_DIM for m <= 2 (generated code
-    at m == 2): canonical and equal to the reference, for every `build_q`
-    form and a dense, a monomial and a mixed Q."""
+    """m_mul, m_powp, m_form and m_det at n = 6..MAX_DIM for m <= 2
+    (generated code at m == 2, and for m_det at m == 1 too): canonical and
+    equal to the reference, for every `build_q` form and a dense, a
+    monomial and a mixed Q; the determinant of a random matrix, of a
+    monomial one (zero entries) and of the singular cases."""
     ctx = make_context(p, m, N, f)
     k, ref = ctx.kernel, Ref(ctx)
     rnd = random.Random(p * 1000 + m * 100 + N * 10 + n + 4)
@@ -413,15 +436,41 @@ def test_straight_line_ops_match_reference_up_to_max_dim(p, m, N, f, n):
         assert _canonical(got, ref.q), label
         assert _entries(got, m) == ref.matmul(ref.matmul(Xt, Q, n), A, n), label
     assert labels >= {"dense", "monomial", "mixed"}
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    monomial = [ref.zero] * (n * n)
+    for i in range(n):
+        monomial[i * n + perm[i]] = _element(rnd, ref, unit=True)
+    for M in [A, monomial] + _singular_cases(rnd, ref, n):
+        det = k.m_det(_flat(M), n)
+        assert _canonical(det, ref.q)
+        assert det == ref.det_by_columns(M, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
+def test_det_reduces_a_non_canonical_input(p, m, N, f, n):
+    """m_det of entries shifted by multiples of q, negative ones included,
+    is the canonical det of the matrix they represent; at n = 1 the entry
+    itself."""
+    k, ref = _setup(p, m, N, f)
+    rnd = random.Random(p * 1000 + m * 100 + N * 10 + n + 5)
+    for _ in range(4):
+        A = [_element(rnd, ref) for _ in range(n * n)]
+        shifted = tuple(c + rnd.choice((-3, -1, 1, 2)) * ref.q for c in _flat(A))
+        det = k.m_det(shifted, n)
+        assert _canonical(det, ref.q)
+        assert det == ref.det(A, n)
 
 
 def test_generated_kernels_are_keyed_by_shape(monkeypatch):
     """Fifty contexts of one (m, n) with different p, N and modulus share
-    one generated m_mul, one m_form of the sp form and one power per
-    length: the matrices' (size 8) and the elements' (size 2, which
+    one generated m_mul, one m_form of the sp form, one m_det and one power
+    per length: the matrices' (size 8) and the elements' (size 2, which
     make_context's lift of phi(x) raises to the p-th power).  Each is
     compiled once per (op, shape), and serves every context with its own
-    constants."""
+    constants.  At m == 1 only the determinant is generated: fifty
+    contexts share one."""
     compiled = []
     compile_source = _kernel._compile
 
@@ -430,24 +479,28 @@ def test_generated_kernels_are_keyed_by_shape(monkeypatch):
         return compile_source(name, params, body, shape)
 
     monkeypatch.setattr(_kernel, "_compile", counting)
-    for generated in (_kernel._mul_fn, _kernel._powp_fn, _kernel._form_fn_of, _kernel._form_fn):
+    for generated in (_kernel._mul_fn, _kernel._powp_fn, _kernel._form_fn_of, _kernel._form_fn, _kernel._det_fn):
         generated.cache_clear()
     primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101]
     rnd = random.Random(5)
     n = 2
-    for p in primes:
-        for N in (4, 9):
-            ctx = make_context(p, 2, N)
-            k, ref = ctx.kernel, Ref(ctx)
-            A = [_element(rnd, ref) for _ in range(n * n)]
-            B = [_element(rnd, ref) for _ in range(n * n)]
-            Q = _entries(build_q(ctx, "sp", n).flat, 2)
-            Xt = [A[j * n + i] for i in range(n) for j in range(n)]
-            assert _entries(k.m_mul(_flat(A), _flat(B), n), 2) == ref.matmul(A, B, n)
-            assert _entries(k.m_powp(_flat(A)), 2) == [ref.pow(x, p) for x in A]
-            form = k.m_form(_flat(A), _flat(Q), n)
-            assert _entries(form, 2) == ref.matmul(ref.matmul(Xt, Q, n), A, n)
+    for m in (1, 2):
+        for p in primes:
+            for N in (4, 9):
+                ctx = make_context(p, m, N)
+                k, ref = ctx.kernel, Ref(ctx)
+                A = [_element(rnd, ref) for _ in range(n * n)]
+                B = [_element(rnd, ref) for _ in range(n * n)]
+                Q = _entries(build_q(ctx, "sp", n).flat, m)
+                Xt = [A[j * n + i] for i in range(n) for j in range(n)]
+                assert _entries(k.m_mul(_flat(A), _flat(B), n), m) == ref.matmul(A, B, n)
+                assert _entries(k.m_powp(_flat(A)), m) == [ref.pow(x, p) for x in A]
+                form = k.m_form(_flat(A), _flat(Q), n)
+                assert _entries(form, m) == ref.matmul(ref.matmul(Xt, Q, n), A, n)
+                assert k.m_det(_flat(A), n) == ref.det(A, n)
     assert sorted(compiled) == [
+        ("m_det", "m=1 n=2"),
+        ("m_det", "m=2 n=2"),
         ("m_form", "n=2 Q=(0, 1, -1, 0)"),
         ("m_mul", "n=2"),
         ("m_powp", "size=2"),
