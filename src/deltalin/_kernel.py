@@ -12,7 +12,9 @@ The kernel works on Python ints with these rules:
 
 - Canonical form: every coefficient it returns lies in [0, q), q = p^N.
   Each result is reduced from exact integer arithmetic, so it depends only
-  on the inputs mod q.
+  on the inputs mod q.  The constants `zero`, `one` and `x`, the class of
+  x mod f (-f_0 at m == 1), are canonical too.  At N == 1 the kernel is
+  the residue field F_p[x]/(f), which `_residue` uses.
 - One reduction per dot product: a product of elements, a matrix entry
   sum_k a_ik b_kj, a row update x - f*y or a Laplace expansion step is
   accumulated unreduced and taken mod q once.  For m > 1 this is `_dot`:
@@ -149,6 +151,7 @@ class PureKernel:
         self.one = (1,) + (0,) * (m - 1)
         # _red[i] = x^{m+i} mod f, i < m - 1: the first m - 1 columns of M_{x^m}
         xm = tuple([-c % self.q for c in self.modulus_tail])
+        self.x = xm if m == 1 else (0, 1) + (0,) * (m - 2)  # the class of x mod f
         self._red = [xm]  # the fold `_mul_rows` reads
         self._red = list(zip(*self._mul_rows(xm)))[: m - 1]
         self._frob = None  # phi^0 .. phi^{m-1}, each as a tuple of its m rows
@@ -160,7 +163,7 @@ class PureKernel:
         columns (phi^k(x))^j, j < m, and phi^k(x) = phi(phi^{k-1}(x))."""
         m = self.m
         self._frob = []
-        image = tuple([int(i == 1) for i in range(m)])  # phi^0(x) = x
+        image = self.x  # phi^0(x) = x
         for k in range(m):
             cols = [self.one]
             for _ in range(1, m):

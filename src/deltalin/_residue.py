@@ -1,78 +1,22 @@
-"""Polynomial arithmetic over F_p, used to bootstrap the ring contexts.
+"""The residue field F_{p^m} = F_p[x]/(f), used to bootstrap the ring contexts.
 
-Polynomials are coefficient tuples, little-endian, with entries in [0, p).
-A monic degree-m modulus is passed around as its full coefficient tuple of
-length m + 1 with leading coefficient 1.
+The residue field is the kernel at N = 1: `PureKernel(p, m, 1, f[:m])`
+computes in F_p[x]/(f), where q = p, and this module reads it through its
+public ops only.  Field elements are coefficient tuples, little-endian, with
+entries in [0, p).  A monic degree-m polynomial is passed around as its full
+coefficient tuple of length m + 1 with leading coefficient 1.
+
+Rabin's irreducibility test runs by powers of x and a unit test: f is
+irreducible exactly when x^(p^m) = x mod f and, for each prime r | m,
+x^(p^(m/r)) - x is a unit mod f.  Once x^(p^m) = x holds, f is squarefree
+and F_p[x]/(f) is a product of fields F_{p^d} with d | m, so an element a is
+a unit (gcd(a, f) = 1) exactly when a^(p^m - 1) = 1.
 """
 
 from functools import lru_cache
 
 from ._intmath import factorize
-
-
-def _trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def poly_mod(a, f, p):
-    """Remainder of a modulo the monic polynomial f."""
-    r = list(a)
-    df = len(f) - 1
-    while len(r) > df:
-        c = r[-1] % p
-        if c:
-            for j in range(df + 1):
-                r[len(r) - 1 - df + j] = (r[len(r) - 1 - df + j] - c * f[j]) % p
-        r.pop()
-    return _trim(r)
-
-
-def poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _trim(out)
-
-
-def poly_mulmod(a, b, f, p):
-    return poly_mod(poly_mul(a, b, p), f, p)
-
-
-def poly_powmod(a, e, f, p):
-    result = (1,)
-    base = poly_mod(a, f, p)
-    while e:
-        if e & 1:
-            result = poly_mulmod(result, base, f, p)
-        base = poly_mulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def poly_gcd(a, b, p):
-    a, b = _trim(a), _trim(b)
-    while b:
-        lead_inv = pow(b[-1], -1, p)
-        bm = tuple(c * lead_inv % p for c in b)
-        a, b = b, poly_mod(a, bm, p)
-    return a
+from ._kernel import PureKernel
 
 
 def is_irreducible(f, p):
@@ -80,20 +24,14 @@ def is_irreducible(f, p):
     m = len(f) - 1
     if m < 1 or f[-1] % p != 1:
         return False
-    x = poly_mod((0, 1), f, p)
-    xq = x
+    k = PureKernel(p, m, 1, f[:m])
+    frobs = [k.x]  # frobs[j] = x^(p^j)
     for _ in range(m):
-        xq = poly_powmod(xq, p, f, p)
-    if poly_sub(xq, x, p):
+        frobs.append(k.s_pow(frobs[-1], p))
+    if frobs[m] != k.x:
         return False
-    for r in factorize(m):
-        xk = x
-        for _ in range(m // r):
-            xk = poly_powmod(xk, p, f, p)
-        g = poly_gcd(poly_sub(xk, x, p), f, p)
-        if len(g) != 1:
-            return False
-    return True
+    order = p ** m - 1
+    return all(k.s_pow(k.sub(frobs[m // r], k.x), order) == k.one for r in factorize(m))
 
 
 @lru_cache(maxsize=32)
@@ -127,12 +65,10 @@ def field_elements(p, m):
 
 def multiplicative_generator(p, m, f):
     """First (lex order) generator of F_{p^m}^* for the modulus f."""
+    k = PureKernel(p, m, 1, f[:m])
     order = p ** m - 1
-    prime_divisors = list(factorize(order))
+    cofactors = [order // r for r in factorize(order)]
     for cand in field_elements(p, m):
-        c = _trim(cand)
-        if not c:
-            continue
-        if all(poly_powmod(c, order // r, f, p) != (1,) for r in prime_divisors):
+        if cand != k.zero and all(k.s_pow(cand, e) != k.one for e in cofactors):
             return cand
     raise AssertionError("no generator found")  # unreachable

@@ -130,12 +130,12 @@ def check_right_compatibility(spec, samples=100, seed=0):
     """Sample a in GL_n and monomial c and test Phi(ac) = Phi(a) c^{(p)}.
 
     Returns (ok, witness): witness is the first failing (a, c) pair, if any.
-    0 <= samples <= MAX_SAMPLES, or ParameterError.
+    samples an int in [0, MAX_SAMPLES], or ParameterError.
     """
     from .sampling import Rng
 
-    if samples < 0:
-        raise ParameterError("samples must be >= 0")
+    if type(samples) is not int or samples < 0:
+        raise ParameterError(f"samples must be an integer >= 0, got {samples!r}")
     if samples > MAX_SAMPLES:
         raise ParameterError(f"samples={samples} exceeds the cap {MAX_SAMPLES}")
     rng = Rng(seed)

@@ -14,6 +14,8 @@ binomial powers (1 + pT)^a run the series of `ring.py`, the one that
 serves exp_p, log_p and (1 + pt)^a on elements.
 """
 
+from itertools import repeat
+
 from .errors import (
     AlgebraInvariantError,
     DomainError,
@@ -198,12 +200,15 @@ class PMatrix(_Truncated):
 
 
 def _canonical(ctx, flat, n):
-    """flat reduced mod q as a tuple, after checking it has n*n*m coefficients."""
-    q = ctx.kernel.q
-    flat = tuple(c % q for c in flat)
+    """flat reduced mod q as a tuple, after checking it has n*n*m int
+    coefficients (a bool counts as its int)."""
+    flat = tuple(flat)
     if len(flat) != n * n * ctx.m:
         raise ParameterError("flat length does not match dimension")
-    return flat
+    if not all(map(isinstance, flat, repeat(int))):
+        raise ParameterError("matrix coefficients must be integers")
+    q = ctx.kernel.q
+    return tuple([c % q for c in flat])
 
 
 def _check_dim(n):

@@ -1,9 +1,12 @@
 """Exact arithmetic in the truncated unramified p-adic ring W(F_{p^m}) / p^N.
 
 The ring is realized as (Z/p^N)[x] / (f) for a monic degree-m lift f of an
-irreducible residue polynomial.  All lifts of the same residue polynomial
-give the same ring; the Frobenius lift is the unique ring endomorphism
-sending the generator to the root of f congruent to generator^p mod p.
+irreducible residue polynomial.  The residue field F_p[x]/(f mod p) that
+tests f and finds the generator of F_{p^m}^* is the same kernel at N = 1
+(`_residue`), so arithmetic mod f is written once.  All lifts of the same
+residue polynomial give the same ring; the Frobenius lift is the unique
+ring endomorphism sending the generator, the class of x, to the root of f
+congruent to generator^p mod p.
 That root and the Teichmueller lifts, the roots of y^(p^m) = y, are simple
 roots, each lifted by one certified Newton routine, `_newton_lift`.
 
@@ -35,6 +38,7 @@ n x n with n <= MAX_DIM.
 """
 
 import math
+from collections.abc import Sequence
 
 from . import _residue
 from ._intmath import int_to_digits, is_prime, vp, vp_min
@@ -111,9 +115,15 @@ class RingContext:
         if isinstance(value, int):
             coeffs = (value % q,) + (0,) * (m - 1)
         else:
-            vals = list(value)
+            try:
+                vals = list(value)
+            except TypeError:
+                raise DomainError(f"expected an int or coefficients, got {value!r}") from None
             if len(vals) > m:
                 raise DomainError(f"at most {m} coordinates expected")
+            for v in vals:
+                if not isinstance(v, int):
+                    raise DomainError(f"coefficients must be integers, got {v!r}")
             vals += [0] * (m - len(vals))
             coeffs = tuple(v % q for v in vals)
         return RingElement(self, coeffs, self.N)
@@ -125,9 +135,8 @@ class RingContext:
         return RingElement(self, self.kernel.one, self.N)
 
     def generator(self):
-        """The class of x, a lift of a generator of F_{p^m} over F_p."""
-        coeffs = tuple(1 if i == 1 else 0 for i in range(self.m))
-        return RingElement(self, coeffs, self.N)
+        """The class of x mod f, a lift of a generator of F_{p^m} over F_p."""
+        return RingElement(self, self.kernel.x, self.N)
 
     # -- derived data -----------------------------------------------------------
 
@@ -148,6 +157,8 @@ class RingContext:
         teichmueller(g)^((p^m - 1)/d) for the residue generator g.
         """
         order = self.p ** self.m - 1
+        if type(d) is not int:
+            raise ParameterError(f"d must be an integer, got {d!r}")
         if d <= 0 or order % d:
             raise ParameterError(f"d={d} does not divide p^m - 1 = {order}")
         key = ("torsion", d)
@@ -382,13 +393,15 @@ MAX_DIM = 8  # matrices are n x n with n <= MAX_DIM
 def make_context(p, m=1, N=2, residue_poly=None, *, _modulus_lift=None):
     """Build the ring W(F_{p^m}) / p^N.
 
-    residue_poly, when given, is a sequence of m (or m + 1, monic) integer
-    coefficients, little-endian; it must reduce mod p to an irreducible
-    polynomial and is used as the modulus lift as provided, and it is tested
-    on every call.  When absent the lexicographically first irreducible monic
-    polynomial of degree m is used: `_residue.first_irreducible` finds and
-    tests it once per (p, m) and keeps it in a small bounded memo.  The
-    context itself is built afresh on every call.
+    residue_poly, when given, is a sequence of m (or m + 1, monic) int
+    coefficients, little-endian (bools are refused); it must reduce mod p to
+    an irreducible polynomial and is used as the modulus lift as provided.
+    It is tested on every call by `_residue.is_irreducible`, Rabin's test
+    run by powers of x and a unit test in F_p[x]/(f), the kernel at N = 1.
+    When absent the lexicographically first irreducible monic polynomial of
+    degree m is used: `_residue.first_irreducible` finds and tests it once
+    per (p, m) and keeps it in a small bounded memo.  The context itself is
+    built afresh on every call.
 
     p < MAX_P, m <= MAX_M and N <= MAX_N, or ParameterError.  A context
     built by `RingContext.guarded` (through `_modulus_lift`) derives from a
@@ -414,6 +427,8 @@ def make_context(p, m=1, N=2, residue_poly=None, *, _modulus_lift=None):
     elif default:
         tail = _residue.first_irreducible(p, m)[:m]
     else:
+        if not isinstance(residue_poly, Sequence) or any(type(c) is not int for c in residue_poly):
+            raise ParameterError("residue polynomial must be a sequence of integers")
         coeffs = list(residue_poly)
         if len(coeffs) == m + 1:
             if coeffs[-1] % p != 1:
@@ -461,7 +476,7 @@ def _newton_frob_image(kernel):
     """The root of the modulus f congruent to generator^p, by `_newton_lift`."""
     m, tail, one = kernel.m, kernel.modulus_tail, kernel.one
     if m == 1:
-        return (0,)
+        return kernel.x  # phi is the identity on Z/p^N
 
     def f(y):  # (f(y), f'(y)) by one Horner pass; zero coefficients add nothing
         fy, dfy = y, one
@@ -473,8 +488,7 @@ def _newton_frob_image(kernel):
                 fy = kernel.s_mul(fy, y)
         return fy, dfy
 
-    gen = tuple(1 if i == 1 else 0 for i in range(m))
-    return _newton_lift(kernel, kernel.s_pow(gen, kernel.p), f, kernel.N)
+    return _newton_lift(kernel, kernel.s_pow(kernel.x, kernel.p), f, kernel.N)
 
 
 def _check_frobenius_order(kernel, m):

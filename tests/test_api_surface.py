@@ -162,3 +162,21 @@ def test_value_base_is_written_once():
         reads = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr == "coeffs"]
         assert reads == [], path.name
+
+
+# The polynomial library over F_p that the residue field once carried beside
+# the kernel.
+RESIDUE_POLY_LIBRARY = (
+    "_trim", "poly_mul", "poly_mod", "poly_sub", "poly_mulmod", "poly_powmod", "poly_gcd",
+)
+
+
+def test_residue_field_is_the_kernel():
+    """Arithmetic mod f is written once: `_residue` computes in F_p[x]/(f)
+    with the kernel at N = 1 and defines no polynomial arithmetic of its own."""
+    tree = ast.parse((SRC / "_residue.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert defined.isdisjoint(RESIDUE_POLY_LIBRARY), defined & set(RESIDUE_POLY_LIBRARY)
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert ("_kernel", "PureKernel") in imported

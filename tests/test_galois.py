@@ -170,6 +170,13 @@ def test_right_compatibility_all_kinds(c5):
         assert ok and witness is None
 
 
+@pytest.mark.parametrize("samples", [2.5, True, "2"])
+def test_right_compatibility_needs_an_int_sample_count(c5, samples):
+    spec = EquationSpec("gl", 2, PMatrix.identity(c5, 2))
+    with pytest.raises(ParameterError, match="samples must be an integer"):
+        check_right_compatibility(spec, samples=samples)
+
+
 def test_right_compatibility_gl_is_ppower_multiplicativity(c5):
     rng = Rng(77)
     a = rng.gl(c5, 3)

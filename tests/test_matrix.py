@@ -150,6 +150,16 @@ def test_every_constructor_checks_the_dimension(n):
             build()
 
 
+@pytest.mark.parametrize("flat", [[1.5, 0], [1, "0"], [2.0, 0]])
+def test_from_flat_refuses_non_int_coefficients(c5x2, flat):
+    with pytest.raises(ParameterError, match="integers"):
+        PMatrix.from_flat(c5x2, flat, 1)
+
+
+def test_from_flat_reads_a_bool_as_its_int(c5x2):
+    assert PMatrix.from_flat(c5x2, [True, False], 1) == PMatrix.identity(c5x2, 1)
+
+
 # ---------------------------------------------------------------- entrywise maps
 
 

@@ -348,6 +348,28 @@ def test_torsion_units_are_powers_of_one_teichmueller_lift(p, m, N, d):
         assert (u ** d).coeffs == ctx.one().coeffs
 
 
+@pytest.mark.parametrize("d", [2.0, True, "2"])
+def test_torsion_units_needs_an_int(c5x2, d):
+    with pytest.raises(ParameterError, match="integer"):
+        c5x2.torsion_units(d)
+
+
+@pytest.mark.parametrize("method, value", [
+    ("element", [1.5]),
+    ("element", [1, "2"]),
+    ("element", 2.0),
+    ("teichmueller", 2.0),
+    ("teichmueller", [2.0]),
+])
+def test_element_refuses_non_int_coefficients(c5x2, method, value):
+    with pytest.raises(DomainError):
+        getattr(c5x2, method)(value)
+
+
+def test_element_reads_a_bool_as_its_int(c5x2):
+    assert c5x2.element([True, False]).coeffs == c5x2.element(1).coeffs == c5x2.element(True).coeffs
+
+
 # ---------------------------------------------------------------- constants
 
 
@@ -579,6 +601,37 @@ def test_log_consistent_across_precisions():
         reduced = log_p(lo.element(u.coeffs))
         assert reduced.known_prec == lo.N
         assert tuple(c % q_lo for c in log_p(u).coeffs) == reduced.coeffs
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [[2.0, 0, 1], ["2", 0, 1], 5, [2.5, 0, 1], [2, 0, True], [2, 0, 1.0], {2, 0, 1}, "201"],
+    ids=repr,
+)
+def test_residue_poly_must_be_ints(poly):
+    """A coefficient that is not an int, a bool among them, is refused before
+    any arithmetic, as io refuses it in a context's "modulus"."""
+    with pytest.raises(ParameterError, match="sequence of integers"):
+        make_context(5, 2, 4, residue_poly=poly)
+
+
+@pytest.mark.parametrize(
+    "p, m, tail", [(5, 1, [3]), (5, 2, [2, 1]), (5, 3, [1 + 5 * 7, 2, 0]), (7, 3, [1, 1, -7])]
+)
+def test_generator_is_the_class_of_x(p, m, tail):
+    """f(generator()) = 0 and phi(generator()) = generator^p mod p, for
+    moduli that are not the default (at m = 1, x mod (x + 3) is -3)."""
+    ctx = make_context(p, m, 8, residue_poly=tail)
+    assert ctx.modulus != make_context(p, m, 8).modulus
+    g = ctx.generator()
+    f_of_g = g ** m
+    for i, c in enumerate(tail):
+        f_of_g = f_of_g + c * g ** i
+    assert f_of_g.coeffs == ctx.zero().coeffs
+    assert ctx.element(ctx.frob_image).eq_at(g ** p, 1)
+    assert g.frobenius().coeffs == ctx.frob_image
+    if m == 1:
+        assert g.coeffs == (-tail[0] % ctx.kernel.q,) == ctx.frob_image
 
 
 def test_residue_poly_tail_form_matches_default():
