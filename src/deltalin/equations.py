@@ -39,27 +39,28 @@ computed inside the matrix loop.
 
 Only the so loop carries a twist.  Each known_prec counts the digits a
 value shares with its value at the solution, so step k needs Lambda(u_k)
-to k + 2 digits, as many as its radicand M is known to.  The solver
-carries Lambda's root from step to step instead of rebuilding it from 1:
-the previous root Y is known to k + 1 digits, a warm start is trusted to
-its own known_prec, and one step Y <- Y - (Y^2 - M)/2 gains one digit
-(its error E becomes O(pE) + O(E^2), see `_sqrt_step`).  That
-step needs no solve: Y^2 is the square the previous step's check
-computed.  Step 0 starts from 1 known to one digit, which Lambda is
-congruent to mod p.
+to k + 2 digits, as many as its radicand M = A^{-1} C is known to.  The
+solver carries Lambda's root from step to step instead of rebuilding it
+from 1: the previous root Y is known to k + 1 digits, a warm start is
+trusted to its own claim, and one step Y <- Y - W (A Y^2 - C) gains one
+digit (`_so_root_step`).  W = (2 A_0)^{-1} is one inverse per solve: every
+iterate is u0 mod p, so A = A_0 mod p, and W is needed only mod p.  The
+step forms no M and solves nothing.  Step 0 starts from 1 known to one
+digit, which Lambda is congruent to mod p.
 
 The twists' roots are unique, so a candidate is checked rather than
 computed, by the identity of `ring._hensel_root`: for L and a root R, both
 = 1 mod p, v_p(L - R) = v_p(L^k - R^k) for k = 2 or k = n.  That check
-certifies each cold root and each warm step's claim, and it gives the
+certifies each cold root and, by v(Y - Lambda) = v(Y^2 - M) = v(A Y^2 - C)
+for an invertible A, each warm step's claim, and it gives the
 residual valuation of a candidate u with no root at all
 (`residual_valuation`).
 """
 
 from dataclasses import dataclass
 
-from .errors import DomainError, ParameterError, PrecisionError
-from .matrix import PMatrix, _sqrt_step, in_GLn, matrix_sqrt_one_mod_p
+from .errors import AlgebraInvariantError, DomainError, ParameterError, PrecisionError
+from .matrix import PMatrix, in_GLn, matrix_sqrt_one_mod_p
 from .ring import RingElement, _hensel_root
 
 __all__ = [
@@ -220,6 +221,26 @@ def _so_radicand(x, q, xp):
     return xp.form(q).solve(x.form(q).pow_p_entrywise())
 
 
+def _so_root_step(kernel, n, A, C, W, Y, Y2, K, c):
+    """One warm step toward Lambda = 1 mod p, the root of M = A^{-1} C, on
+    the kernel's flats: Y <- Y - W (A Y^2 - C), four products and no solve.
+
+    A and C are known to K digits, Y is a start trusted to c digits, Y2 is
+    Y^2, and W = (2A)^{-1} mod p.  As W A = (1 + pG)/2 and A Y^2 - C =
+    A (Y^2 - M), the error E = Y - Lambda becomes, with Lambda = 1 + pT,
+    E - (Lambda E + E Lambda + E^2)/2 + O(pE) = O(pE) + O(E^2): one digit
+    gained, from a start that need not commute with M.  Returns the root,
+    its square and its claim min(K, c + 1), certified by A Y^2 = C mod p^K
+    before it is returned: A is invertible, so v(Y - Lambda) = v(A Y^2 - C).
+    """
+    K = min(K, c + 1)
+    Y = kernel.sub(Y, kernel.m_mul(W, kernel.sub(kernel.m_mul(A, Y2, n), C), n))
+    Y2 = kernel.m_mul(Y, Y, n)
+    if not kernel.eq_mod(kernel.m_mul(A, Y2, n), C, K):
+        raise AlgebraInvariantError("so twist: the warm square root failed its check")
+    return Y, Y2, K
+
+
 def _phi(kind, x, q):
     """Phi(x) of the kind, cold, with x^{(p)} shared with the twist."""
     xp = x.pow_p_entrywise()
@@ -291,18 +312,23 @@ def solve(spec, u0):
     prime-integral diagnostics.
 
     gl and so run the fixed-point iteration u <- phi^{-1}(eps * Phi(u))
-    exactly N times.  The loop starts from u0 known to one digit,
-    and Phi(u) is known to one digit more than u (the p-th power rule of
-    `ring.py`), so iterate k carries known_prec k + 1 and the solution N.
-    For so, Lambda's root starts from the previous step's root, trusted to
-    its own known_prec k + 1, and takes one solve-free step
-    Y <- Y - (Y^2 - M)/2 to k + 2, where Y^2 is the square the previous
-    step's check computed; step 0 starts from 1 known to one digit.  So an
-    so step costs one elimination (the radicand M) and one product (the
-    check) for its twist.  sl runs the gl loop to its solution w, then N
-    steps of c <- phi^{-1}(lambda(w) c^p) from c = 1 known to one digit with
-    one cold lambda(w), and returns c w: lambda is blind to scalar factors,
-    so c w solves the sl equation (see the module docstring).  The residual
+    exactly N times, on the kernel's flat tuples, with the claims kept as
+    ints and the solution wrapped once.  The loop starts from u0 known to
+    one digit, and Phi(u) is known to one digit more than u (the p-th power
+    rule of `ring.py`), so iterate k is known to k + 1 digits and the
+    solution to N.  For so, Lambda's root starts from the previous step's
+    root, trusted to its own claim c, and takes one step
+    Y <- Y - W (A Y^2 - C) to min(N, k + 2, c + 1) digits
+    (`_so_root_step`); step 0 starts from 1 known to one digit.  W =
+    (2 A_0)^{-1} is needed only mod p, where A = A_0 at every step, so it is
+    one inverse per solve, kept mod p: its products multiply digits below p
+    by full-width ones.  Each root is certified by A Y^2 = C before it is
+    used, and a failed check raises AlgebraInvariantError.  So an so step
+    costs two forms, a p-th power and four products for its twist, and no
+    elimination.  sl runs the gl loop to its solution w, then N steps of
+    c <- phi^{-1}(lambda(w) c^p) from c = 1 known to one digit with one
+    cold lambda(w), and returns c w: lambda is blind to scalar factors, so
+    c w solves the sl equation (see the module docstring).  The residual
     valuation comes from `residual_valuation`, which checks the solution
     against the twist's defining identity instead of computing a root.
     """
@@ -316,30 +342,40 @@ def solve(spec, u0):
     if not in_GLn(u0):
         raise DomainError("u0 is singular mod p")
 
-    eps = spec.epsilon()
-    q = spec.q_matrix()
+    kernel, n, m, N = ctx.kernel, spec.n, ctx.m, ctx.N
+    eps = spec.epsilon().flat
     # The solution is defined by u0's residue, so u0 is known to one digit.
-    u = u0.assume_prec(1)
+    x = u0.flat
     if spec.kind == "so":
+        Q = spec.q_matrix().flat
         # Lambda is 1 mod p, so 1 is a start known to one digit; 1^2 = 1.
-        one = PMatrix.identity(ctx, spec.n)
-        twist, square = one.with_prec(1), one
-    for _ in range(ctx.N):
-        P = u.pow_p_entrywise()
+        Y = Y2 = kernel.m_identity(n)
+        c = 1
+    for k in range(N):
+        P = kernel.m_powp(x)  # known to min(k + 2, N) digits, as A and C are
         if spec.kind == "so":
-            twist, square = _sqrt_step(twist, square, _so_radicand(u, q, P))
-            P = P @ twist
-        u = (eps @ P).frobenius_inverse_entrywise()
+            A = kernel.m_form(P, Q, n)
+            C = kernel.m_powp(kernel.m_form(x, Q, n))
+            if k == 0:
+                W = tuple(w % ctx.p for w in kernel.m_inv(kernel.scal_int(2, A), n))
+            Y, Y2, c = _so_root_step(kernel, n, A, C, W, Y, Y2, min(k + 2, N), c)
+            P = kernel.m_mul(P, Y, n)
+        x = kernel.m_mul(eps, P, n)
+        if m > 1:
+            x = kernel.m_frob(x, m - 1)
     if spec.kind == "sl":
-        lam = lambda_sl(u)
-        c = ctx.one().with_prec(1)
-        for _ in range(ctx.N):
-            c = (lam * c ** ctx.p).frobenius_inverse()
-        u = u * c
+        lam = lambda_sl(PMatrix(ctx, n, x, N)).flat
+        s = kernel.one  # c = 1 mod p, known to one digit; each step gains one
+        for _ in range(N):
+            s = kernel.s_mul(lam, kernel.s_pow(s, ctx.p))
+            if m > 1:
+                s = kernel.s_frob(s, m - 1)
+        x = kernel.m_scal(s, x)
+    u = PMatrix(ctx, n, x, N)
 
     return SolveReport(
         solution=u,
-        iterations=ctx.N,
+        iterations=N,
         residual_valuation=residual_valuation(spec, u),
         integral_values=prime_integral_check(spec, u),
         fixedness=fixedness(u),

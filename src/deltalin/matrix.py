@@ -8,7 +8,7 @@ and the coefficient-wise ops; PMatrix adds the products, the fused solve
 and form, and the entrywise maps.
 Entrywise Frobenius / Fermat-quotient / p-power maps, the group law
 a +_d b = a + b + p*a*b on gl_n, square roots of matrices congruent to 1
-mod p (the Hensel root of `ring.py`, and a warm step), and membership
+mod p (the Hensel root of `ring.py`), and membership
 predicates for the classical groups and their delta-Lie algebras.  The
 binomial powers (1 + pT)^a run the series of `ring.py`, the one that
 serves exp_p, log_p and (1 + pt)^a on elements.
@@ -16,12 +16,7 @@ serves exp_p, log_p and (1 + pt)^a on elements.
 
 from itertools import repeat
 
-from .errors import (
-    AlgebraInvariantError,
-    DomainError,
-    ParameterError,
-    PrecisionError,
-)
+from .errors import DomainError, ParameterError, PrecisionError
 from .ring import MAX_DIM, RingElement, _binomial_power, _hensel_root, _power_prec, _Truncated
 
 __all__ = [
@@ -242,33 +237,11 @@ def matrix_sqrt_one_mod_p(M):
     Requires M = 1 mod p and p odd.  The cold root of `ring._hensel_root`
     with k = 2: the closed-form step (1 + M)/2, then bitlen(K-1) - 1 Newton
     steps Y <- (Y + Y^{-1} M)/2 of one elimination each, and a check of
-    Y^2 = M that certifies the result exact at M's precision K.  A root
-    carried from a nearby radicand takes warm steps instead (`_sqrt_step`).
+    Y^2 = M that certifies the result exact at M's precision K.  The so
+    solver carries its root from step to step instead
+    (`equations._so_root_step`).
     """
     return PMatrix(M.ctx, M.n, *_hensel_root(M.ctx, M.flat, M.n, 2, M.known_prec))
-
-
-def _sqrt_step(Y, Y2, M):
-    """One warm step toward the square root S = 1 mod p of M = 1 mod p.
-
-    Y is a start trusted to its own known_prec c >= 1 and Y2 = Y @ Y.  The
-    step is Y <- Y - (Y^2 - M)/2: one product (the new square) and no solve.
-    The start need not commute with M; as S = 1 + pT, the new error is
-    E - (SE + ES + E^2)/2 = -p(TE + ET)/2 - E^2/2 = O(pE) + O(E^2), so a
-    warm step gains one digit where a cold one (`matrix_sqrt_one_mod_p`)
-    doubles.  Returns the new root, claimed to min(K, c + 1) digits for M
-    known to K, and its square, which is the next step's Y2; the claim is
-    certified by checking the square against M, by the identity
-    v_p(L - S) = v_p(L^2 - S^2) of `ring._hensel_root`.
-    """
-    if Y.known_prec < 1:
-        raise ParameterError("a start value must be known to at least one digit")
-    K = min(M.known_prec, Y.known_prec + 1)
-    Y = Y - pow(2, -1, M.ctx.kernel.q) * (Y2 - M)
-    Y2 = Y @ Y
-    if not Y2.eq_at(M, K):
-        raise AlgebraInvariantError("Newton square root failed to converge")
-    return Y.assume_prec(K), Y2
 
 
 def matrix_one_plus_pT_pow(M, a):

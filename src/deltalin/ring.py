@@ -38,7 +38,7 @@ n x n with n <= MAX_DIM.
 """
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence, Set
 
 from . import _residue
 from ._intmath import int_to_digits, is_prime, vp, vp_min
@@ -106,7 +106,11 @@ class RingContext:
     # -- element constructors --------------------------------------------------
 
     def element(self, value):
-        """Build a RingElement from an int, a coefficient sequence, or an element."""
+        """Build a RingElement from an int, a coefficient sequence, or an
+        element.  A str, a dict or a set is refused: it has no coefficient
+        order."""
+        if isinstance(value, (str, bytes, Mapping, Set)):
+            raise DomainError(f"expected an int or a coefficient sequence, got a {type(value).__name__}")
         q, m = self.kernel.q, self.m
         if isinstance(value, RingElement):
             if not self.same(value.ctx):

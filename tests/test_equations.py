@@ -24,9 +24,9 @@ from deltalin.equations import (
     solve_scalar_closed_form,
     solve_scalar_exp,
 )
-from deltalin.errors import DomainError, ParameterError, PrecisionError
+from deltalin.errors import AlgebraInvariantError, DomainError, ParameterError, PrecisionError
 from deltalin.galois import GuChecker
-from deltalin.matrix import PMatrix, _sqrt_step, in_SLn, in_SOq, matrix_sqrt_one_mod_p
+from deltalin.matrix import PMatrix, in_SLn, in_SOq, matrix_sqrt_one_mod_p
 from deltalin.ring import RingElement, _hensel_root, make_context, one_plus_pt_pow, psi
 from deltalin.sampling import Rng
 
@@ -329,35 +329,89 @@ def test_residual_valuation_matches_the_residual(p, m, N):
             assert residual_valuation(spec, u + p ** j * rng.gl(ctx, n)) == j, (kind, variant, j)
 
 
+def _so_step_inputs(rng, u, q):
+    """The flats A and C of the radicand M = A^{-1} C of Lambda_so(u), and
+    a W equal to (2A)^{-1} only mod p: the inverse of 2(A + p R), R random."""
+    ctx = u.ctx
+    A, C = u.pow_p_entrywise().form(q), u.form(q).pow_p_entrywise()
+    W = (2 * (A + ctx.p * rng.matrix(ctx, u.n))).inverse()
+    return A.flat, C.flat, W.flat
+
+
 def test_so_solver_roots_take_no_solve(monkeypatch):
-    """A warm so root step is one product and no elimination: `_sqrt_step`
-    makes no m_solve call, and an so solve makes N + 2, one for
-    the radicand of each step and two for the residual's radicand and its
-    L; u0's invertibility check is a determinant (`in_GLn`), no solve.
-    With a Newton step per warm root and a cold residual root it was 38
-    at N = 16."""
-    ctx = make_context(7, 2, 16)  # its own kernel, patched below
+    """A warm so root step is four products and no elimination
+    (`_so_root_step`), and an so solve makes three eliminations at any N:
+    the one inverse of 2 A_0 that gives every step its W, and two for the
+    residual's radicand and its L; u0's invertibility check is a
+    determinant (`in_GLn`), no solve.  With one radicand elimination per
+    step it made N + 2, and with a Newton step per warm root and a cold
+    residual root it was 38 at N = 16."""
     rng = Rng(48)
-    calls = {"m_solve": 0, "m_mul": 0}
-    for name in calls:
-        op = getattr(ctx.kernel, name)
-        monkeypatch.setattr(ctx.kernel, name,
-                            lambda *a, op=op, name=name: calls.__setitem__(name, calls[name] + 1) or op(*a))
-    one = PMatrix.identity(ctx, 3)
-    M = one + 7 * rng.matrix(ctx, 3)
-    S = matrix_sqrt_one_mod_p(M)
-    calls.update(m_solve=0, m_mul=0)
-    start = (S + 7 ** 5 * rng.matrix(ctx, 3)).with_prec(5)
-    Y, _ = _sqrt_step(start, start @ start, M)
-    assert calls == {"m_solve": 0, "m_mul": 2}  # the start's square and the check
-    assert Y.known_prec == 6 and Y.eq_at(S, 6)
-    for variant, n in (("sp", 2), ("so_odd", 3)):
-        spec = EquationSpec("so", n, rng.matrix(ctx, n), variant)
-        u0 = rng.gl(ctx, n)
-        calls.update(m_solve=0, m_mul=0)
-        rep = solve(spec, u0)
-        assert calls["m_solve"] == ctx.N + 2, variant
-        assert rep.residual_valuation == math.inf
+    for N in (16, 37):
+        ctx = make_context(7, 2, N)  # its own kernel, patched below
+        calls = {"m_solve": 0, "m_inv": 0, "m_mul": 0}
+        for name in calls:
+            op = getattr(ctx.kernel, name)
+            monkeypatch.setattr(ctx.kernel, name,
+                                lambda *a, op=op, name=name: calls.__setitem__(name, calls[name] + 1) or op(*a))
+        u, q = rng.gl(ctx, 3), build_q(ctx, "so_odd", 3)
+        S = Lambda_so(u, q)
+        start = S + 7 ** 5 * rng.matrix(ctx, 3)
+        A, C, W = _so_step_inputs(rng, u, q)
+        Y2 = (start @ start).flat
+        calls.update(m_solve=0, m_inv=0, m_mul=0)
+        Y, _, claim = equations._so_root_step(ctx.kernel, 3, A, C, W, start.flat, Y2, N, 5)
+        assert calls == {"m_solve": 0, "m_inv": 0, "m_mul": 4}  # A Y^2, W R, the square, the check
+        assert claim == 6 and PMatrix(ctx, 3, Y, claim).eq_at(S, 6)
+        for variant, n in (("sp", 2), ("so_odd", 3)):
+            spec = EquationSpec("so", n, rng.matrix(ctx, n), variant)
+            u0 = rng.gl(ctx, n)
+            calls.update(m_solve=0, m_inv=0, m_mul=0)
+            rep = solve(spec, u0)
+            assert calls["m_inv"] == 1, (N, variant)
+            assert calls["m_solve"] == 3, (N, variant)  # m_inv's elimination is one of them
+            assert rep.residual_valuation == math.inf
+
+
+def test_so_root_step_gains_one_digit(c5):
+    """From a start correct to c digits that does not commute with the
+    radicand, and with W = (2A)^{-1} only mod p, one step is correct to
+    c + 1 digits, and in general not to more."""
+    rng = Rng(33)
+    q = build_q(c5, "sp", 2)
+    for c in (1, 2, 4, 8):
+        short_by_one = 0
+        for _ in range(10):
+            u = rng.gl(c5, 2)
+            S = Lambda_so(u, q)
+            start = S + 5 ** c * rng.matrix(c5, 2)
+            Y, _, claim = equations._so_root_step(
+                c5.kernel, 2, *_so_step_inputs(rng, u, q), start.flat, (start @ start).flat, c5.N, c
+            )
+            assert claim == min(c + 1, c5.N)
+            Y = PMatrix(c5, 2, Y, claim)
+            assert Y.eq_at(S, c + 1)
+            short_by_one += not Y.eq_at(S, c + 2)
+        if c + 2 <= c5.N:
+            assert short_by_one > 0
+
+
+def test_so_solve_certifies_each_warm_root(monkeypatch):
+    """solve trusts W = (2 A_0)^{-1} only through the check A Y^2 = C: with
+    W wrong mod p (A_0^{-1}, from a patched m_inv), a step gains no digit,
+    and solve raises AlgebraInvariantError where it returned the solution."""
+    rng = Rng(49)
+    for m in (1, 2):
+        ctx = make_context(7, m, 8)  # its own kernel, patched below
+        for variant, n in (("sp", 2), ("so_even", 2), ("so_odd", 3)):
+            spec = EquationSpec("so", n, rng.matrix(ctx, n), variant)
+            u0 = rng.gl(ctx, n)
+            assert solve(spec, u0).residual_valuation == math.inf
+            with monkeypatch.context() as patch:
+                inv = ctx.kernel.m_inv
+                patch.setattr(ctx.kernel, "m_inv", lambda a, n: ctx.kernel.scal_int(2, inv(a, n)))
+                with pytest.raises(AlgebraInvariantError):
+                    solve(spec, u0)
 
 
 _SOLVER_CELLS = (
@@ -443,6 +497,35 @@ def test_sl_solve_matches_the_fixed_point_loop(p):
                     got = solve(spec, u0).solution
                     assert got.flat == expected.flat, (m, N, n)
                     assert got.known_prec == expected.known_prec == N
+
+
+def _so_fixed_point_loop(spec, u0):
+    """The so fixed-point loop u <- phi^{-1}(eps u^{(p)} Lambda(u)), N steps,
+    through public PMatrix ops with a cold Lambda_so at every step: no
+    carried root, no W and no flat loop, so it shares no part of solve's."""
+    eps, q = spec.epsilon(), spec.q_matrix()
+    u = u0.assume_prec(1)
+    for _ in range(spec.ctx.N):
+        u = (eps @ (u.pow_p_entrywise() @ Lambda_so(u, q))).frobenius_inverse_entrywise()
+    return u
+
+
+@pytest.mark.parametrize("p, m", [(13, 1), (7, 2), (3, 3)])
+def test_so_solve_matches_the_fixed_point_loop(p, m):
+    """solve's so loop, with its warm root from one W per solve, equals the
+    loop with a cold root at every step, bit for bit in flat and
+    known_prec, for unstructured and so-type alpha."""
+    rng = Rng(400 + p)
+    for N in (2, 3, 16, 37):
+        ctx = make_context(p, m, N)
+        for variant, n in (("sp", 2), ("so_even", 2), ("so_odd", 3)):
+            for alpha in (rng.matrix(ctx, n), rng.so_delta_alpha(ctx, n, variant)):
+                spec = EquationSpec("so", n, alpha, variant)
+                u0 = rng.gl(ctx, n)
+                expected = _so_fixed_point_loop(spec, u0)
+                got = solve(spec, u0).solution
+                assert got.flat == expected.flat, (variant, N)
+                assert got.known_prec == expected.known_prec == N
 
 
 def test_lambda_sl_is_blind_to_scalar_factors():

@@ -8,7 +8,6 @@ from deltalin.errors import (
 )
 from deltalin.matrix import (
     PMatrix,
-    _sqrt_step,
     delta_add,
     delta_inverse,
     in_GLn,
@@ -272,28 +271,6 @@ def test_matrix_sqrt_squares_back(c5, c5x2):
                 assert r @ r == M
                 # Newton route gives the same root
                 assert matrix_sqrt_one_mod_p(M) == r
-
-
-def test_matrix_sqrt_warm_step_gains_one_digit(c5):
-    # A start correct to c digits that does not commute with M: one step is
-    # correct to c + 1 digits, and in general not to more.
-    rng = Rng(33)
-    one = PMatrix.identity(c5, 2)
-    for c in (1, 2, 4, 8):
-        short_by_one = 0
-        for _ in range(10):
-            M = one + 5 * rng.matrix(c5, 2)
-            S = matrix_sqrt_one_mod_p(M)
-            start = (S + 5 ** c * rng.matrix(c5, 2)).with_prec(c)
-            Y, _ = _sqrt_step(start, start @ start, M)
-            assert Y.known_prec == min(c + 1, c5.N)
-            assert Y.eq_at(S, c + 1)
-            short_by_one += not Y.eq_at(S, c + 2)
-        if c + 2 <= c5.N:
-            assert short_by_one > 0
-    start = one.with_prec(0)
-    with pytest.raises(ParameterError):
-        _sqrt_step(start, start @ start, one)
 
 
 def test_matrix_pow_domain(c5):

@@ -13,11 +13,12 @@ claims:
   known to K + 1 digits, and Delta(x) = (Phi(x) - x^{(p)}) / p to K (at
   most N - 1, as Phi is capped at N);
 - the root congruent to 1 mod p of a radicand known to K digits is known to
-  K digits.  The matrix square root also has a warm step (`_sqrt_step`)
-  from a start: the truth perturbed by p^c times a random matrix, known to
-  c digits, so the start need not commute with the radicand, and one warm
-  step gains one digit.  The n-th root, lambda_sl and Lambda_so run cold
-  only;
+  K digits.  Lambda_so also has the so solver's warm step
+  (`equations._so_root_step`) from a start: the truth perturbed by p^c
+  times a random matrix, known to c digits, so the start need not commute
+  with the radicand, and with W = (2A)^{-1} only mod p, as the solver's W
+  is; one warm step gains one digit, to min(K + 1, N, c + 1) for x known
+  to K.  The square and n-th roots and lambda_sl run cold only;
 - an input known to K digits determines exp_p(pt), log_p(1 + pt) and
   (1 + pT)^a to K digits, and an exponent a known to k digits determines
   the power to k + 1 digits.
@@ -32,8 +33,8 @@ import pytest
 
 from deltalin._intmath import vp
 from deltalin.errors import ParameterError
-from deltalin.equations import Delta_of, EquationSpec, Lambda_so, build_q, lambda_sl
-from deltalin.matrix import PMatrix, _sqrt_step, matrix_one_plus_pT_pow, matrix_sqrt_one_mod_p
+from deltalin.equations import Delta_of, EquationSpec, Lambda_so, _so_root_step, build_q, lambda_sl
+from deltalin.matrix import PMatrix, matrix_one_plus_pT_pow, matrix_sqrt_one_mod_p
 from deltalin.ring import RingElement, _hensel_root, exp_p, log_p, make_context
 from deltalin.sampling import Rng
 
@@ -64,9 +65,16 @@ def _down(ctx, x):
     return ctx.element(x.coeffs)
 
 
-def _warm_sqrt(M, start):
-    """One warm square-root step from start."""
-    return _sqrt_step(start, start @ start, M)[0]
+def _warm_root(rng, x, q, start):
+    """One so root step from start toward Lambda_so(x), with W = (2A)^{-1}
+    only mod p: the inverse of 2(A + p R) for a random R."""
+    ctx, n = x.ctx, x.n
+    A, C = x.pow_p_entrywise().form(q), x.form(q).pow_p_entrywise()
+    W = (2 * (A + ctx.p * rng.matrix(ctx, n))).inverse()
+    K = min(A.known_prec, C.known_prec)
+    Y, _, c = _so_root_step(ctx.kernel, n, A.flat, C.flat, W.flat, start.flat,
+                            (start @ start).flat, K, start.known_prec)
+    return PMatrix(ctx, n, Y, c)
 
 
 def _nth_root(b, k):
@@ -86,7 +94,7 @@ def _cases(ctx, rng):
     out = []
     for n in (2, 3):
         out.append(("sqrt", matrix_sqrt_one_mod_p, PMatrix.identity(ctx, n) + p * rng.matrix(ctx, n),
-                    same, (_warm_sqrt, lambda K, c: min(K, c + 1))))
+                    same, None))
         if n % p:
             out.append(("lambda_sl", lambda_sl, rng.gl(ctx, n), gains, None))
     out.append(("nth_root", lambda b: _nth_root(b, 4), ctx.one() + p * rng.element(ctx),
@@ -94,7 +102,9 @@ def _cases(ctx, rng):
     for variant, n in (("sp", 2), ("so_even", 2), ("so_odd", 3)):
         out.append((f"Lambda_so/{variant}",
                     lambda x, variant=variant: Lambda_so(x, build_q(x.ctx, variant, x.n)),
-                    rng.gl(ctx, n), gains, None))
+                    rng.gl(ctx, n), gains,
+                    (lambda x, start, variant=variant: _warm_root(rng, x, build_q(x.ctx, variant, x.n), start),
+                     lambda K, c: min(K + 1, N, c + 1))))
     return out
 
 

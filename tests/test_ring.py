@@ -366,6 +366,14 @@ def test_element_refuses_non_int_coefficients(c5x2, method, value):
         getattr(c5x2, method)(value)
 
 
+@pytest.mark.parametrize("value, name", [({3: "x", 1: "y"}, "dict"), ({3, 1}, "set"), ("31", "str")])
+def test_element_refuses_unordered_and_text_coefficients(c5x2, value, name):
+    """A dict would be read by its keys, a set in hash order and a str by
+    character; each is refused by its type before any coefficient is read."""
+    with pytest.raises(DomainError, match=f"got a {name}$"):
+        c5x2.element(value)
+
+
 def test_element_reads_a_bool_as_its_int(c5x2):
     assert c5x2.element([True, False]).coeffs == c5x2.element(1).coeffs == c5x2.element(True).coeffs
 
