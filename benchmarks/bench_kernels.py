@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Time the kernel on a few representative workloads.
 
-The workloads are the solver across equation types and an N^delta
-membership sweep; each prints its best time over --repeat runs.  A large
---prec (128 or more) shows how the solver scales with precision.
+The workloads are the solver across equation types, an N^delta
+membership sweep and, at m = 3, a context build and two solves; each
+prints its best time over --repeat runs.  A large --prec (128 or more)
+shows how the solver scales with precision.
 
     python3 benchmarks/bench_kernels.py [--prec 16] [--repeat 5]
 
@@ -23,17 +24,29 @@ from deltalin.ring import make_context
 from deltalin.sampling import Rng
 
 
+def best_of(repeat, run):
+    """The best time of `repeat` calls of run()."""
+    best = None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        run()
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return best
+
+
+def bench_context(ctx, repeat):
+    """make_context at ctx's (p, m, N), built afresh on every call."""
+    return best_of(repeat, lambda: make_context(ctx.p, ctx.m, ctx.N))
+
+
 def bench_solver(ctx, kind, variant, n, repeat):
     rng = Rng(1)
     spec = EquationSpec(kind, n, rng.delta_lie_alpha(ctx, kind, n, variant), variant)
     u0 = rng.gl(ctx, n)
-    best = None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        rep = solve(spec, u0)
-        dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
-    assert rep.residual_valuation == float("inf")
+    reports = []
+    best = best_of(repeat, lambda: reports.append(solve(spec, u0)))
+    assert reports[-1].residual_valuation == float("inf")
     return best
 
 
@@ -53,12 +66,15 @@ def bench_galois(ctx, repeat):
     return best
 
 
-WORKLOADS = (  # (name, m, bench), each on p=13
-    ("solve gl  n=4 p=13 m=2", 2, lambda ctx, r: bench_solver(ctx, "gl", None, 4, r)),
-    ("solve sl  n=3 p=13 m=2", 2, lambda ctx, r: bench_solver(ctx, "sl", None, 3, r)),
-    ("solve so  n=4 p=13 m=2 (sp)", 2, lambda ctx, r: bench_solver(ctx, "so", "sp", 4, r)),
-    ("solve so  n=3 p=13 m=2 (odd)", 2, lambda ctx, r: bench_solver(ctx, "so", "so_odd", 3, r)),
-    ("N^delta sweep n=2 d=12", 1, bench_galois),
+WORKLOADS = (  # (name, p, m, bench)
+    ("solve gl  n=4 p=13 m=2", 13, 2, lambda ctx, r: bench_solver(ctx, "gl", None, 4, r)),
+    ("solve sl  n=3 p=13 m=2", 13, 2, lambda ctx, r: bench_solver(ctx, "sl", None, 3, r)),
+    ("solve so  n=4 p=13 m=2 (sp)", 13, 2, lambda ctx, r: bench_solver(ctx, "so", "sp", 4, r)),
+    ("solve so  n=3 p=13 m=2 (odd)", 13, 2, lambda ctx, r: bench_solver(ctx, "so", "so_odd", 3, r)),
+    ("N^delta sweep n=2 d=12", 13, 1, bench_galois),
+    ("make_context p=5 m=3", 5, 3, bench_context),
+    ("solve gl  n=4 p=5 m=3", 5, 3, lambda ctx, r: bench_solver(ctx, "gl", None, 4, r)),
+    ("solve so  n=4 p=5 m=3 (sp)", 5, 3, lambda ctx, r: bench_solver(ctx, "so", "sp", 4, r)),
 )
 
 
@@ -70,8 +86,8 @@ def main():
 
     print(f"precision N={args.prec}")
     print(f"{'workload':32s} {'best':>10s}")
-    for name, m, fn in WORKLOADS:
-        t = fn(make_context(13, m, args.prec), args.repeat)
+    for name, p, m, fn in WORKLOADS:
+        t = fn(make_context(p, m, args.prec), args.repeat)
         print(f"{name:32s} {t * 1e3:9.2f}ms")
 
 

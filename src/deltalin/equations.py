@@ -400,8 +400,8 @@ def prime_integral_check(spec, u):
 
 def frobenius_fixedness(u, nu):
     """Whether phi^nu fixes u at full precision."""
-    if not 1 <= nu <= u.ctx.m:
-        raise ParameterError("nu must satisfy 1 <= nu <= m")
+    if type(nu) is not int or not 1 <= nu <= u.ctx.m:
+        raise ParameterError(f"nu must be an integer with 1 <= nu <= m, got {nu!r}")
     return u.frobenius_entrywise(nu) == u
 
 

@@ -175,7 +175,7 @@ class PMatrix(_Truncated):
         return self._wrap(ctx.kernel.m_powp(self.flat), _power_prec(ctx, self.known_prec, ctx.p))
 
     def frobenius_entrywise(self, k=1):
-        return self._wrap(self.ctx.kernel.m_frob(self.flat, k))
+        return self._wrap(self.ctx.kernel.m_frob(self.flat, self._frob_power(k)))
 
     def frobenius_inverse_entrywise(self):
         m = self.ctx.m
@@ -207,8 +207,8 @@ def _canonical(ctx, flat, n):
 
 
 def _check_dim(n):
-    if n < 1:
-        raise ParameterError("dimension must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"dimension must be an integer >= 1, got {n!r}")
     if n > MAX_DIM:
         raise ParameterError(f"n={n} exceeds the cap {MAX_DIM}")
 

@@ -239,6 +239,14 @@ class _Truncated:
             raise ParameterError(f"precision must be an integer >= 0, got {k!r}")
         return k
 
+    @staticmethod
+    def _frob_power(k):
+        """k, a power of the Frobenius: an int, else ParameterError; any
+        int, negative ones included, means phi^(k mod m)."""
+        if type(k) is not int:
+            raise ParameterError(f"Frobenius power must be an integer, got {k!r}")
+        return k
+
     def eq_at(self, other, k):
         """Whether self and other agree mod p^k, whatever either claims."""
         return self.ctx.kernel.eq_mod(self.flat, self._require(other).flat, self._digits(k))
@@ -352,7 +360,7 @@ class RingElement(_Truncated):
         return self._wrap(self.ctx.kernel.s_inv(self.flat), self.known_prec)
 
     def frobenius(self, k=1):
-        return self._wrap(self.ctx.kernel.s_frob(self.flat, k), self.known_prec)
+        return self._wrap(self.ctx.kernel.s_frob(self.flat, self._frob_power(k)), self.known_prec)
 
     def frobenius_inverse(self):
         m = self.ctx.m

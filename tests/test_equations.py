@@ -613,13 +613,13 @@ def test_no_precision_side_arguments_remain():
 
 
 def test_solver_contract_has_no_options():
-    """solve, the square root, the kernel's dot product and the acceptance
-    suite's context cache take no options, and the report carries the
-    solution and its diagnostics, not the solver's iterates."""
+    """solve, the square root, the kernel's matrix product and the
+    acceptance suite's context cache take no options, and the report
+    carries the solution and its diagnostics, not the solver's iterates."""
     signatures = {
         solve: "(spec, u0)",
         matrix_sqrt_one_mod_p: "(M)",
-        PureKernel._dot: "(self, xs, ys)",
+        PureKernel.m_mul: "(self, A, B, n)",
         _Session.ctx: "(self, p, m)",
     }
     for f, expected in signatures.items():
@@ -707,6 +707,31 @@ def test_fixedness_trivialities(c5x2):
     assert not frobenius_fixedness(g, 1)
     with pytest.raises(ParameterError):
         frobenius_fixedness(u, 3)
+
+
+@pytest.mark.parametrize("k", [1.0, "1", None, True])
+def test_frobenius_powers_must_be_ints(c5, c5x2, k):
+    """A Frobenius power or a fixedness order that is not an int is a
+    ParameterError at every m: before, a float raised TypeError at m = 2,
+    and frobenius_fixedness(u, 1.0) returned True at m = 1."""
+    for ctx in (c5, c5x2):
+        u = Rng(54).gl(ctx, 2)
+        with pytest.raises(ParameterError, match="Frobenius power must be an integer"):
+            ctx.one().frobenius(k)
+        with pytest.raises(ParameterError, match="Frobenius power must be an integer"):
+            u.frobenius_entrywise(k)
+        with pytest.raises(ParameterError, match="nu must be an integer"):
+            frobenius_fixedness(u, k)
+
+
+def test_negative_frobenius_powers_count_mod_m(c5x2):
+    """phi^k for a negative int k is phi^(k mod m)."""
+    rng = Rng(55)
+    a, u = rng.element(c5x2), rng.gl(c5x2, 2)
+    for k in (-1, -2, -3):
+        assert a.frobenius(k) == a.frobenius(k % 2)
+        assert u.frobenius_entrywise(k) == u.frobenius_entrywise(k % 2)
+    assert a.frobenius(-1).frobenius() == a
 
 
 # ---------------------------------------------------------------- recover / lang

@@ -149,6 +149,24 @@ def test_every_constructor_checks_the_dimension(n):
             build()
 
 
+@pytest.mark.parametrize("n", [2.0, True, "2", None])
+def test_every_constructor_wants_an_int_dimension(n):
+    """A dimension that is not an int is a ParameterError, a float and a
+    bool included: before, 2.0 raised TypeError from identity, zeros and
+    scalar, from_flat built a matrix that failed later, and True built a
+    matrix whose n was True."""
+    ctx = make_context(5, 1, 4)
+    builders = [
+        lambda: PMatrix.identity(ctx, n),
+        lambda: PMatrix.zeros(ctx, n),
+        lambda: PMatrix.scalar(ctx, n, 2),
+        lambda: PMatrix.from_flat(ctx, [1] * 4, n),
+    ]
+    for build in builders:
+        with pytest.raises(ParameterError, match="dimension must be an integer"):
+            build()
+
+
 @pytest.mark.parametrize("flat", [[1.5, 0], [1, "0"], [2.0, 0]])
 def test_from_flat_refuses_non_int_coefficients(c5x2, flat):
     with pytest.raises(ParameterError, match="integers"):

@@ -23,11 +23,12 @@ n = 1..5, and singular ones include columns of valuation 1..3.  The
 determinant is also checked against the Leibniz sum at n = 6, and by
 det(AB) = det(A) det(B) at n = 7 and n = 8 = MAX_DIM, where the Leibniz sum
 is too slow.  Products, p-th powers and forms are also checked at
-n = 6..8 for m <= 2; at m == 2 they are generated straight-line code, one
-function per shape, shown to be shared by every context of its shape.  So
-is the determinant at m <= 2 and n >= 2, checked at n = 6..8 against a
-cofactor expansion along the columns, on random, monomial and singular
-matrices, and on entries that are not canonical (at n = 1 too).
+n = 6..8 for every m; at m >= 2 they are generated straight-line code, one
+function per (m, shape), shown to be shared by every context of its shape
+at m = 2 and m = 3.  So is the determinant at every m and n >= 2, checked
+at n = 6..8 against a cofactor expansion along the columns, on random,
+monomial and singular matrices, and on entries that are not canonical (at
+n = 1 too).
 `s_pow` and `m_powp` are one body: it is checked on non-canonical inputs
 at e = 0 and 1, by a^(e1 + e2) = a^e1 a^e2 at 60-bit exponents, and
 `m_powp` against `s_pow` entry by entry.
@@ -408,14 +409,11 @@ def test_form_matches_reference(p, m, N, f, n):
     assert labels >= {"dense", "monomial", "mixed"} and (n < 2 or len(labels) > 3)
 
 
-STRAIGHT_LINE = [c for c in CONTEXTS if c[1] <= 2]
-
-
 @pytest.mark.parametrize("n", range(6, MAX_DIM + 1))
-@pytest.mark.parametrize("p, m, N, f", STRAIGHT_LINE, ids=[IDS[CONTEXTS.index(c)] for c in STRAIGHT_LINE])
+@pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
 def test_straight_line_ops_match_reference_up_to_max_dim(p, m, N, f, n):
-    """m_mul, m_powp, m_form and m_det at n = 6..MAX_DIM for m <= 2
-    (generated code at m == 2, and for m_det at m == 1 too): canonical and
+    """m_mul, m_powp, m_form and m_det at n = 6..MAX_DIM for every m
+    (generated code at m >= 2, and for m_det at m == 1 too): canonical and
     equal to the reference, for every `build_q` form and a dense, a
     monomial and a mixed Q; the determinant of a random matrix, of a
     monomial one (zero entries) and of the singular cases."""
@@ -466,10 +464,11 @@ def test_det_reduces_a_non_canonical_input(p, m, N, f, n):
 def test_generated_kernels_are_keyed_by_shape(monkeypatch):
     """Fifty contexts of one (m, n) with different p, N and modulus share
     one generated m_mul, one m_form of the sp form, one m_det and one power
-    per length: the matrices' (size 8) and the elements' (size 2, which
-    make_context's lift of phi(x) raises to the p-th power).  Each is
-    compiled once per (op, shape), and serves every context with its own
-    constants.  At m == 1 only the determinant is generated: fifty
+    per length: the matrices' (size n*n*m) and the elements' (size m, which
+    make_context's lift of phi(x) raises to the p-th power).  s_mul is the
+    product at n = 1, compiled once per m.  Each is compiled once per
+    (op, m, shape), at m = 2 and m = 3 alike, and serves every context with
+    its own constants.  At m == 1 only the determinant is generated: fifty
     contexts share one."""
     compiled = []
     compile_source = _kernel._compile
@@ -484,7 +483,7 @@ def test_generated_kernels_are_keyed_by_shape(monkeypatch):
     primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101]
     rnd = random.Random(5)
     n = 2
-    for m in (1, 2):
+    for m in (1, 2, 3):
         for p in primes:
             for N in (4, 9):
                 ctx = make_context(p, m, N)
@@ -498,13 +497,21 @@ def test_generated_kernels_are_keyed_by_shape(monkeypatch):
                 form = k.m_form(_flat(A), _flat(Q), n)
                 assert _entries(form, m) == ref.matmul(ref.matmul(Xt, Q, n), A, n)
                 assert k.m_det(_flat(A), n) == ref.det(A, n)
+                assert k.s_mul(A[0], B[0]) == ref.mul(A[0], B[0])
     assert sorted(compiled) == [
         ("m_det", "m=1 n=2"),
         ("m_det", "m=2 n=2"),
-        ("m_form", "n=2 Q=(0, 1, -1, 0)"),
-        ("m_mul", "n=2"),
-        ("m_powp", "size=2"),
-        ("m_powp", "size=8"),
+        ("m_det", "m=3 n=2"),
+        ("m_form", "m=2 n=2 Q=(0, 1, -1, 0)"),
+        ("m_form", "m=3 n=2 Q=(0, 1, -1, 0)"),
+        ("m_mul", "m=2 n=1"),
+        ("m_mul", "m=2 n=2"),
+        ("m_mul", "m=3 n=1"),
+        ("m_mul", "m=3 n=2"),
+        ("m_powp", "m=2 size=2"),
+        ("m_powp", "m=2 size=8"),
+        ("m_powp", "m=3 size=12"),
+        ("m_powp", "m=3 size=3"),
     ]
 
 
