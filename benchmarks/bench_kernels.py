@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Time the kernel on a few representative workloads.
 
-The workloads are the solver across equation types, an N^delta
-membership sweep and, at m = 3, a context build and two solves; each
-prints its best time over --repeat runs.  A large --prec (128 or more)
-shows how the solver scales with precision.
+The workloads are the solver across equation types at m = 2 and m = 1,
+an N^delta membership sweep and, at m = 3, a context build and two
+solves; each prints its best time over --repeat runs.  A large --prec
+(128 or more) shows how the solver scales with precision.
 
     python3 benchmarks/bench_kernels.py [--prec 16] [--repeat 5]
 
@@ -71,6 +71,8 @@ WORKLOADS = (  # (name, p, m, bench)
     ("solve sl  n=3 p=13 m=2", 13, 2, lambda ctx, r: bench_solver(ctx, "sl", None, 3, r)),
     ("solve so  n=4 p=13 m=2 (sp)", 13, 2, lambda ctx, r: bench_solver(ctx, "so", "sp", 4, r)),
     ("solve so  n=3 p=13 m=2 (odd)", 13, 2, lambda ctx, r: bench_solver(ctx, "so", "so_odd", 3, r)),
+    ("solve gl  n=4 p=7 m=1", 7, 1, lambda ctx, r: bench_solver(ctx, "gl", None, 4, r)),
+    ("solve so  n=4 p=7 m=1 (sp)", 7, 1, lambda ctx, r: bench_solver(ctx, "so", "sp", 4, r)),
     ("N^delta sweep n=2 d=12", 13, 1, bench_galois),
     ("make_context p=5 m=3", 5, 3, bench_context),
     ("solve gl  n=4 p=5 m=3", 5, 3, lambda ctx, r: bench_solver(ctx, "gl", None, 4, r)),

@@ -8,10 +8,14 @@ argument.  Coefficient-wise arithmetic (`add`, `sub`, `neg`, `scal_int`,
 `eq_mod`) is one op each, on a flat tuple of any length: an element and a
 matrix alike.
 
-The kernel works on Python ints, in two representations: at m == 1 a
-matrix entry is a plain int, not a 1-tuple, and the ops loop over slices of
-the flat tuple; at m >= 2 the products, powers, forms and determinants are
-generated straight-line code on the m-tuples.  The rules:
+The kernel works on Python ints, in one representation at every m: an
+entry is an m-tuple, a 1-tuple at m == 1.  The products, powers, forms and
+determinants are generated straight-line code, one function per op and
+(m, shape).  Three methods still branch on m, each for its pivot inverse
+or its Frobenius table: `s_inv` and `m_solve` (pow(x, -1, q) at m == 1,
+the norm at m == 2, the elimination of M_a at m >= 3) and `s_frob` (the
+identity at m == 1, pairs at m == 2, the m x m table at m >= 3).  The
+rules:
 
 - Canonical form: every coefficient it returns lies in [0, q), q = p^N.
   Each result is reduced from exact integer arithmetic, so it depends only
@@ -20,24 +24,26 @@ generated straight-line code on the m-tuples.  The rules:
   the residue field F_p[x]/(f), which `_residue` uses.
 - One reduction per dot product: a product of elements, a matrix entry
   sum_k a_ik b_kj, a row update x - f*y or a minor of a determinant is
-  accumulated unreduced and taken mod q once.  At m >= 2 `_dot_source`
-  writes it out: the 2m - 1 convolution sums of the pairs of entries, the
+  accumulated unreduced and taken mod q once.  `_dot_source` writes it
+  out: the 2m - 1 convolution sums of the pairs of entries, the
   coefficients of x^m .. x^{2m-2} each in one local, folded through the
-  rows x^{m+i} mod f, and each output coefficient reduced once.  The rows
+  rows x^{m+i} mod f, and each output coefficient reduced once; at
+  m == 1, the one (sum) % q, with no rows and no fold.  The rows
   are passed flat, as the arguments r0 .. r{m(m-1)-1}: r{i*m + j} is
   coefficient j of x^{m+i} mod f (`_r`).  At m == 2, f = x^2 + c1 x + c0
   gives x^2 = r0 + r1 x with (r0, r1) = (-c0, -c1).  `_r` is the first
   m - 1 columns of M_{x^m}, the matrix of multiplication by x^m, built by
   `_mul_rows` (see the inverses below), so multiplying by x mod f is
-  written once.
+  written once (`_times_x`, which also gives the constant `x`).
 - Generated code: one Python function per op and shape, generated on first
   use and cached for the process (`_mul_fn`, `_powp_fn`, `_form_fn`,
   `_det_fn`).  It unpacks the flat tuples into locals and writes each
   output coefficient as one expression.  q and the rows r are arguments,
-  so one function serves every context of its shape: products are keyed
-  by (m, n), and `s_mul` is the product at n == 1 (`m_scal` is `s_mul` per
-  entry); powers by m and the length of the flat tuple; forms by m, n and
-  Q's entry pattern; determinants by (m, n).  The source is built from
+  so one function serves every context of its shape, at every m: products
+  are keyed by (m, n), and `s_mul` is the product at n == 1 (`m_scal` is
+  `s_mul` per entry); powers by m and the length of the flat tuple; forms
+  by m, n and Q's entry pattern; determinants by (m, n).  `m_transpose` is
+  one index expression on the m-tuples.  The source is built from
   integers and fixed text only, so no input text reaches `exec`.  The
   first call of a shape pays its compile: about 2 ms per op at
   (m, n) = (3, 4), and 0.06 to 0.35 s per op at the caps m = n = 8.
@@ -45,9 +51,9 @@ generated straight-line code on the m-tuples.  The rules:
   which raises every entry of a flat tuple to the power e; `m_powp` is it
   at e = p.  e = 0 gives `one` per entry and e = 1 the canonical copy, as
   the square-and-multiply loops reduce nothing when e has no bits below its
-  leading one.  Otherwise: pow(x, e, q) at m == 1, and at m >= 2 the
-  generated function of the tuple's length, which squares and multiplies
-  every entry in each step over the bits of e, so e is an argument too.
+  leading one.  Otherwise it is the generated function of m and the
+  tuple's length, which squares and multiplies every entry in each step
+  over the bits of e, so e is an argument too.
 - The Frobenius lift is installed from phi(x) alone (`set_frob`): the table
   of phi^k, k < m, has the columns (phi^k(x))^j, j < m, and phi^k(x) =
   phi(phi^{k-1}(x)), by the table of phi just built.  `s_frob`/`m_frob`
@@ -93,23 +99,20 @@ generated straight-line code on the m-tuples.  The rules:
   `build_q` makes is a signed permutation), and any other row is a dot
   product per entry, reduced once.  Each entry of X^t (QX) is then one dot
   product of a column of X with a column of QX; the transpose is not
-  built.  At m >= 2 the generated form reads Q's pattern of entries 0, 1,
-  -1 and other, and writes the signed sums into each product; at m == 1 a
-  loop picks a row of X, negated and left unreduced, for a single entry
-  1 or -1.
+  built.  The generated form reads Q's pattern of entries 0, 1, -1 and
+  other, and writes the signed sums into each product.
 - `m_det` is the Laplace expansion along the rows, memoized: the minor on
   the rows below the ones expanded is fixed by the mask of columns those
   left free, so it is built once, bottom-up, one dot product per mask,
   2^n - n - 1 of them (11 at n = 4, 247 at n = 8).  At n == 1 it is the
-  canonical entry.  At n >= 2 it is generated code at every m, one
-  function per (m, n) (`_det_fn`): each minor is one local per
-  coefficient, a sum of signed products of an entry of its row and a
-  minor of the rows below, reduced once mod q (at m == 1 the dot product
-  is the one (sum) % q).
+  canonical entry.  At n >= 2 it is generated code, one function per
+  (m, n) (`_det_fn`): each minor is one local per coefficient, a sum of
+  signed products of an entry of its row and a minor of the rows below,
+  reduced once mod q.
 """
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from operator import mul
 
 from .errors import AlgebraInvariantError, NotUnitError, SingularMatrixError
@@ -141,11 +144,11 @@ class PureKernel:
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
         xm = tuple([-c % self.q for c in self.modulus_tail])  # x^m mod f
-        self.x = xm if m == 1 else (0, 1) + (0,) * (m - 2)  # the class of x mod f
         # _r[i*m + j] = coefficient j of x^{m+i} mod f, i < m - 1: the first
         # m - 1 columns of M_{x^m}, flat; its first m are x^m mod f, which
-        # `_mul_rows` reads
+        # `_times_x` reads
         self._r = xm
+        self.x = self._times_x(self.one)  # the class of x mod f: -f_0 at m == 1
         self._r = tuple(chain.from_iterable(zip(*self._mul_rows(xm))))[: m * (m - 1)]
         self._frob = None  # phi^0 .. phi^{m-1}, each as a tuple of its m rows
 
@@ -170,8 +173,6 @@ class PureKernel:
         m, q = self.m, self.q
         if e < 2:  # e has no bits below its leading one: the loops reduce nothing
             return tuple([c % q for c in A]) if e else self.one * (len(A) // m)
-        if m == 1:
-            return tuple([pow(x, e, q) for x in A])
         return _powp_fn(m, len(A))(A, e, q, *self._r)
 
     # -- inverses: integer linear algebra mod q ----------------------------------
@@ -192,7 +193,7 @@ class PureKernel:
         """
         p, q = self.p, self.q
         r0, r1 = self._r
-        ea, eb = self._ents(a), self._ents(b)
+        ea, eb = list(zip(a[::2], a[1::2])), list(zip(b[::2], b[1::2]))
         rows = [ea[i * n : (i + 1) * n] + eb[i * n : (i + 1) * n] for i in range(n)]
         for col in range(n):
             for r in range(col, n):
@@ -221,20 +222,19 @@ class PureKernel:
                     del row[0]
         return tuple(c for row in rows for e in row for c in e)
 
-    def _mul_rows(self, a):
-        """The rows of M_a, the matrix of y -> a*y: column k is a*x^k.
+    def _times_x(self, a):
+        """a*x mod f: a shifted up one place, its top coefficient folded
+        through the row of x^m mod f, the first m entries of `_r`."""
+        q, top = self.q, a[-1]
+        return tuple([(c + top * r) % q for c, r in zip((0, *a[:-1]), self._r)])
 
-        Each column is x times the one before, with its top coefficient
-        folded through the row of x^m mod f.  The solves at m >= 3 use it,
-        and so does `__init__`, for `_r`, the first columns of M_{x^m}.
-        """
-        q, xm = self.q, self._r[: self.m]
-        col = a
+    def _mul_rows(self, a):
+        """The rows of M_a, the matrix of y -> a*y: column k is a*x^k, x
+        times the one before.  The solves at m >= 3 use it, and so does
+        `__init__`, for `_r`, the first columns of M_{x^m}."""
         cols = [a]
         for _ in range(self.m - 1):
-            top = col[-1]
-            col = [(c + top * r) % q for c, r in zip((0, *col[:-1]), xm)]
-            cols.append(col)
+            cols.append(self._times_x(cols[-1]))
         return list(zip(*cols))
 
     def _gauss_jordan(self, rows):
@@ -266,21 +266,6 @@ class PureKernel:
                 else:
                     del row[0]
         return rows
-
-    # -- matrix entries: ints for m == 1, m-tuples otherwise -------------------
-
-    def _ents(self, d):
-        m = self.m
-        if m == 1:
-            return list(d)
-        if m == 2:
-            return list(zip(d[::2], d[1::2]))
-        return [d[s : s + m] for s in range(0, len(d), m)]
-
-    def _flat(self, ents):
-        if self.m == 1:
-            return tuple(ents)
-        return tuple(chain.from_iterable(ents))
 
     # -- coefficient-wise operations: an element or a matrix alike -----------
 
@@ -318,8 +303,6 @@ class PureKernel:
     # -- element operations --------------------------------------------------
 
     def s_mul(self, a, b):
-        if self.m == 1:
-            return (a[0] * b[0] % self.q,)
         return _mul_fn(self.m, 1)(a, b, self.q, *self._r)
 
     def s_pow(self, a, e):
@@ -374,24 +357,18 @@ class PureKernel:
         return tuple(flat)
 
     def m_transpose(self, A, n):
-        e = self._ents(A)
-        return self._flat(e[j * n + i] for i in range(n) for j in range(n))
+        ents = list(zip(*[iter(A)] * self.m))  # the entries, row by row
+        return tuple([c for j in range(n) for e in ents[j::n] for c in e])
 
     def m_mul(self, A, B, n):
-        m, q = self.m, self.q
-        if m > 1:
-            return _mul_fn(m, n)(A, B, q, *self._r)
-        rows = [A[i * n : (i + 1) * n] for i in range(n)]
-        cols = [B[j::n] for j in range(n)]
-        return tuple(sum(map(mul, r, c)) % q for r in rows for c in cols)
+        return _mul_fn(self.m, n)(A, B, self.q, *self._r)
 
     def m_scal(self, s, A):
-        m, q = self.m, self.q
-        if m == 1:
-            c = s[0]
-            return tuple(c * x % q for x in A)
-        times, r = _mul_fn(m, 1), self._r
-        return tuple(chain.from_iterable(times(s, A[k : k + m], q, *r) for k in range(0, len(A), m)))
+        """s_mul(s, .) on every entry of A."""
+        m = self.m
+        ents = zip(*[iter(A)] * m)
+        products = map(_mul_fn(m, 1), repeat(s), ents, repeat(self.q), *map(repeat, self._r))
+        return tuple(chain.from_iterable(products))
 
     def m_powp(self, A):
         return self._pow_entries(A, self.p)
@@ -429,25 +406,10 @@ class PureKernel:
     def m_form(self, X, Q, n):
         """X^t Q X: QX row by row from Q's nonzero entries, then X^t (QX)
         from the columns of X (module docstring)."""
-        m, q = self.m, self.q
-        if m > 1:
-            return _form_fn_of(m, n, q, Q)(X, Q, q, *self._r)
-        xrows = [X[k * n : (k + 1) * n] for k in range(n)]
-        qx = []
-        for i in range(n):
-            nz = [(k, c) for k, c in enumerate(Q[i * n : (i + 1) * n]) if c]
-            if len(nz) == 1 and nz[0][1] == 1:
-                qx.append(xrows[nz[0][0]])
-            elif len(nz) == 1 and nz[0][1] == q - 1:
-                qx.append([-e for e in xrows[nz[0][0]]])  # unreduced: X^t (QX) reduces it
-            else:
-                cs = [c for _, c in nz]
-                qx.append([sum(map(mul, cs, [xrows[k][j] for k, _ in nz])) % q for j in range(n)])
-        xcols = [X[i::n] for i in range(n)]
-        return tuple(sum(map(mul, a, b)) % q for a in xcols for b in zip(*qx))
+        return _form_fn_of(self.m, n, self.q, Q)(X, Q, self.q, *self._r)
 
 
-# -- generated kernels at m >= 2, and the determinant at m == 1 (module docstring)
+# -- generated kernels, one per op and (m, shape) (module docstring)
 #
 # In the generated source, coefficient k of a flat tuple is the local a<k>
 # (b<k>, x<k>, ...), so entry e is the m-tuple of a<em> .. a<em + m - 1>.

@@ -115,6 +115,8 @@ def build_q(ctx, variant, n):
 
 def _check_variant(variant, n):
     """The SO(q) variant rules: sp and so_even need even n >= 2, so_odd odd n >= 3."""
+    if type(n) is not int:
+        raise ParameterError(f"n must be an integer, not {n!r}")
     if variant not in SO_VARIANTS:
         raise ParameterError(f"kind 'so' needs a variant from {SO_VARIANTS}, got {variant!r}")
     if variant == "so_odd":

@@ -101,8 +101,10 @@ class PMatrix(_Truncated):
         return other
 
     def entry(self, i, j):
-        m = self.ctx.m
-        s = (i * self.n + j) * m
+        n, m = self.n, self.ctx.m
+        if type(i) is not int or type(j) is not int or not (0 <= i < n and 0 <= j < n):
+            raise ParameterError(f"entry ({i!r}, {j!r}) is outside the {n} x {n} matrix")
+        s = (i * n + j) * m
         return RingElement(self.ctx, tuple(self.flat[s : s + m]), self.known_prec)
 
     def rows(self):

@@ -20,7 +20,7 @@ Samplers for the matrix groups used in tests:
 """
 
 from .errors import ParameterError
-from .matrix import PMatrix, in_GLn
+from .matrix import PMatrix, _check_dim, in_GLn
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -74,11 +74,13 @@ class Rng:
     # -- matrix-level draws ------------------------------------------------
 
     def matrix(self, ctx, n):
+        _check_dim(n)
         q = ctx.kernel.q
         flat = [self.below(q) for _ in range(n * n * ctx.m)]
         return PMatrix.from_flat(ctx, flat, n)
 
     def matrix_subring(self, ctx, n):
+        _check_dim(n)
         q = ctx.kernel.q
         flat = []
         for _ in range(n * n):
@@ -156,6 +158,7 @@ class Rng:
 
     def monomial(self, ctx, n):
         """Random element of N: permutation times diagonal of units."""
+        _check_dim(n)
         perm = self.permutation(n)
         zero = ctx.zero()
         rows = [[zero] * n for _ in range(n)]

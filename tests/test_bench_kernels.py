@@ -16,5 +16,12 @@ def test_bench_kernels_runs_without_pythonpath():
     )
     assert proc.returncode == 0, proc.stderr
     assert "precision N=8" in proc.stdout
-    for row in ("make_context p=5 m=3", "solve gl  n=4 p=5 m=3", "solve so  n=4 p=5 m=3 (sp)"):
+    rows = (
+        "solve gl  n=4 p=7 m=1",
+        "solve so  n=4 p=7 m=1 (sp)",
+        "make_context p=5 m=3",
+        "solve gl  n=4 p=5 m=3",
+        "solve so  n=4 p=5 m=3 (sp)",
+    )
+    for row in rows:
         assert row in proc.stdout

@@ -167,6 +167,17 @@ def test_every_constructor_wants_an_int_dimension(n):
             build()
 
 
+@pytest.mark.parametrize("i, j", [(0, 2), (1, -1), (5, 5), (0.0, 0), (True, 0), (-1, 0), (2, 0), (0, "1")])
+def test_entry_wants_int_indices_inside_the_matrix(i, j):
+    """entry(i, j) wants ints in [0, n): before, on a 2 x 2 matrix, (0, 2)
+    read entry (1, 0), (1, -1) read (0, 1), (5, 5) returned an element with
+    no coefficients, 0.0 raised TypeError and True read row 1."""
+    M = PMatrix.from_flat(make_context(5, 1, 4), [1, 2, 3, 4], 2)
+    with pytest.raises(ParameterError, match="outside the 2 x 2 matrix"):
+        M.entry(i, j)
+    assert [M.entry(r, c).flat for r in range(2) for c in range(2)] == [(1,), (2,), (3,), (4,)]
+
+
 @pytest.mark.parametrize("flat", [[1.5, 0], [1, "0"], [2.0, 0]])
 def test_from_flat_refuses_non_int_coefficients(c5x2, flat):
     with pytest.raises(ParameterError, match="integers"):

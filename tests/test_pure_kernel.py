@@ -23,12 +23,12 @@ n = 1..5, and singular ones include columns of valuation 1..3.  The
 determinant is also checked against the Leibniz sum at n = 6, and by
 det(AB) = det(A) det(B) at n = 7 and n = 8 = MAX_DIM, where the Leibniz sum
 is too slow.  Products, p-th powers and forms are also checked at
-n = 6..8 for every m; at m >= 2 they are generated straight-line code, one
-function per (m, shape), shown to be shared by every context of its shape
-at m = 2 and m = 3.  So is the determinant at every m and n >= 2, checked
-at n = 6..8 against a cofactor expansion along the columns, on random,
-monomial and singular matrices, and on entries that are not canonical (at
-n = 1 too).
+n = 6..8 for every m; they are generated straight-line code, one function
+per (m, shape), shown to be shared by every context of its shape at m = 1,
+2 and 3.  So is the determinant at every m and n >= 2, checked at n = 6..8
+against a cofactor expansion along the columns, on random, monomial and
+singular matrices, and on entries that are not canonical (at n = 1 too).
+`m_scal` and `m_transpose` are checked at n = 1..8 for every m.
 `s_pow` and `m_powp` are one body: it is checked on non-canonical inputs
 at e = 0 and 1, by a^(e1 + e2) = a^e1 a^e2 at 60-bit exponents, and
 `m_powp` against `s_pow` entry by entry.
@@ -263,6 +263,22 @@ def test_coefficient_ops_match_reference(p, m, N, f, n):
             assert k.eq_mod(a, b, e) == (e <= agree), (j, e)
 
 
+@pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
+@pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
+def test_scal_and_transpose_match_reference(p, m, N, f, n):
+    """m_scal(s, A) is s times every entry and m_transpose(A) puts entry
+    (j, i) at (i, j), at every m."""
+    k, ref = _setup(p, m, N, f)
+    rnd = random.Random(p * 1000 + m * 100 + N * 10 + n + 7)
+    for _ in range(3):
+        A = [_element(rnd, ref) for _ in range(n * n)]
+        s = _element(rnd, ref)
+        scaled = k.m_scal(s, _flat(A))
+        assert _canonical(scaled, ref.q)
+        assert _entries(scaled, m) == [ref.mul(s, x) for x in A]
+        assert _entries(k.m_transpose(_flat(A), n), m) == [A[j * n + i] for i in range(n) for j in range(n)]
+
+
 def _vp(x, p):
     v = 0
     while x % p == 0:
@@ -413,10 +429,10 @@ def test_form_matches_reference(p, m, N, f, n):
 @pytest.mark.parametrize("p, m, N, f", CONTEXTS, ids=IDS)
 def test_straight_line_ops_match_reference_up_to_max_dim(p, m, N, f, n):
     """m_mul, m_powp, m_form and m_det at n = 6..MAX_DIM for every m
-    (generated code at m >= 2, and for m_det at m == 1 too): canonical and
-    equal to the reference, for every `build_q` form and a dense, a
-    monomial and a mixed Q; the determinant of a random matrix, of a
-    monomial one (zero entries) and of the singular cases."""
+    (generated code): canonical and equal to the reference, for every
+    `build_q` form and a dense, a monomial and a mixed Q; the determinant
+    of a random matrix, of a monomial one (zero entries) and of the
+    singular cases."""
     ctx = make_context(p, m, N, f)
     k, ref = ctx.kernel, Ref(ctx)
     rnd = random.Random(p * 1000 + m * 100 + N * 10 + n + 4)
@@ -464,12 +480,10 @@ def test_det_reduces_a_non_canonical_input(p, m, N, f, n):
 def test_generated_kernels_are_keyed_by_shape(monkeypatch):
     """Fifty contexts of one (m, n) with different p, N and modulus share
     one generated m_mul, one m_form of the sp form, one m_det and one power
-    per length: the matrices' (size n*n*m) and the elements' (size m, which
-    make_context's lift of phi(x) raises to the p-th power).  s_mul is the
-    product at n = 1, compiled once per m.  Each is compiled once per
-    (op, m, shape), at m = 2 and m = 3 alike, and serves every context with
-    its own constants.  At m == 1 only the determinant is generated: fifty
-    contexts share one."""
+    per length: the matrices' (size n*n*m) and the elements' (size m).
+    s_mul is the product at n = 1.  Each is compiled once per
+    (op, m, shape), at m = 1, 2 and 3 alike, and serves every context with
+    its own constants."""
     compiled = []
     compile_source = _kernel._compile
 
@@ -498,16 +512,22 @@ def test_generated_kernels_are_keyed_by_shape(monkeypatch):
                 assert _entries(form, m) == ref.matmul(ref.matmul(Xt, Q, n), A, n)
                 assert k.m_det(_flat(A), n) == ref.det(A, n)
                 assert k.s_mul(A[0], B[0]) == ref.mul(A[0], B[0])
+                assert k.s_pow(A[0], p) == ref.pow(A[0], p)
     assert sorted(compiled) == [
         ("m_det", "m=1 n=2"),
         ("m_det", "m=2 n=2"),
         ("m_det", "m=3 n=2"),
+        ("m_form", "m=1 n=2 Q=(0, 1, -1, 0)"),
         ("m_form", "m=2 n=2 Q=(0, 1, -1, 0)"),
         ("m_form", "m=3 n=2 Q=(0, 1, -1, 0)"),
+        ("m_mul", "m=1 n=1"),
+        ("m_mul", "m=1 n=2"),
         ("m_mul", "m=2 n=1"),
         ("m_mul", "m=2 n=2"),
         ("m_mul", "m=3 n=1"),
         ("m_mul", "m=3 n=2"),
+        ("m_powp", "m=1 size=1"),
+        ("m_powp", "m=1 size=4"),
         ("m_powp", "m=2 size=2"),
         ("m_powp", "m=2 size=8"),
         ("m_powp", "m=3 size=12"),

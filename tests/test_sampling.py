@@ -1,3 +1,6 @@
+import pytest
+
+from deltalin.errors import ParameterError
 from deltalin.matrix import in_GLn, in_SLn, in_SOq, in_sl_delta, in_so_delta
 from deltalin.equations import build_q
 from deltalin.galois import is_monomial
@@ -63,3 +66,25 @@ def test_subring_samplers(c5x2):
     assert a.frobenius_entrywise() == a
     u = rng.gl(c5x2, 2, subring=True)
     assert u.frobenius_entrywise() == u
+
+
+DIMENSION_CALLS = {
+    "build_q": lambda ctx, n: build_q(ctx, "sp", n),
+    "matrix": lambda ctx, n: Rng(1).matrix(ctx, n),
+    "gl": lambda ctx, n: Rng(1).gl(ctx, n),
+    "gl subring": lambda ctx, n: Rng(1).gl(ctx, n, subring=True),
+    "so": lambda ctx, n: Rng(1).so(ctx, n, "sp"),
+    "monomial": lambda ctx, n: Rng(1).monomial(ctx, n),
+    "delta_lie_alpha gl": lambda ctx, n: Rng(1).delta_lie_alpha(ctx, "gl", n),
+    "delta_lie_alpha sl": lambda ctx, n: Rng(1).delta_lie_alpha(ctx, "sl", n),
+    "delta_lie_alpha sp": lambda ctx, n: Rng(1).delta_lie_alpha(ctx, "so", n, "sp"),
+}
+
+
+@pytest.mark.parametrize("n", [2.0, True, "2"])
+@pytest.mark.parametrize("call", DIMENSION_CALLS.values(), ids=DIMENSION_CALLS.keys())
+def test_samplers_and_forms_want_an_int_dimension(c5x2, call, n):
+    """A dimension that is not an int is a ParameterError: before, 2.0
+    reached `range` and raised TypeError."""
+    with pytest.raises(ParameterError):
+        call(c5x2, n)
