@@ -271,20 +271,20 @@ class PureKernel:
 
     def add(self, a, b):
         q = self.q
-        return tuple((x + y) % q for x, y in zip(a, b))
+        return tuple([(x + y) % q for x, y in zip(a, b)])
 
     def sub(self, a, b):
         q = self.q
-        return tuple((x - y) % q for x, y in zip(a, b))
+        return tuple([(x - y) % q for x, y in zip(a, b)])
 
     def neg(self, a):
         q = self.q
-        return tuple((-x) % q for x in a)
+        return tuple([(-x) % q for x in a])
 
     def scal_int(self, c, a):
         q = self.q
         c %= q
-        return tuple(c * x % q for x in a)
+        return tuple([c * x % q for x in a])
 
     def eq_mod(self, a, b, k):
         pk = self.p ** k
@@ -295,7 +295,7 @@ class PureKernel:
         for c in a:
             if c % p:
                 raise AlgebraInvariantError("exact division by p failed")
-        return tuple(c // p for c in a)
+        return tuple([c // p for c in a])
 
     # One body; the two names keep separate per-op counts for elements and matrices.
     m_divp = s_divp

@@ -138,6 +138,8 @@ class EquationSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"kind must be one of {KINDS}")
+        if not isinstance(self.alpha, PMatrix):
+            raise ParameterError(f"alpha must be a PMatrix, got a {type(self.alpha).__name__}")
         ctx = self.alpha.ctx
         if type(self.n) is not int:
             raise ParameterError(f"n must be an integer, not {self.n!r}")

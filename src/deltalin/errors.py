@@ -6,11 +6,11 @@ class DeltaLinError(Exception):
 
 
 class ParameterError(DeltaLinError, ValueError):
-    """Invalid construction parameters (bad prime, reducible polynomial, ...)."""
+    """Malformed input: a bad prime, size or polynomial, or malformed coefficients."""
 
 
 class DomainError(DeltaLinError, ValueError):
-    """Input outside the mathematical domain of an operation."""
+    """An operand from another ring, or a value outside an operation's domain."""
 
 
 class NotUnitError(DomainError):

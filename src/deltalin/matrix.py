@@ -14,10 +14,16 @@ binomial powers (1 + pT)^a run the series of `ring.py`, the one that
 serves exp_p, log_p and (1 + pt)^a on elements.
 """
 
-from itertools import repeat
-
 from .errors import DomainError, ParameterError, PrecisionError
-from .ring import MAX_DIM, RingElement, _binomial_power, _hensel_root, _power_prec, _Truncated
+from .ring import (
+    MAX_DIM,
+    RingElement,
+    _binomial_power,
+    _coefficients,
+    _hensel_root,
+    _power_prec,
+    _Truncated,
+)
 
 __all__ = [
     "PMatrix",
@@ -46,27 +52,29 @@ class PMatrix(_Truncated):
 
     @staticmethod
     def from_rows(ctx, rows):
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        if n < 1 or any(len(r) != n for r in rows):
-            raise ParameterError("rows must form a square matrix")
+        """n rows of n entries, as `ctx.element` takes them, at their minimum claim."""
+        n = len(rows) if isinstance(rows, (list, tuple)) else 0
+        if n < 1 or any(not isinstance(r, (list, tuple)) or len(r) != n for r in rows):
+            raise ParameterError("rows must be a list or tuple of n rows of n entries")
         _check_dim(n)
         flat = []
         known = ctx.N
         for row in rows:
             for v in row:
-                e = ctx.element(v) if not isinstance(v, RingElement) else v
-                if isinstance(v, RingElement):
-                    if not ctx.same(v.ctx):
-                        raise DomainError("entry from a different ring")
+                if isinstance(v, RingElement) and ctx.same(v.ctx):
                     known = min(known, v.known_prec)
-                flat.extend(e.flat)
-        return PMatrix(ctx, n, _canonical(ctx, flat, n), known)
+                    flat += v.flat
+                else:
+                    flat += ctx.element(v).flat
+        return PMatrix(ctx, n, tuple(flat), known)
 
     @staticmethod
     def from_flat(ctx, flat, n):
+        """By `ring._coefficients`, from a list or tuple of exactly n*n*m
+        int coefficients, row-major, where a bool counts as its int."""
         _check_dim(n)
-        return PMatrix(ctx, n, _canonical(ctx, flat, n), ctx.N)
+        size = n * n * ctx.m
+        return PMatrix(ctx, n, _coefficients(ctx.kernel.q, flat, size, size), ctx.N)
 
     @staticmethod
     def identity(ctx, n):
@@ -82,7 +90,7 @@ class PMatrix(_Truncated):
     def scalar(ctx, n, value):
         """value * identity."""
         _check_dim(n)
-        e = value if isinstance(value, RingElement) else ctx.element(value)
+        e = ctx.element(value)
         k = ctx.kernel
         return PMatrix(ctx, n, k.m_scal(e.flat, k.m_identity(n)), min(ctx.N, e.known_prec))
 
@@ -194,18 +202,6 @@ class PMatrix(_Truncated):
         if self.known_prec < 1:
             raise PrecisionError("no digits left to divide")
         return self._wrap(self.ctx.kernel.m_divp(self.flat), self.known_prec - 1)
-
-
-def _canonical(ctx, flat, n):
-    """flat reduced mod q as a tuple, after checking it has n*n*m int
-    coefficients (a bool counts as its int)."""
-    flat = tuple(flat)
-    if len(flat) != n * n * ctx.m:
-        raise ParameterError("flat length does not match dimension")
-    if not all(map(isinstance, flat, repeat(int))):
-        raise ParameterError("matrix coefficients must be integers")
-    q = ctx.kernel.q
-    return tuple([c % q for c in flat])
 
 
 def _check_dim(n):

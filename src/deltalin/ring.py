@@ -14,11 +14,12 @@ An element (RingElement) and a matrix (matrix.PMatrix) are values of one
 base, `_Truncated`: the flat tuple `flat` of canonical coefficients in
 [0, p^N) that the kernel works on (an element's is also `coeffs`) and one
 trusted precision `known_prec`, with the precision-claim rules written once
-there.  Every operation propagates the minimum of its inputs' claims, the
-Fermat quotient delta(a) = (phi(a) - a^p) / p costs exactly one digit, and
-a p-th power gains one: a = b mod p^j, j >= 1, gives a^p = b^p mod p^{j+1},
-so a^e is known to v_p(e) digits more than a (capped at N; 0 stays 0, a^0
-is exact).
+there.  Coefficients from outside enter both through one gate,
+`_coefficients`.  Every operation propagates the minimum of its inputs'
+claims, the Fermat quotient delta(a) = (phi(a) - a^p) / p costs exactly one
+digit, and a p-th power gains one: a = b mod p^j, j >= 1, gives a^p = b^p
+mod p^{j+1}, so a^e is known to v_p(e) digits more than a (capped at N; 0
+stays 0, a^0 is exact).
 
 The analytic maps are power series, all evaluated by one helper, `_series`:
 a map supplies the terms c_k x^k, c_k = w_k / p^{v_k}, that can matter mod
@@ -38,7 +39,7 @@ n x n with n <= MAX_DIM.
 """
 
 import math
-from collections.abc import Mapping, Sequence, Set
+from collections.abc import Sequence
 
 from . import _residue
 from ._intmath import int_to_digits, is_prime, vp, vp_min
@@ -106,31 +107,16 @@ class RingContext:
     # -- element constructors --------------------------------------------------
 
     def element(self, value):
-        """Build a RingElement from an int, a coefficient sequence, or an
-        element.  A str, a dict or a set is refused: it has no coefficient
-        order."""
-        if isinstance(value, (str, bytes, Mapping, Set)):
-            raise DomainError(f"expected an int or a coefficient sequence, got a {type(value).__name__}")
-        q, m = self.kernel.q, self.m
+        """Build a RingElement from an int or an element of this ring (another
+        ring's is a DomainError), or by `_coefficients` from a list or tuple
+        of at most m int coefficients, where a bool counts as its int."""
+        if isinstance(value, int):
+            return RingElement(self, (value % self.kernel.q,) + (0,) * (self.m - 1), self.N)
         if isinstance(value, RingElement):
             if not self.same(value.ctx):
                 raise DomainError("element belongs to a different ring")
             return RingElement(self, value.flat, value.known_prec)
-        if isinstance(value, int):
-            coeffs = (value % q,) + (0,) * (m - 1)
-        else:
-            try:
-                vals = list(value)
-            except TypeError:
-                raise DomainError(f"expected an int or coefficients, got {value!r}") from None
-            if len(vals) > m:
-                raise DomainError(f"at most {m} coordinates expected")
-            for v in vals:
-                if not isinstance(v, int):
-                    raise DomainError(f"coefficients must be integers, got {v!r}")
-            vals += [0] * (m - len(vals))
-            coeffs = tuple(v % q for v in vals)
-        return RingElement(self, coeffs, self.N)
+        return RingElement(self, _coefficients(self.kernel.q, value, 0, self.m), self.N)
 
     def zero(self):
         return RingElement(self, self.kernel.zero, self.N)
@@ -381,6 +367,22 @@ class RingElement(_Truncated):
         """Image in F_{p^m} as a coefficient tuple mod p."""
         p = self.ctx.p
         return tuple(c % p for c in self.flat)
+
+
+def _coefficients(q, values, fewest, most):
+    """The input gate of every coefficient: values, a list or tuple of fewest
+    to most ints (a bool counts as its int), reduced mod q and zero-padded to
+    `most`; anything else is a ParameterError, one message per fault."""
+    if not isinstance(values, (list, tuple)):
+        name = type(values).__name__
+        raise ParameterError(f"coefficients must be a list or tuple of integers, got a {name}")
+    if not fewest <= len(values) <= most:
+        want = most if fewest == most else f"at most {most}"
+        raise ParameterError(f"expected {want} coefficients, got {len(values)}")
+    for c in values:
+        if not isinstance(c, int):
+            raise ParameterError(f"coefficients must be integers, got {c!r}")
+    return tuple([c % q for c in values]) + (0,) * (most - len(values))
 
 
 def _power_prec(ctx, known, e):

@@ -187,5 +187,4 @@ def _rescale_first_column(a, s):
 
 def _project_matrix(ctx, M):
     """Reduce a matrix from a higher-precision context sharing this modulus."""
-    q = ctx.kernel.q
-    return PMatrix.from_flat(ctx, [c % q for c in M.flat], M.n)
+    return PMatrix.from_flat(ctx, M.flat, M.n)

@@ -78,6 +78,19 @@ def test_spec_validation(c5):
         EquationSpec("so", 2, PMatrix.zeros(c5, 2))
 
 
+@pytest.mark.parametrize("alpha, name", [
+    ("x", "str"),
+    (None, "NoneType"),
+    (make_context(5, 1, 10).element(3), "RingElement"),
+    ([[0, 1], [1, 0]], "list"),
+])
+def test_spec_wants_a_matrix_alpha(alpha, name):
+    """An alpha that is not a PMatrix is a ParameterError naming its type:
+    before, "x" and None raised AttributeError on alpha.ctx."""
+    with pytest.raises(ParameterError, match=f"alpha must be a PMatrix, got a {name}$"):
+        EquationSpec("gl", 2, alpha)
+
+
 # ---------------------------------------------------------------- twists
 
 

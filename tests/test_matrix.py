@@ -188,6 +188,63 @@ def test_from_flat_reads_a_bool_as_its_int(c5x2):
     assert PMatrix.from_flat(c5x2, [True, False], 1) == PMatrix.identity(c5x2, 1)
 
 
+_ROWS = "rows must be a list or tuple of n rows of n entries"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda c: PMatrix.from_flat(c, [1.5, 0], 1), "coefficients must be integers, got 1.5"),
+    (lambda c: c.element([1.5]), "coefficients must be integers, got 1.5"),
+    (lambda c: PMatrix.from_rows(c, [[1.5]]), "coefficients must be a list or tuple of integers, got a float"),
+    (lambda c: PMatrix.scalar(c, 1, 1.5), "coefficients must be a list or tuple of integers, got a float"),
+    (lambda c: PMatrix.from_flat(c, {1, 2}, 1), "coefficients must be a list or tuple of integers, got a set"),
+    (lambda c: PMatrix.from_flat(c, {0: 1, 1: 2}, 1), "coefficients must be a list or tuple of integers, got a dict"),
+    (lambda c: PMatrix.from_flat(c, 5, 1), "coefficients must be a list or tuple of integers, got a int"),
+    (lambda c: PMatrix.from_rows(c, 5), _ROWS),
+    (lambda c: PMatrix.from_rows(c, [5]), _ROWS),
+    (lambda c: c.element(bytearray(b"\x01\x02")), "list or tuple of integers, got a bytearray"),
+    (lambda c: c.element(b"\x01\x02"), "list or tuple of integers, got a bytes"),
+], ids=["from_flat-float", "element-float", "from_rows-float", "scalar-float", "from_flat-set",
+        "from_flat-dict", "from_flat-int", "from_rows-int", "from_rows-int-row", "element-bytearray",
+        "element-bytes"])
+def test_every_constructor_refuses_malformed_coefficients_alike(c5x2, build, message):
+    """One gate, one class, one message per fault.  Before, a float got
+    ParameterError from from_flat but DomainError from element, from_rows
+    and scalar; from_flat read a set in hash order and a dict by its keys;
+    an int for the rows or the flat, or for a row, raised TypeError; and a
+    bytearray was read as coefficients while bytes got DomainError."""
+    with pytest.raises(ParameterError, match=f"{message}$"):
+        build(c5x2)
+
+
+@pytest.mark.parametrize("other", [
+    make_context(5, 2, 4, residue_poly=[2, 4, 1]),
+    make_context(7, 1, 6),
+], ids=["another-modulus", "another-prime"])
+@pytest.mark.parametrize("build", [
+    lambda c, e: PMatrix.scalar(c, 2, e),
+    lambda c, e: PMatrix.from_rows(c, [[e, 0], [0, 1]]),
+], ids=["scalar", "from_rows"])
+def test_constructors_refuse_an_element_of_another_ring(other, build):
+    """An element of another ring gets element's one DomainError.  Before,
+    scalar took it as it was: under another modulus it built a matrix read
+    in the wrong basis, and from another prime it raised a bare ValueError
+    from the kernel; from_rows had a message of its own."""
+    ctx = make_context(5, 2, 4)
+    with pytest.raises(DomainError, match="^element belongs to a different ring$"):
+        build(ctx, other.one() + other.generator())
+
+
+def test_from_rows_takes_elements_of_its_ring_as_they_are(c5x2):
+    """An entry of this ring is neither re-read nor reduced again: the
+    matrix holds its coefficients and claims the minimum of the claims."""
+    a = c5x2.element([7, 8]).with_prec(3)
+    b = c5x2.element([-1, 2])
+    M = PMatrix.from_rows(c5x2, [[a, 1], [(2, 3), b]])
+    assert M.flat == a.flat + (1, 0, 2, 3) + b.flat
+    assert M.known_prec == 3
+    assert PMatrix.scalar(c5x2, 2, a).known_prec == 3
+
+
 # ---------------------------------------------------------------- entrywise maps
 
 

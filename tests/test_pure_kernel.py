@@ -292,7 +292,7 @@ def test_from_flat_checks_the_length():
     still a ValueError); the right length is reduced to canonical form."""
     ctx = make_context(5, 2, 4)
     for n, length in ((2, 7), (2, 9), (1, 4), (3, 8)):
-        with pytest.raises(ParameterError, match="flat length"):
+        with pytest.raises(ParameterError, match=f"expected {n * n * 2} coefficients, got {length}$"):
             PMatrix.from_flat(ctx, [1] * length, n)
         with pytest.raises(ValueError):
             PMatrix.from_flat(ctx, [1] * length, n)

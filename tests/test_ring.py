@@ -325,7 +325,7 @@ def test_teichmueller_refuses_what_element_refuses(c5x2):
     """Surplus coordinates, and an element of another ring (here one with
     another modulus), are refused, not truncated or read in this basis."""
     ctx = make_context(5, 2, 8)
-    with pytest.raises(DomainError, match="at most 2 coordinates expected"):
+    with pytest.raises(ParameterError, match="expected at most 2 coefficients, got 3"):
         ctx.teichmueller((1, 2, 3))
     with pytest.raises(DomainError, match="different ring"):
         ctx.teichmueller(c5x2.teichmueller((1, 2)))
@@ -362,15 +362,18 @@ def test_torsion_units_needs_an_int(c5x2, d):
     ("teichmueller", [2.0]),
 ])
 def test_element_refuses_non_int_coefficients(c5x2, method, value):
-    with pytest.raises(DomainError):
+    """A float or str coefficient, or a float in place of the list, is a
+    malformed input: the gate's ParameterError, as from every constructor."""
+    with pytest.raises(ParameterError, match="integers, got"):
         getattr(c5x2, method)(value)
 
 
 @pytest.mark.parametrize("value, name", [({3: "x", 1: "y"}, "dict"), ({3, 1}, "set"), ("31", "str")])
 def test_element_refuses_unordered_and_text_coefficients(c5x2, value, name):
     """A dict would be read by its keys, a set in hash order and a str by
-    character; each is refused by its type before any coefficient is read."""
-    with pytest.raises(DomainError, match=f"got a {name}$"):
+    character; each is refused by its type before any coefficient is read,
+    with the gate's one wrong-container message."""
+    with pytest.raises(ParameterError, match=f"must be a list or tuple of integers, got a {name}$"):
         c5x2.element(value)
 
 
